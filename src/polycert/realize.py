@@ -3,24 +3,18 @@
 A ``RealizedGroup`` runs one coset enumeration over the trivial subgroup, so
 group elements are coset ids (0 is the identity) and each generator is a
 right-multiplication array over the elements. Everything else is derived from
-that single table without further enumerations:
+that single table without further enumerations.
 
-* the order of a standard (parabolic) subgroup is the size of the orbit of
-  the identity under right multiplication by the chosen generators, read off
-  a quotient partition;
-* the left cosets w<S> for a generator subset S are the orbits of right
-  multiplication by S, giving a quotient map phi and a left action of the
-  whole group on the coset space;
-* the order of an intersection of two parabolics comes from the
-  orbit-stabilizer identity: the moving side acts on the coset space of the
-  modulus side, and the orbit of the trivial coset has length
-  |mover| / |mover intersect modulus|. The action on cosets may be unfaithful;
-  the identity above is exact regardless, because the mover's order is taken
-  from the faithful regular table, not from its image.
+For a generator subset S, the orbits of right multiplication by S are the
+left cosets w<S>, and the orbit of the identity is <S> itself. One numpy
+routine computes that partition; the element set of <S> is kept as a
+boolean mask over the element ids. The order of a parabolic subgroup is the
+size of its mask, and the order of an intersection of two parabolics is the
+size of the conjunction of their masks, exact for any presentation.
+``quotient`` turns the same partition into a coset map for the face lattice.
 
-``stats`` counts the table-building passes (one enumeration plus the lazily
-built quotient partitions); certifying a group costs exactly one enumeration
-and a few quotient partitions per generator.
+``stats`` counts the table-building passes: one enumeration, plus
+``quotient_actions`` for every partition built.
 """
 
 from __future__ import annotations
@@ -37,50 +31,22 @@ from .words import Presentation, Word
 
 
 class Quotient:
-    """The set of left cosets w<S>, with the left action of the group on it.
+    """The set of left cosets w<S>, as a partition of the element ids.
 
     ``phi`` maps each element id to its coset id; coset ids are assigned in
     order of their smallest element, and ``reps`` holds that smallest element.
     """
 
-    __slots__ = ("subset", "phi", "reps", "size", "_realized", "_actions")
+    __slots__ = ("subset", "phi", "reps", "size")
 
-    def __init__(self, realized: "RealizedGroup", subset: frozenset[int]):
-        self._realized = realized
+    def __init__(self, subset: frozenset[int], labels: np.ndarray):
         self.subset = subset
-        n = realized.order
-        phi = np.full(n, -1, dtype=np.int32)
-        reps: list[int] = []
-        rights = [realized.right[g] for g in sorted(subset)]
-        for e in range(n):
-            if phi[e] >= 0:
-                continue
-            cid = len(reps)
-            reps.append(e)
-            phi[e] = cid
-            stack = [e]
-            while stack:
-                u = stack.pop()
-                for arr in rights:
-                    v = int(arr[u])
-                    if phi[v] < 0:
-                        phi[v] = cid
-                        stack.append(v)
+        reps, phi = np.unique(labels, return_inverse=True)
+        phi = phi.astype(np.int32)
         phi.setflags(write=False)
         self.phi = phi
-        self.reps = np.array(reps, dtype=np.int32)
+        self.reps = reps
         self.size = len(reps)
-        self._actions: dict[int, np.ndarray] = {}
-
-    def action(self, gen: int) -> np.ndarray:
-        """Left multiplication by one generator, as a coset-id image array."""
-        cached = self._actions.get(gen)
-        if cached is None:
-            lam = self._realized.left_array(gen)
-            cached = self.phi[lam[self.reps]]
-            cached.setflags(write=False)
-            self._actions[gen] = cached
-        return cached
 
 
 class RealizedGroup:
@@ -100,10 +66,8 @@ class RealizedGroup:
             arr.setflags(write=False)
         self.stats: Counter = Counter(enumerations=1)
         self._left: dict[int, np.ndarray] = {}
-        self._left_inv: dict[int, np.ndarray] = {}
         self._quotients: dict[frozenset[int], Quotient] = {}
-        self._parabolic: dict[frozenset[int], int] = {}
-        self._intersections: dict[frozenset[frozenset[int]], int] = {}
+        self._masks: dict[frozenset[int], np.ndarray] = {}
         self._element_orders: dict[Word, int] = {}
 
     @property
@@ -172,132 +136,56 @@ class RealizedGroup:
         self.stats["left_arrays"] += 1
         return lam
 
-    def _left_inverse_array(self, gen: int) -> np.ndarray:
-        cached = self._left_inv.get(gen)
-        if cached is None:
-            lam = self.left_array(gen)
-            cached = np.empty_like(lam)
-            cached[lam] = np.arange(self.order, dtype=np.int32)
-            cached.setflags(write=False)
-            self._left_inv[gen] = cached
-        return cached
-
-    def left_word_array(self, w: Word) -> np.ndarray:
-        """Left multiplication by a whole word (first letter outermost)."""
-        acc: np.ndarray | None = None
-        for g, s in w:
-            lam = self.left_array(g) if s > 0 else self._left_inverse_array(g)
-            acc = lam if acc is None else acc[lam]
-        if acc is None:
-            return np.arange(self.order, dtype=np.int32)
-        return acc
-
     # -- parabolic subgroups -----------------------------------------------------
+
+    def _orbit_labels(self, fs: frozenset[int]) -> np.ndarray:
+        """The smallest element of each element's orbit under right
+        multiplication by the generators in ``fs``.
+
+        Min-label propagation with pointer jumping: every label only ever
+        decreases to an element of the same orbit, and at the fixed point
+        labels agree along every generator edge. Each generator is a
+        permutation of finite order, so its forward edges already connect
+        each orbit and no inverse arrays are needed.
+        """
+        labels = np.arange(self.order, dtype=np.int32)
+        rights = [self.right[g] for g in sorted(fs)]
+        while True:
+            nxt = labels
+            for arr in rights:
+                nxt = np.minimum(nxt, nxt[arr])
+            nxt = nxt[nxt]
+            if np.array_equal(nxt, labels):
+                break
+            labels = nxt
+        self.stats["quotient_actions"] += 1
+        return labels
+
+    def _mask(self, fs: frozenset[int]) -> np.ndarray:
+        """The elements of <fs>: the orbit of the identity, whose label is 0."""
+        mask = self._masks.get(fs)
+        if mask is None:
+            mask = self._orbit_labels(fs) == 0
+            mask.setflags(write=False)
+            self._masks[fs] = mask
+        return mask
 
     def quotient(self, subset: Iterable[int]) -> Quotient:
         fs = self._check_subset(subset)
         q = self._quotients.get(fs)
         if q is None:
-            q = Quotient(self, fs)
+            q = Quotient(fs, self._orbit_labels(fs))
             self._quotients[fs] = q
-            self.stats["quotient_actions"] += 1
         return q
 
     def parabolic_order(self, subset: Iterable[int]) -> int:
         """Order of the subgroup spanned by a subset of the generators."""
-        fs = self._check_subset(subset)
-        cached = self._parabolic.get(fs)
-        if cached is not None:
-            return cached
-        n = self._parabolic_order_uncached(fs)
-        self._parabolic[fs] = n
-        return n
-
-    def _parabolic_order_uncached(self, fs: frozenset[int]) -> int:
-        if not fs:
-            return 1
-        if len(fs) == 1:
-            (g,) = fs
-            return self.element_order(Word([(g, 1)]))
-        if len(fs) == 2:
-            a, b = sorted(fs)
-            ea = int(self.right[a][0])
-            eb = int(self.right[b][0])
-            if ea == 0 or eb == 0 or ea == eb:
-                # a collapsed or repeated generator: the pair spans a cyclic group
-                sub = fs - {a} if ea == 0 else fs - {b} if eb == 0 else {a}
-                return self._parabolic_order_uncached(frozenset(sub))
-            oa = self.element_order(Word([(a, 1)]))
-            ob = self.element_order(Word([(b, 1)]))
-            if oa == 2 and ob == 2:
-                # two distinct involutions span a dihedral group
-                return 2 * self.element_order(Word([(a, 1), (b, 1)]))
-        if len(fs) == self.rank:
-            return self.order
-        q = self._quotients.get(fs)
-        if q is None:
-            q = self.quotient(fs)
-        return self.order // q.size
+        return int(np.count_nonzero(self._mask(self._check_subset(subset))))
 
     def intersection_order(self, left: Iterable[int], right: Iterable[int]) -> int:
-        """Order of the intersection of two parabolic subgroups.
-
-        The side with the larger parabolic is used as the modulus (ties go to
-        ``right``); the other side's orbit of the trivial coset gives the
-        answer by orbit-stabilizer. Exact even when the coset action of the
-        moving side is unfaithful.
-        """
-        fs_l = self._check_subset(left)
-        fs_r = self._check_subset(right)
-        if fs_l <= fs_r:
-            return self.parabolic_order(fs_l)
-        if fs_r <= fs_l:
-            return self.parabolic_order(fs_r)
-        key = frozenset((fs_l, fs_r))
-        cached = self._intersections.get(key)
-        if cached is not None:
-            return cached
-        if len(fs_l) == 1 and len(fs_r) == 1:
-            # two cyclic subgroups: intersect their element sets directly
-            (a,) = fs_l
-            (b,) = fs_r
-            result = len(self._cyclic_elements(a) & self._cyclic_elements(b))
-            self._intersections[key] = result
-            return result
-        o_l = self.parabolic_order(fs_l)
-        o_r = self.parabolic_order(fs_r)
-        if o_l > o_r:
-            modulus, mover, mover_order = fs_l, fs_r, o_r
-        else:
-            modulus, mover, mover_order = fs_r, fs_l, o_l
-        if mover_order == 1:
-            self._intersections[key] = 1
-            return 1
-        q = self.quotient(modulus)
-        actions = [q.action(g) for g in sorted(mover)]
-        start = int(q.phi[0])
-        seen = {start}
-        stack = [start]
-        while stack:
-            c = stack.pop()
-            for arr in actions:
-                img = int(arr[c])
-                if img not in seen:
-                    seen.add(img)
-                    stack.append(img)
-        result = mover_order // len(seen)
-        self._intersections[key] = result
-        return result
-
-    def _cyclic_elements(self, gen: int) -> frozenset[int]:
-        """Element ids of the cyclic subgroup spanned by one generator."""
-        arr = self.right[gen]
-        out = {0}
-        cur = int(arr[0])
-        while cur != 0:
-            out.add(cur)
-            cur = int(arr[cur])
-        return frozenset(out)
+        """Order of the intersection of two parabolic subgroups."""
+        both = self._mask(self._check_subset(left)) & self._mask(self._check_subset(right))
+        return int(np.count_nonzero(both))
 
     def regular_permutation_group(self):
         """The regular permutation representation as a PermutationGroup."""
@@ -324,10 +212,3 @@ def realize(presentation: Presentation,
         limits = EnumerationLimits()
     return _realize_cached(presentation, limits, strategy)
 
-
-def parabolic_intersection_order(presentation: Presentation,
-                                 left: Iterable[int],
-                                 right: Iterable[int],
-                                 limits: EnumerationLimits | None = None) -> int:
-    """Order of the intersection of two parabolic subgroups of a presented group."""
-    return realize(presentation, limits).intersection_order(left, right)

@@ -4,10 +4,14 @@
 part of the scripting contract, so they are asserted literally.
 """
 
+import ast
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import polycert
 from polycert.certificates import certificate_from_json, parse_atlas
 from polycert.cli import main
 from polycert.families import tight_quotient_presentation
@@ -21,7 +25,7 @@ HIDDEN_CENTER_RELATORS = (
 @pytest.fixture(autouse=True)
 def clean_environment(monkeypatch):
     for name in ("POLYCERT_MAX_COSETS", "POLYCERT_STRATEGY", "POLYCERT_JOBS",
-                 "POLYCERT_UNSAFE_PARAMS", "POLYCERT_NO_VALIDATE"):
+                 "POLYCERT_UNSAFE_PARAMS"):
         monkeypatch.delenv(name, raising=False)
 
 
@@ -265,3 +269,17 @@ def test_hasse_guards(capsys):
                        "--generators", "3", "--relators", HIDDEN_CENTER_RELATORS)
     assert code == 3
     assert "check-failed" in err
+
+
+def test_environment_knobs_are_documented():
+    """Every POLYCERT_* name the library reads appears in README's table."""
+    read = set()
+    for path in Path(polycert.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and re.fullmatch(r"POLYCERT_[A-Z_]+", node.value)):
+                read.add(node.value)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    documented = set(re.findall(r"^\| `(POLYCERT_[A-Z_]+)", readme, re.MULTILINE))
+    assert read, "no environment knobs found; the scan is broken"
+    assert read <= documented, f"undocumented: {sorted(read - documented)}"

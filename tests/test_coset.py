@@ -4,8 +4,6 @@ The brute-force oracle below closes the group by left-multiplying reduced
 words, entirely independent of the table-based engine it checks.
 """
 
-import os
-
 import pytest
 
 import polycert.coset as coset_mod
@@ -181,22 +179,42 @@ def test_unclosed_table_refuses_lookup():
 
 
 def test_validate_catches_corruption():
-    t = enumerate_cosets(dihedral(4))
-    t.validate()
-    t.table[2][0] = t.table[2][0] ^ 1  # swap one arrow to a wrong coset
-    with pytest.raises(TableNotClosedError):
-        t.validate()
+    enumerate_cosets(dihedral(4)).validate()
 
+    def wrong_arrow(t):
+        t.table[2][0] ^= 1
 
-def test_validation_can_be_disabled(monkeypatch):
-    calls = []
-    monkeypatch.setattr(coset_mod.CosetTable, "validate",
-                        lambda self: calls.append(1))
-    enumerate_cosets(dihedral(3))
-    assert calls == [1]
-    monkeypatch.setenv("POLYCERT_NO_VALIDATE", "1")
-    enumerate_cosets(dihedral(3))
-    assert calls == [1], "the env switch must skip the post-hoc validation"
+    def undefined_entry(t):
+        t.table[0][1] = -1
+
+    def out_of_range_entry(t):
+        t.table[0][1] = len(t.table)
+
+    def short_row(t):
+        t.table[5].pop()
+
+    def open_relator(t):
+        # (r0 r1)^2 is the central rotation of the dihedral group of order 8,
+        # so it fails at every coset while every back link stays consistent
+        extra = power(pair(0, 1), 2)
+        t.presentation = Presentation(2, t.presentation.relators + (extra,))
+
+    def moving_subgroup_generator(t):
+        t.subgroup_generators = (generator(0),)
+
+    cases = [
+        (wrong_arrow, r"entry \(2, col 0\) lacks a consistent back link"),
+        (undefined_entry, r"entry \(0, col 1\) = -1 undefined"),
+        (out_of_range_entry, r"entry \(0, col 1\) = 8 undefined or out of range"),
+        (short_row, "row 5 has wrong width"),
+        (open_relator, "does not close at coset 0"),
+        (moving_subgroup_generator, "moves coset 0"),
+    ]
+    for corrupt, message in cases:
+        t = enumerate_cosets(dihedral(4))
+        corrupt(t)
+        with pytest.raises(TableNotClosedError, match=message):
+            t.validate()
 
 
 def test_lookahead_is_exercised(monkeypatch):

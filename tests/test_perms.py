@@ -172,7 +172,8 @@ def test_stabilizer_on_disjoint_face_actions(tight44):
         images = np.empty(16, dtype=np.int32)
         for s, off in zip(blocks, offsets):
             q = rg.quotient(s)
-            images[off:off + q.size] = q.action(gen) + off
+            # left multiplication by gen, read on the coset representatives
+            images[off:off + q.size] = q.phi[rg.left_array(gen)[q.reps]] + off
         gens.append(Permutation(images))
     g = PermutationGroup(gens)
     assert g.order() == 32  # the union action is faithful

@@ -256,17 +256,24 @@ def test_quotient_criterion_validation(tight44):
 
 def test_certification_enumeration_budget():
     """A fresh certification runs exactly one coset enumeration; everything
-    else is quotient partitions of the one table."""
+    else is partitions of the one table, at most one per generator subset
+    that ``certify`` reads."""
     cases = [
-        (family_h(11, 4, 4), 1),
-        (family_g(4, 10, (2, 2, 2)), 6),
-        (family_g(5, 12, (2, 2, 2, 2)), 11),
+        family_h(11, 4, 4),
+        family_g(4, 10, (2, 2, 2)),
+        family_g(5, 12, (2, 2, 2, 2)),
     ]
-    for p, quotient_budget in cases:
+    for p in cases:
+        d = p.generator_count
+        # the recursive check reads intervals of length 0 (the middle of
+        # every length-2 interval) to d - 1; the corank-1 subsets follow
+        read = {frozenset(range(i, i + length))
+                for length in range(d) for i in range(d - length + 1)}
+        read |= {frozenset(range(d)) - {i} for i in range(d)}
         _realize_cached.cache_clear()
         cert = certify(p)
         rg = realize(p)
         assert cert.passed
         assert rg.stats["enumerations"] == 1
-        assert rg.stats["quotient_actions"] <= quotient_budget
-        assert rg.stats["left_arrays"] <= rg.rank
+        assert rg.stats["left_arrays"] == 0
+        assert rg.stats["quotient_actions"] <= len(read)

@@ -28,6 +28,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from math import prod
 
 from . import certificates as certs
@@ -307,7 +308,10 @@ def _cmd_sweep(args) -> int:
             results.append(_sweep_one(task))
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_one, tasks))
+            try:
+                results = list(pool.map(_sweep_one, tasks))
+            except BrokenProcessPool as exc:
+                raise LimitExceededError("a sweep worker died (out of memory?)") from exc
     rows = []
     skipped = []
     for res in results:

@@ -18,14 +18,25 @@ Conventions:
   their listed order from the lowest-numbered incomplete coset, so the
   enumeration (and the resulting numbering) is deterministic.
 
-Dead cosets produced by coincidences are compacted away whenever they
-outnumber live ones 3 to 1. Every returned table is re-verified post hoc
-(every relator traces to a closed cycle from every live coset, and every
-subgroup generator fixes coset 0).
+While it runs, the engine keeps the table column-major (Holt, Eick and
+O'Brien, *Handbook of Computational Group Theory*, 5.1-5.2): one int32
+``array`` per column indexed by coset id, and one more for the union-find
+parents, so a coset slot costs 4 bytes per column plus 4. The arrays double
+in capacity when full, so they hold at most twice as many slots as cosets
+were ever defined. Dead cosets produced by coincidences are compacted away
+whenever they outnumber live ones 3 to 1: compaction renumbers the columns
+in place, and the final standardization reads them, both with numpy
+gathers over views of the arrays. Only the finished table is handed out as
+one Python list per coset.
+
+Every returned table is re-verified post hoc (every relator traces to a
+closed cycle from every live coset, and every subgroup generator fixes
+coset 0).
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -52,6 +63,10 @@ FIRST_LOOKAHEAD = 1 << 15
 MAX_DEDUCTION_STACK = 1 << 14
 
 STRATEGIES = ("hlt", "felsch")
+
+# A relator as the engine scans it: its column sequence, then the column
+# arrays read by the forward scan and by the backward scan.
+_Relator = tuple[tuple[int, ...], tuple[array, ...], tuple[array, ...]]
 
 
 @dataclass(frozen=True)
@@ -217,7 +232,14 @@ class CosetTable:
 
 
 class _Engine:
-    """Shared state and primitive moves for both enumeration strategies."""
+    """Shared state and primitive moves for both enumeration strategies.
+
+    ``t[c][k]`` is the image of coset ``k`` under column ``c`` (-1 while
+    undefined) and ``p`` is the union-find parent of each coset id. All of
+    them are int32 arrays of one common capacity, of which ids below ``n``
+    are in use; the arrays are only ever resized or rewritten in place, so
+    the per-relator tuples of columns built in ``__init__`` stay valid.
+    """
 
     def __init__(self, presentation: Presentation, subgroup_generators: Sequence[Word],
                  limits: EnumerationLimits, strategy: str):
@@ -225,16 +247,39 @@ class _Engine:
         self.limits = limits
         self.strategy = strategy
         self.cols = _ColumnMap(presentation)
-        self.rel_seqs = [self.cols.seq(r) for r in presentation.relators if len(r) > 0]
-        self.sub_seqs = [self.cols.seq(w) for w in subgroup_generators if len(w) > 0]
-        self.table: list[list[int]] = [[-1] * self.cols.ncols]
-        self.p: list[int] = [0]
+        inv = self.cols.inv
+        self.t = [array("i", [-1]) for _ in range(self.cols.ncols)]
+        self.p = array("i", [0])
+        self.n = 1
+        # Each relator is scanned with the tuple of its column arrays
+        # (forward) and of their inverse columns (backward). A square r r of
+        # an involution on its shared column c holds exactly when c is
+        # defined, so HLT defines c instead of scanning it, and the
+        # lookahead and deduction scans, which could only find it closed or
+        # open by two letters, skip it.
+        self.hlt_steps: list[tuple[int, _Relator]] = []
+        self.rels: list[_Relator] = []
+        for r in presentation.relators:
+            if len(r) == 0:
+                continue
+            rel = self._relator(self.cols.seq(r))
+            seq = rel[0]
+            if len(seq) == 2 and seq[0] == seq[1] == inv[seq[0]]:
+                self.hlt_steps.append((seq[0], rel))
+            else:
+                self.hlt_steps.append((-1, rel))
+                self.rels.append(rel)
+        self.subs = [self._relator(self.cols.seq(w)) for w in subgroup_generators if len(w) > 0]
         self.created = 1
         self.dead = 0
-        self.deductions_done = 0
         self.dedstack: list[tuple[int, int]] = []
         self.felsch = strategy == "felsch"
         self.stats = EnumerationStats(strategy=strategy)
+
+    def _relator(self, seq: tuple[int, ...]) -> _Relator:
+        t = self.t
+        inv = self.cols.inv
+        return seq, tuple(t[c] for c in seq), tuple(t[inv[c]] for c in seq)
 
     # -- union-find over coset ids (min id is the representative) ----------
 
@@ -249,18 +294,31 @@ class _Engine:
 
     # -- primitive moves ----------------------------------------------------
 
+    def _grow(self) -> None:
+        """Double the capacity: new slots are undefined and their own parents."""
+        cap = len(self.p)
+        undefined = array("i", [-1]) * cap
+        for col in self.t:
+            col.extend(undefined)
+        self.p.frombytes(np.arange(cap, 2 * cap, dtype=np.intc).tobytes())
+
     def _define(self, alpha: int, c: int) -> int:
         if self.created >= self.limits.max_cosets:
+            live = self._live()
+            table_bytes = sum(col.itemsize * len(col) for col in self.t)
             raise LimitExceededError(
                 f"coset limit {self.limits.max_cosets} exceeded "
-                f"({self.created} cosets created; the table is not closed)",
-                cosets_created=self.created)
-        new = len(self.table)
-        self.table.append([-1] * self.cols.ncols)
-        self.p.append(new)
+                f"({self.created} cosets created, {live} live, "
+                f"{table_bytes} table bytes; the table is not closed)",
+                cosets_created=self.created, live_cosets=live,
+                table_bytes=table_bytes)
+        new = self.n
+        if new == len(self.p):
+            self._grow()
+        self.n = new + 1
         self.created += 1
-        self.table[alpha][c] = new
-        self.table[new][self.cols.inv[c]] = alpha
+        self.t[c][alpha] = new
+        self.t[self.cols.inv[c]][new] = alpha
         if self.felsch:
             self.dedstack.append((alpha, c))
         return new
@@ -275,64 +333,77 @@ class _Engine:
             queue.append(nu)
 
     def _coincidence(self, a: int, b: int) -> None:
-        table = self.table
+        t = self.t
         inv = self.cols.inv
-        ncols = self.cols.ncols
         felsch = self.felsch
         queue: deque = deque()
         self._merge(a, b, queue)
         while queue:
             gamma = queue.popleft()
-            row = table[gamma]
-            for c in range(ncols):
-                delta = row[c]
+            for c, col in enumerate(t):
+                delta = col[gamma]
                 if delta < 0:
                     continue
                 ci = inv[c]
-                table[delta][ci] = -1
+                t[ci][delta] = -1
                 if felsch:
                     self.dedstack.append((delta, ci))
                 mu = self._rep(gamma)
                 nu = self._rep(delta)
-                t = table[mu][c]
-                if t >= 0:
-                    self._merge(nu, t, queue)
+                x = col[mu]
+                if x >= 0:
+                    self._merge(nu, x, queue)
                 else:
-                    t2 = table[nu][ci]
-                    if t2 >= 0:
-                        self._merge(mu, t2, queue)
+                    x = t[ci][nu]
+                    if x >= 0:
+                        self._merge(mu, x, queue)
                     else:
-                        table[mu][c] = nu
-                        table[nu][ci] = mu
+                        col[mu] = nu
+                        t[ci][nu] = mu
                         if felsch:
                             self.dedstack.append((mu, c))
 
-    def _scan(self, alpha: int, seq: Sequence[int], fill: bool) -> None:
+    def _scan(self, alpha: int, rel: _Relator, fill: bool) -> bool:
         """Scan one relator (or subgroup generator) from ``alpha``.
 
         With ``fill`` the first undefined slot is defined and the scan
         restarts, so the scan always completes (HLT); without it the scan
         stops at a gap wider than one (lookahead / felsch deduction scans).
+        Returns whether it processed a coincidence, the only way a scan can
+        kill ``alpha``.
         """
-        table = self.table
-        inv = self.cols.inv
+        seq, fwd, bwd = rel
+        if fill:
+            # a first forward pass without bookkeeping: most HLT scans close
+            # in it, and one that stops is walked again below
+            f = alpha
+            for col in fwd:
+                f = col[f]
+                if f < 0:
+                    break
+            else:
+                if f == alpha:
+                    return False
+                self._coincidence(f, alpha)
+                return True
         f = alpha
-        b = alpha
         i = 0
+        for col in fwd:
+            nxt = col[f]
+            if nxt < 0:
+                break
+            f = nxt
+            i += 1
+        else:
+            if f == alpha:
+                return False
+            self._coincidence(f, alpha)
+            return True
+        b = alpha
         j = len(seq) - 1
         while True:
-            while i <= j:
-                nxt = table[f][seq[i]]
-                if nxt < 0:
-                    break
-                f = nxt
-                i += 1
-            if i > j:
-                if f != b:
-                    self._coincidence(f, b)
-                return
             while j >= i:
-                nxt = table[b][inv[seq[j]]]
+                nxt = bwd[j][b]
                 if nxt < 0:
                     break
                 b = nxt
@@ -340,23 +411,33 @@ class _Engine:
             if j < i:
                 # both scans met with a disagreement: the two cosets coincide
                 self._coincidence(f, b)
-                return
+                return True
             if j == i:
                 # the gap is a single letter: close it (a deduction)
-                c = seq[i]
-                table[f][c] = b
-                table[b][inv[c]] = f
+                fwd[i][f] = b
+                bwd[i][b] = f
                 if self.felsch:
-                    self.dedstack.append((f, c))
-                return
+                    self.dedstack.append((f, seq[i]))
+                return False
             if not fill:
-                return
+                return False
             self._define(f, seq[i])
+            while i <= j:
+                nxt = fwd[i][f]
+                if nxt < 0:
+                    break
+                f = nxt
+                i += 1
+            if i > j:
+                if f == b:
+                    return False
+                self._coincidence(f, b)
+                return True
 
     # -- housekeeping ---------------------------------------------------------
 
     def _live(self) -> int:
-        return len(self.table) - self.dead
+        return self.n - self.dead
 
     def _compact(self, boundary: int) -> int:
         """Drop dead rows, renumber live ones in order; return the new boundary.
@@ -365,30 +446,28 @@ class _Engine:
         (the count of live ids below it) is returned so the caller's sweep can
         continue where it left off.
         """
-        table = self.table
-        p = self.p
-        n = len(table)
-        new_id = [-1] * n
-        nxt = 0
-        for i in range(n):
-            if p[i] == i:
-                new_id[i] = nxt
-                nxt += 1
-        new_boundary = sum(1 for i in range(min(boundary, n)) if p[i] == i)
-        rep = self._rep
-        new_table = []
-        for i in range(n):
-            if p[i] != i:
-                continue
-            row = table[i]
-            new_table.append([
-                -1 if v < 0 else new_id[rep(v)] for v in row
-            ])
-        self.table = new_table
-        self.p = list(range(len(new_table)))
+        n = self.n
+        p = np.frombuffer(self.p, dtype=np.intc)
+        ids = np.arange(n, dtype=np.intc)
+        root = p[:n].copy()
+        while True:  # parents only point down, so pointer jumping reaches the roots
+            nxt = root[root]
+            if np.array_equal(nxt, root):
+                break
+            root = nxt
+        live = root == ids
+        live_count = int(np.count_nonzero(live))
+        # new id of every old id, through its root; the trailing -1 maps -1 to -1
+        new_id = np.append((np.cumsum(live, dtype=np.intc) - 1)[root], np.intc(-1))
+        for col in self.t:
+            v = np.frombuffer(col, dtype=np.intc)
+            v[:live_count] = new_id[v[:n][live]]
+            v[live_count:n] = -1
+        p[:n] = ids
+        self.n = live_count
         self.dead = 0
         self.stats.compactions += 1
-        return new_boundary
+        return int(np.count_nonzero(live[:boundary]))
 
     def _maybe_compact(self, boundary: int) -> int:
         if self.dead > COMPACTION_DEAD_LIVE_RATIO * self._live():
@@ -398,33 +477,39 @@ class _Engine:
     def _lookahead(self) -> None:
         """Scan all relators at all live cosets without defining anything."""
         self.stats.lookaheads += 1
-        alpha = 0
-        while alpha < len(self.table):
-            if self.p[alpha] == alpha:
-                for seq in self.rel_seqs:
-                    self._scan(alpha, seq, fill=False)
-                    if self.p[alpha] != alpha:
+        p = self.p
+        scan = self._scan
+        for alpha in range(self.n):
+            if p[alpha] == alpha:
+                for rel in self.rels:
+                    if scan(alpha, rel, False) and p[alpha] != alpha:
                         break
-            alpha += 1
 
     # -- strategies -----------------------------------------------------------
 
     def run_hlt(self) -> None:
-        for seq in self.sub_seqs:
-            self._scan(0, seq, fill=True)
+        for rel in self.subs:
+            self._scan(0, rel, fill=True)
+        p = self.p
+        t = self.t
+        steps = self.hlt_steps
+        scan = self._scan
+        define = self._define
         alpha = 0
         lookahead_at = FIRST_LOOKAHEAD
-        while alpha < len(self.table):
-            if self.p[alpha] == alpha:
-                for seq in self.rel_seqs:
-                    self._scan(alpha, seq, fill=True)
-                    if self.p[alpha] != alpha:
+        while alpha < self.n:
+            if p[alpha] == alpha:
+                for c, rel in steps:
+                    if c >= 0:
+                        if t[c][alpha] < 0:
+                            define(alpha, c)
+                        continue
+                    if scan(alpha, rel, True) and p[alpha] != alpha:
                         break
                 else:
-                    row = self.table[alpha]
-                    for c in range(self.cols.ncols):
-                        if row[c] < 0:
-                            self._define(alpha, c)
+                    for c, col in enumerate(t):
+                        if col[alpha] < 0:
+                            define(alpha, c)
             alpha += 1
             if self.created >= lookahead_at:
                 self._lookahead()
@@ -433,64 +518,65 @@ class _Engine:
             else:
                 alpha = self._maybe_compact(alpha)
 
-    def _felsch_groups(self) -> list[list[tuple[int, ...]]]:
+    def _felsch_groups(self) -> list[list[_Relator]]:
         """Cyclic conjugates of all relators and inverses, grouped by lead column."""
         inv = self.cols.inv
         groups: list[set[tuple[int, ...]]] = [set() for _ in range(self.cols.ncols)]
-        for seq in self.rel_seqs:
+        for seq, _, _ in self.rels:
             variants = {seq, tuple(inv[c] for c in reversed(seq))}
             for base in variants:
                 for k in range(len(base)):
                     rot = base[k:] + base[:k]
                     groups[rot[0]].add(rot)
-        return [sorted(g) for g in groups]
+        return [[self._relator(seq) for seq in sorted(g)] for g in groups]
 
-    def _process_deductions(self, groups: list[list[tuple[int, ...]]]) -> None:
+    def _process_deductions(self, groups: list[list[_Relator]]) -> None:
         limit = self.limits.max_deductions
-        while self.dedstack:
-            if len(self.dedstack) > MAX_DEDUCTION_STACK:
+        stack = self.dedstack
+        stats = self.stats
+        p = self.p
+        t = self.t
+        inv = self.cols.inv
+        scan = self._scan
+        while stack:
+            if len(stack) > MAX_DEDUCTION_STACK:
                 # too much pending work: fall back to one full lookahead pass
-                self.dedstack.clear()
+                stack.clear()
                 self._lookahead()
                 continue
-            alpha, c = self.dedstack.pop()
-            self.deductions_done += 1
-            self.stats.deductions += 1
-            if self.deductions_done > limit:
+            alpha, c = stack.pop()
+            stats.deductions += 1
+            if stats.deductions > limit:
                 raise LimitExceededError(
-                    f"deduction limit {limit} exceeded", deductions=self.deductions_done)
-            if self.p[alpha] == alpha:
-                for seq in groups[c]:
-                    self._scan(alpha, seq, fill=False)
-                    if self.p[alpha] != alpha:
-                        break
-                beta = self.table[alpha][c] if self.p[alpha] == alpha else -1
+                    f"deduction limit {limit} exceeded", deductions=stats.deductions)
+            if p[alpha] != alpha:
+                continue
+            for rel in groups[c]:
+                if scan(alpha, rel, False) and p[alpha] != alpha:
+                    break
             else:
-                beta = -1
-            if beta >= 0 and self.p[beta] == beta:
-                ci = self.cols.inv[c]
-                for seq in groups[ci]:
-                    self._scan(beta, seq, fill=False)
-                    if self.p[beta] != beta:
-                        break
+                beta = t[c][alpha]
+                if beta >= 0 and p[beta] == beta:
+                    for rel in groups[inv[c]]:
+                        if scan(beta, rel, False) and p[beta] != beta:
+                            break
 
     def run_felsch(self) -> None:
         groups = self._felsch_groups()
-        for seq in self.sub_seqs:
-            self._scan(0, seq, fill=True)
+        for rel in self.subs:
+            self._scan(0, rel, fill=True)
             self._process_deductions(groups)
+        p = self.p
+        t = self.t
         alpha = 0
-        while alpha < len(self.table):
-            while self.p[alpha] == alpha:
-                undefined = -1
-                row = self.table[alpha]
-                for c in range(self.cols.ncols):
-                    if row[c] < 0:
-                        undefined = c
+        while alpha < self.n:
+            while p[alpha] == alpha:
+                for c, col in enumerate(t):
+                    if col[alpha] < 0:
                         break
-                if undefined < 0:
+                else:
                     break
-                self._define(alpha, undefined)
+                self._define(alpha, c)
                 self._process_deductions(groups)
             alpha += 1
             alpha = self._maybe_compact(alpha)
@@ -499,36 +585,37 @@ class _Engine:
 
     def finalize(self) -> CosetTable:
         self._compact(0)
-        self._standardize()
         self.stats.cosets_created = self.created
-        self.stats.live_count = len(self.table)
+        self.stats.live_count = self.n
         return CosetTable(
             presentation=self.presentation,
             subgroup_generators=(),  # caller fills in
-            table=self.table,
+            table=self._standardize(),
             columns=self.cols,
             closed=True,
             stats=self.stats,
         )
 
-    def _standardize(self) -> None:
+    def _standardize(self) -> list[list[int]]:
         """Canonical renumbering: first-visit order scanning rows by column.
 
         Makes the final numbering independent of enumeration history, so both
-        strategies produce byte-identical tables for the same input.
+        strategies produce byte-identical tables for the same input. Returns
+        the rows as lists whose entries are the shared int objects of one
+        ``range(n)``, so a large table holds one int object per coset, not
+        one per cell.
         """
-        table = self.table
-        n = len(table)
-        ncols = self.cols.ncols
+        n = self.n
+        t = self.t
         new_of = [-1] * n
         old_of = [0] * n
         new_of[0] = 0
         nxt = 1
         cur = 0
         while cur < nxt:
-            row = table[old_of[cur]]
-            for c in range(ncols):
-                v = row[c]
+            a = old_of[cur]
+            for col in t:
+                v = col[a]
                 if v >= 0 and new_of[v] < 0:
                     new_of[v] = nxt
                     old_of[nxt] = v
@@ -536,10 +623,16 @@ class _Engine:
             cur += 1
         if nxt != n:
             raise TableNotClosedError("coset graph is not connected; table corrupt")
-        self.table = [
-            [-1 if v < 0 else new_of[v] for v in table[old_of[i]]]
-            for i in range(n)
-        ]
+        new_id = np.array(new_of + [-1], dtype=np.intc)
+        old = np.array(old_of, dtype=np.intc)
+        std = np.empty((n, len(t)), dtype=np.intc)
+        for c, col in enumerate(t):
+            std[:, c] = new_id[np.frombuffer(col, dtype=np.intc, count=n)[old]]
+        ids = list(range(n))
+        ids.append(-1)
+        cells = list(map(ids.__getitem__, std.ravel().tolist()))
+        width = len(t)
+        return [cells[k * width:(k + 1) * width] for k in range(n)]
 
 
 def enumerate_cosets(presentation: Presentation,

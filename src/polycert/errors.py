@@ -23,13 +23,20 @@ class ParameterError(PolycertError):
 
 
 class LimitExceededError(PolycertError):
-    """An enumeration or search blew past its configured resource limits."""
+    """An enumeration or search blew past its configured resource limits.
+
+    A coset limit also reports how far the enumeration got: the cosets still
+    live and the bytes allocated to the table's columns.
+    """
 
     def __init__(self, message: str, *, cosets_created: int | None = None,
-                 deductions: int | None = None):
+                 deductions: int | None = None, live_cosets: int | None = None,
+                 table_bytes: int | None = None):
         super().__init__(message)
         self.cosets_created = cosets_created
         self.deductions = deductions
+        self.live_cosets = live_cosets
+        self.table_bytes = table_bytes
 
 
 class TableNotClosedError(PolycertError):

@@ -6,12 +6,14 @@ part of the scripting contract, so they are asserted literally.
 
 import ast
 import json
+import os
 import re
 from pathlib import Path
 
 import pytest
 
 import polycert
+import polycert.cli as cli
 from polycert.certificates import certificate_from_json, parse_atlas
 from polycert.cli import main
 from polycert.families import tight_quotient_presentation
@@ -192,6 +194,23 @@ def test_sweep_parallel_matches_serial(capsys, tmp_path):
     assert run(capsys, *base, "--out", str(serial))[0] == 0
     assert run(capsys, *base, "--jobs", "2", "--out", str(parallel))[0] == 0
     assert strip_seconds(serial.read_text()) == strip_seconds(parallel.read_text())
+
+
+def _die_in_worker(task):
+    os._exit(1)
+
+
+def test_sweep_dead_worker_is_a_limit(capsys, monkeypatch):
+    # a worker killed for memory leaves the pool broken; that is a limit,
+    # reported on one line, not a traceback
+    monkeypatch.setattr(cli, "_sweep_one", _die_in_worker)
+    code, out, err = run(capsys, "sweep", "--d-min", "3", "--d-max", "3",
+                         "--n-min", "9", "--n-max", "9", "--k-min", "4",
+                         "--jobs", "2")
+    assert code == 5
+    assert out == ""
+    assert err.splitlines() == [
+        "polycert: limit-exceeded: a sweep worker died (out of memory?)"]
 
 
 def test_sweep_rejects_bad_ranges(capsys):

@@ -4,6 +4,8 @@ The brute-force oracle below closes the group by left-multiplying reduced
 words, entirely independent of the table-based engine it checks.
 """
 
+import tracemalloc
+
 import pytest
 
 import polycert.coset as coset_mod
@@ -17,6 +19,7 @@ from polycert import (
     coxeter_string_presentation,
     enumerate_cosets,
     family_a,
+    family_g,
     family_k,
     generator,
     group_order,
@@ -133,11 +136,57 @@ def test_limit_exceeded_on_infinite_group():
     # the euclidean plane tiling group: no finite coset table exists
     p = coxeter_string_presentation((4, 4))
     limits = EnumerationLimits(max_cosets=500)
-    with pytest.raises(LimitExceededError) as info:
-        enumerate_cosets(p, limits=limits)
-    assert info.value.cosets_created == 500
-    with pytest.raises(LimitExceededError):
-        enumerate_cosets(p, limits=limits, strategy="felsch")
+    for strategy in coset_mod.STRATEGIES:
+        with pytest.raises(LimitExceededError) as info:
+            enumerate_cosets(p, limits=limits, strategy=strategy)
+        err = info.value
+        assert err.cosets_created == 500
+        # no two cosets of the tiling group coincide
+        assert err.live_cosets == 500
+        # three involution columns of 4-byte entries, for at least every
+        # defined coset and at most twice as many slots
+        assert 3 * 4 * 500 <= err.table_bytes <= 2 * 3 * 4 * 500
+        assert err.table_bytes % (3 * 4) == 0
+        assert "500 live" in str(err)
+        assert f"{err.table_bytes} table bytes" in str(err)
+
+
+def test_limit_run_memory_per_coset():
+    # int32 columns take 4 bytes per column and coset slot; a table of
+    # Python lists, one per coset, would take over 130 bytes per coset here
+    p = coxeter_string_presentation((4, 4, 4))
+    tracemalloc.start()
+    try:
+        with pytest.raises(LimitExceededError) as info:
+            enumerate_cosets(p, limits=EnumerationLimits(max_cosets=20_000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert info.value.cosets_created == 20_000
+    assert peak / info.value.cosets_created <= 64
+
+
+# live, created, compactions, lookaheads, deductions; the table layout must
+# not change which cosets either strategy defines, or in which order
+PINNED_COUNTERS = [
+    (family_g(5, 12, (2, 2, 2, 3)), {"hlt": (4096, 10343, 1, 0, 0),
+                                     "felsch": (4096, 4096, 1, 0, 10240)}),
+    (family_g(3, 12, (2, 9)), {"hlt": (4096, 5122, 1, 0, 0),
+                               "felsch": (4096, 4096, 1, 0, 6144)}),
+    (tight_quotient_presentation((8, 8, 8)), {"hlt": (1024, 2010, 1, 0, 0),
+                                              "felsch": (1024, 1024, 1, 0, 2048)}),
+    (family_k(4, (2, 2, 2)), {"hlt": (128, 187, 1, 0, 0),
+                              "felsch": (128, 128, 1, 0, 256)}),
+]
+
+
+def test_enumeration_counters_are_pinned():
+    for p, expected in PINNED_COUNTERS:
+        for strategy, counts in expected.items():
+            s = enumerate_cosets(p, strategy=strategy).stats
+            got = (s.live_count, s.cosets_created, s.compactions, s.lookaheads,
+                   s.deductions)
+            assert got == counts, (p, strategy)
 
 
 def test_limits_validation():
@@ -226,11 +275,20 @@ def test_lookahead_is_exercised(monkeypatch):
 
 
 def test_aggressive_compaction_changes_nothing(monkeypatch):
-    p = family_a(3, 2, (2, 2))
-    baseline = enumerate_cosets(p).table
+    cases = [
+        (family_a(3, 2, (2, 2)), "hlt"),
+        (tight_quotient_presentation((8, 8, 8)), "hlt"),
+        (tight_quotient_presentation((8, 8, 8)), "felsch"),
+        (family_g(3, 10, (3, 3)), "felsch"),
+    ]
+    baselines = [enumerate_cosets(p, strategy=s).table for p, s in cases]
     monkeypatch.setattr(coset_mod, "COMPACTION_DEAD_LIVE_RATIO", 0)
-    t = enumerate_cosets(p)
-    assert t.table == baseline
+    for (p, strategy), baseline in zip(cases, baselines):
+        t = enumerate_cosets(p, strategy=strategy)
+        assert t.table == baseline, (p, strategy)
+        if t.stats.cosets_created > t.stats.live_count:
+            # cosets died, so the columns were compacted mid-run, after growing
+            assert t.stats.compactions > 1, (p, strategy)
 
 
 def test_deduction_stack_overflow_falls_back(monkeypatch):

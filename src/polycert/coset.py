@@ -39,6 +39,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -175,11 +176,10 @@ class CosetTable:
 
         if not self.closed:
             raise TableNotClosedError("cannot read permutations off a partial table")
-        perms = []
-        for g in range(self.presentation.generator_count):
-            c = self.columns.fwd[g]
-            perms.append(Permutation([row[c] for row in self.table]))
-        return perms
+        n, ncols = len(self.table), self.columns.ncols
+        flat = np.fromiter(chain.from_iterable(self.table), dtype=np.int32, count=n * ncols)
+        cols = [self.columns.fwd[g] for g in range(self.presentation.generator_count)]
+        return [Permutation(row) for row in flat.reshape(n, ncols)[:, cols].T]
 
     def validate(self) -> None:
         """Exhaustive post-hoc closure check, independent of the run's bookkeeping.

@@ -5,11 +5,47 @@ Composition convention: ``a * b`` applies ``a`` first, then ``b``, so
 permutations (see :mod:`polycert.words`) therefore act left to right.
 
 ``PermutationGroup`` keeps a base and strong generating set built by a
-deterministic incremental Schreier-Sims pass: no randomness is involved by
-default, so group order, membership answers, and the chain itself are
-reproducible across runs. An opt-in randomized mode only shuffles the
-exploration order (seeded, default 1729); it changes the internal chain, not
-any answer, and is used by the tests as a self-check.
+deterministic Schreier-Sims pass (Holt, Eick and O'Brien, *Handbook of
+Computational Group Theory*, ch. 4), so group order, membership answers and
+the chain itself are reproducible across runs.
+
+Level i of the chain has a base point b, its generators S (every strong
+generator that fixes the earlier base points, in the order they joined) and
+the orbit D = b^<S>, stored as a Schreier vector (Handbook §4.1): two int32
+arrays of the group's degree, ``label`` (the index in S of the generator that
+first reached each point) and ``pred`` (the point it was reached from; -1 off
+the orbit, the base maps to itself). The transversal element u_x, which
+carries b to x, is traced up that tree on demand, so a level costs O(degree)
+memory rather than one stored permutation per orbit point. Orbits are closed
+breadth first, one numpy gather per frontier and generator.
+
+The chain is complete once, from the deepest level up, every Schreier
+generator u_x s u_{x^s}^-1 of a level sifts through the levels below it. At
+the deepest level that means every Schreier generator is the identity, and
+one batch proves it for all of them at once, by this lemma. Let
+X = {b^s : s in S} together with every point outside D.
+
+  *If every Schreier generator of the level fixes every point of X, the
+  stabilizer H of b in <S> is trivial.* The Schreier generators generate H
+  (Schreier's lemma), so H fixes X. The points of D fixed by H form a block
+  of <S> on D that contains b. Each b^s lies in that block and in its image
+  under s, so the block is S-invariant and equals D. H also fixes everything
+  outside D, and a permutation that fixes every point is the identity.
+
+The batch C holds one row per orbit point: row x is u_x applied to X, filled
+down the Schreier tree one breadth-first layer per gather. A Schreier
+generator fixes X exactly when ``s[C[x]] == C[x^s]``, so each generator
+costs one comparison over the whole orbit. In a regular representation the
+chain is a single level and this batch is the whole proof. When the batch
+finds a Schreier generator that moves a point of X, or the level is not the
+deepest, the level falls back to forming each pending Schreier generator in
+full and sifting it; a residue that does not sift joins the chain and the
+pass restarts at its level. Pairs (orbit point, generator) already proven
+stay proven, because old points keep their tree entries and the chain below
+only grows.
+
+``verify_chain("full")`` does not use the lemma: it traces every transversal
+element, forms every Schreier element of every level and sifts it.
 """
 
 from __future__ import annotations
@@ -26,6 +62,8 @@ from .errors import CapacityError
 
 MAX_DEGREE = 1 << 22
 DEFAULT_SEED = 1729
+# Cells of the level batch built at once; larger point sets X go in chunks.
+BATCH_CELLS = 1 << 20
 
 
 class Permutation:
@@ -160,14 +198,121 @@ class Permutation:
         return f"Permutation({shown}, degree={self.degree})"
 
 
+def _bfs(images: Sequence[np.ndarray], pred: np.ndarray, label: np.ndarray | None,
+         frontier: np.ndarray, first: Iterable[int]) -> list[np.ndarray]:
+    """Grow a breadth-first tree: the generators ``first`` on ``frontier``,
+    then every generator on each fresh layer, until no point is new.
+
+    A fresh point records the point it came from in ``pred`` and the index
+    of the generator in ``label``; returns the fresh layers in order. A
+    permutation is injective, so one gather never reaches a point twice.
+    """
+    layers = []
+    gens = first
+    while frontier.size:
+        fresh = []
+        for k in gens:
+            imgs = images[k][frontier]
+            new = pred[imgs] < 0
+            pts = imgs[new]
+            if pts.size:
+                pred[pts] = frontier[new]
+                if label is not None:
+                    label[pts] = k
+                fresh.append(pts)
+        frontier = np.concatenate(fresh) if fresh else frontier[:0]
+        if frontier.size:
+            layers.append(frontier)
+        gens = range(len(images))
+    return layers
+
+
+def _orbit_from(images: Sequence[np.ndarray], pred: np.ndarray, point: int) -> np.ndarray:
+    """The orbit of ``point`` in the order reached, marking it in ``pred``."""
+    pred[point] = point
+    start = np.array([point], dtype=np.int32)
+    return np.concatenate([start, *_bfs(images, pred, None, start, range(len(images)))])
+
+
 @dataclass
 class _Level:
-    """One stabilizer-chain level: a base point, its generators, transversal."""
+    """One stabilizer-chain level: a base point, its generators, and the
+    Schreier vector of the base point's orbit.
+
+    ``orbit`` lists the orbit points in the order reached; ``layers`` holds
+    the offsets in ``orbit`` where each breadth-first layer ends, and every
+    point's ``pred`` lies in an earlier layer. ``inverses`` are the image
+    arrays of the generators' inverses, shared with the levels above.
+    ``checked[k]`` counts the leading orbit points whose Schreier generator
+    with generator k is proven to sift.
+    """
 
     base: int
+    label: np.ndarray
+    pred: np.ndarray
+    orbit: np.ndarray
+    layers: list[int]
     gens: list[Permutation] = field(default_factory=list)
-    orbit: dict[int, Permutation] = field(default_factory=dict)
-    seen: set[bytes] = field(default_factory=set)
+    inverses: list[np.ndarray] = field(default_factory=list)
+    checked: list[int] = field(default_factory=list)
+
+    @classmethod
+    def start(cls, base: int, degree: int) -> "_Level":
+        pred = np.full(degree, -1, dtype=np.int32)
+        pred[base] = base
+        return cls(base=base, label=np.full(degree, -1, dtype=np.int32), pred=pred,
+                   orbit=np.array([base], dtype=np.int32), layers=[0, 1])
+
+    def add(self, gen: Permutation, inverse: np.ndarray) -> None:
+        """Take on one more generator and re-close the orbit."""
+        self.gens.append(gen)
+        self.inverses.append(inverse)
+        self.checked.append(0)
+        fresh = _bfs([g.images for g in self.gens], self.pred, self.label,
+                     self.orbit, [len(self.gens) - 1])
+        if fresh:
+            self.orbit = np.concatenate([self.orbit, *fresh])
+            for layer in fresh:
+                self.layers.append(self.layers[-1] + len(layer))
+
+    def trace(self, point: int) -> np.ndarray:
+        """Image array of u_point, the transversal element carrying the base
+        to ``point``, as the product of the generators along the tree."""
+        path = []
+        while point != self.base:
+            path.append(int(self.label[point]))
+            point = int(self.pred[point])
+        u = np.arange(self.pred.shape[0], dtype=np.int32)
+        for k in reversed(path):
+            u = self.gens[k].images[u]
+        return u
+
+    def stabilizer_is_trivial(self) -> bool:
+        """The lemma's batch: True if every Schreier generator of this level
+        fixes every point of X, which proves the base point's stabilizer in
+        <gens> trivial; False if one moves a point of X."""
+        orbit = self.orbit
+        pos = np.full(self.pred.shape[0], -1, dtype=np.int32)
+        pos[orbit] = np.arange(orbit.size, dtype=np.int32)
+        parent = pos[self.pred[orbit]]
+        label = self.label[orbit]
+        x = np.union1d([g.images[self.base] for g in self.gens],
+                       np.flatnonzero(self.pred < 0)).astype(np.int32)
+        step = max(1, BATCH_CELLS // orbit.size)
+        for lo in range(0, x.size, step):
+            cols = x[lo:lo + step]
+            rows = np.empty((orbit.size, cols.size), dtype=np.int32)
+            rows[0] = cols
+            for start, end in zip(self.layers[1:], self.layers[2:]):
+                layer = label[start:end]
+                for k in np.unique(layer):
+                    at = start + np.flatnonzero(layer == k)
+                    rows[at] = self.gens[k].images[rows[parent[at]]]
+            for g in self.gens:
+                s = g.images
+                if not np.array_equal(s[rows], rows[pos[s[orbit]]]):
+                    return False
+        return True
 
 
 class PermutationGroup:
@@ -177,8 +322,7 @@ class PermutationGroup:
     guarded by a lock so a group instance can be shared between threads.
     """
 
-    def __init__(self, generators: Iterable[Permutation] = (), degree: int | None = None,
-                 randomized: bool = False, seed: int = DEFAULT_SEED):
+    def __init__(self, generators: Iterable[Permutation] = (), degree: int | None = None):
         gens = tuple(generators)
         for g in gens:
             if not isinstance(g, Permutation):
@@ -197,8 +341,6 @@ class PermutationGroup:
             raise CapacityError(f"degree {degree} out of supported range")
         self._generators = gens
         self._degree = degree
-        self._randomized = randomized
-        self._seed = seed
         self._levels: list[_Level] | None = None
         self._lock = threading.Lock()
 
@@ -212,32 +354,27 @@ class PermutationGroup:
 
     # -- plain orbit machinery (no chain required) --------------------------
 
+    def _orbit_arrays(self) -> list[np.ndarray]:
+        """All orbits in the order of their smallest point, each as reached."""
+        images = [g.images for g in self._generators]
+        pred = np.full(self._degree, -1, dtype=np.int32)
+        out = []
+        for point in range(self._degree):
+            if pred[point] < 0:
+                out.append(_orbit_from(images, pred, point))
+        return out
+
     def orbit(self, point: int) -> tuple[int, ...]:
         """The orbit of a point under the whole group, ascending."""
         if not 0 <= point < self._degree:
             raise ValueError(f"point {point} out of range")
-        seen = {point}
-        frontier = [point]
-        while frontier:
-            nxt = []
-            for pt in frontier:
-                for g in self._generators:
-                    img = g.apply(pt)
-                    if img not in seen:
-                        seen.add(img)
-                        nxt.append(img)
-            frontier = nxt
-        return tuple(sorted(seen))
+        pred = np.full(self._degree, -1, dtype=np.int32)
+        pts = _orbit_from([g.images for g in self._generators], pred, point)
+        return tuple(np.sort(pts).tolist())
 
     def orbits(self) -> list[tuple[int, ...]]:
         """All orbits, each ascending, ordered by smallest element."""
-        left = set(range(self._degree))
-        out = []
-        while left:
-            o = self.orbit(min(left))
-            out.append(o)
-            left.difference_update(o)
-        return out
+        return [tuple(np.sort(o).tolist()) for o in self._orbit_arrays()]
 
     # -- stabilizer chain ----------------------------------------------------
 
@@ -249,127 +386,105 @@ class PermutationGroup:
         return self._levels
 
     def _build(self, base_prefix: Sequence[int] = ()) -> list[_Level]:
-        rng = random.Random(self._seed) if self._randomized else None
-        ordered = [g for g in self._generators if not g.is_identity]
-        if rng is not None:
-            rng.shuffle(ordered)
         levels: list[_Level] = []
-        queue: list[tuple[Permutation, int]] = [(g, 0) for g in ordered]
-        pos = 0
-        while pos < len(queue):
-            g, start = queue[pos]
-            pos += 1
-            residue, j = self._strip(g, levels, start)
-            if residue is None:
+        for g in self._generators:
+            if g.is_identity:
                 continue
-            while j >= len(levels):
-                idx = len(levels)
-                if idx < len(base_prefix):
-                    base = base_prefix[idx]
-                elif idx == 0:
-                    base = self._first_base()
-                else:
-                    base = _longest_cycle_point(residue)
-                lv = _Level(base=base)
-                lv.orbit[base] = Permutation.identity(self._degree)
-                levels.append(lv)
-                if residue.apply(base) != base:
-                    break
-                j += 1
-            key = residue.key()
-            if key in levels[j].seen:
-                continue
-            levels[j].seen.add(key)
-            levels[j].gens.append(residue)
-            # The new generator lives in every stabilizer down to level j, so
-            # it takes part in the orbit of level j *and* of every level
-            # above it (it fixes their bases but can move other orbit points).
-            for i in range(j, -1, -1):
-                queue.extend((h, i + 1)
-                             for h in self._extend(levels, i, residue, rng))
+            residue, j = self._strip(g.images, levels)
+            if residue is not None:
+                self._add(levels, residue, j, base_prefix)
+        i = len(levels) - 1
+        while i >= 0:
+            found = self._settle(levels, i)
+            if found is None:
+                i -= 1
+            else:
+                i = self._add(levels, *found, base_prefix)
         return levels
+
+    def _add(self, levels: list[_Level], g: np.ndarray, j: int,
+             base_prefix: Sequence[int]) -> int:
+        """Make ``g``, which fixes the base points before level ``j``, a
+        strong generator; returns the level whose base it moves first."""
+        while j == len(levels):
+            idx = len(levels)
+            if idx < len(base_prefix):
+                base = base_prefix[idx]
+            elif idx == 0:
+                base = self._first_base()
+            else:
+                base = _longest_cycle_point(Permutation._raw(g))
+            levels.append(_Level.start(base, self._degree))
+            if g[base] == base:
+                j += 1
+        gen = Permutation._raw(g)
+        inverse = gen.inverse().images
+        for lv in levels[:j + 1]:
+            lv.add(gen, inverse)
+        return j
+
+    def _settle(self, levels: list[_Level], i: int):
+        """Prove every Schreier generator of level ``i`` sifts through the
+        levels below; None if so, else the first residue and its level.
+
+        The deepest level tries the lemma's batch first; otherwise, and when
+        the batch fails, the pending pairs are formed and sifted one by one.
+        """
+        lv = levels[i]
+        size = lv.orbit.size
+        if i == len(levels) - 1 and min(lv.checked) < size:
+            if lv.stabilizer_is_trivial():
+                lv.checked = [size] * len(lv.gens)
+                return None
+        for k, g in enumerate(lv.gens):
+            s = g.images
+            for p in range(lv.checked[k], size):
+                pt = int(lv.orbit[p])
+                img = s[pt]
+                if lv.label[img] == k and lv.pred[img] == pt:
+                    continue  # a tree edge: u_pt s is u_img itself
+                residue, j = self._strip(s[lv.trace(pt)], levels, i)
+                if residue is not None:
+                    lv.checked[k] = p
+                    return residue, j
+            lv.checked[k] = size
+        return None
 
     def _first_base(self) -> int:
         """Smallest point of a largest orbit of the full generating set."""
-        best_len = -1
-        best_point = 0
-        left = set(range(self._degree))
-        while left:
-            o = self.orbit(min(left))
-            if len(o) > best_len:
-                best_len = len(o)
-                best_point = o[0]
-            left.difference_update(o)
-        return best_point
+        return int(max(self._orbit_arrays(), key=len)[0])
 
     @staticmethod
-    def _strip(g: Permutation, levels: list[_Level], start: int = 0):
-        """Sift through the chain; (None, _) if absorbed, else (residue, level)."""
+    def _strip(g: np.ndarray, levels: list[_Level], start: int = 0):
+        """Sift an image array through the chain; (None, _) if absorbed, else
+        (residue, level). Dividing by u_x walks the Schreier vector from x
+        back to the base, one inverse generator per step."""
         i = start
         while i < len(levels):
             lv = levels[i]
-            x = g.apply(lv.base)
-            u = lv.orbit.get(x)
-            if u is None:
+            x = int(g[lv.base])
+            if lv.pred[x] < 0:
                 return g, i
-            g = g * u.inverse()
+            while x != lv.base:
+                g = lv.inverses[lv.label[x]][g]
+                x = int(lv.pred[x])
             i += 1
-        if g.is_identity:
+        if np.array_equal(g, np.arange(g.shape[0], dtype=g.dtype)):
             return None, len(levels)
         return g, len(levels)
-
-    def _extend(self, levels: list[_Level], i: int, new_gen: Permutation,
-                rng) -> list[Permutation]:
-        """Re-close level ``i``'s orbit after ``new_gen`` joined the chain.
-
-        Only the new pairs are scanned: old orbit points against the new
-        generator, then every effective generator (this level's and all
-        deeper ones) on newly reached points. Pairs handled by earlier
-        insertions stay absorbed because the chain only ever grows. Returns
-        the fresh Schreier residuals, which belong one level further down.
-        A pointwise product comparison skips Schreier elements that are
-        trivially the transversal entry itself.
-        """
-        level = levels[i]
-        effective = [g for lv in levels[i:] for g in lv.gens]
-        snapshot = list(level.orbit)
-        if rng is not None:
-            rng.shuffle(snapshot)
-        work = [(pt, new_gen) for pt in snapshot]
-        out = []
-        pos = 0
-        while pos < len(work):
-            pt, s = work[pos]
-            pos += 1
-            u = level.orbit[pt]
-            img = s.apply(pt)
-            prod = u * s
-            known = level.orbit.get(img)
-            if known is None:
-                level.orbit[img] = prod
-                work.extend((img, t) for t in effective)
-                continue
-            if np.array_equal(prod.images, known.images):
-                continue
-            h = prod * known.inverse()
-            k = h.key()
-            if k not in level.seen:
-                level.seen.add(k)
-                out.append(h)
-        return out
 
     # -- queries --------------------------------------------------------------
 
     def order(self) -> int:
         n = 1
         for lv in self._chain():
-            n *= len(lv.orbit)
+            n *= int(lv.orbit.size)
         return n
 
     def contains(self, g: Permutation) -> bool:
         if g.degree != self._degree:
             raise ValueError("degree mismatch")
-        residue, _ = self._strip(g, self._chain())
+        residue, _ = self._strip(g.images, self._chain())
         return residue is None
 
     def __contains__(self, g: Permutation) -> bool:
@@ -379,74 +494,107 @@ class PermutationGroup:
         return tuple(lv.base for lv in self._chain())
 
     def strong_generators(self) -> tuple[Permutation, ...]:
-        return tuple(g for lv in self._chain() for g in lv.gens)
+        levels = self._chain()
+        return tuple(levels[0].gens) if levels else ()
 
     def stabilizer_of_point(self, point: int) -> "PermutationGroup":
         """The subgroup fixing one point, via a fresh chain based there."""
         if not 0 <= point < self._degree:
             raise ValueError(f"point {point} out of range")
         levels = self._build(base_prefix=(point,))
-        inner = tuple(g for lv in levels[1:] for g in lv.gens)
+        inner = tuple(levels[1].gens) if len(levels) > 1 else ()
         return PermutationGroup(inner, degree=self._degree)
 
     def verify_chain(self, mode: str = "full", seed: int = DEFAULT_SEED,
                      samples: int = 50) -> None:
         """Re-check the chain after the fact; raises RuntimeError on any defect.
 
-        ``full`` recomputes every Schreier element of every level and sifts
-        it; ``random`` sifts seeded random group elements (products of random
-        transversal entries) and random generator words instead.
+        Every mode first checks each level's layout: the Schreier vector
+        leads from every orbit point back to the base along generator edges,
+        the generators fix the earlier base points, and a deeper level's
+        generators are among this level's. ``full`` then traces every
+        transversal element, forms every Schreier element of every level and
+        sifts it, without the lemma; ``random`` sifts seeded random group
+        elements (products of random transversal entries) and random
+        generator words instead.
         """
+        if mode not in ("full", "random"):
+            raise ValueError(f"unknown verification mode {mode!r}")
         levels = self._chain()
-        ident = Permutation.identity(self._degree)
-        for i, lv in enumerate(levels):
-            if lv.orbit.get(lv.base) != ident:
-                raise RuntimeError(f"level {i}: base transversal entry is not the identity")
-            for pt, u in lv.orbit.items():
-                if u.apply(lv.base) != pt:
-                    raise RuntimeError(f"level {i}: transversal entry for {pt} is wrong")
-            for g in lv.gens:
-                for j in range(i):
-                    if g.apply(levels[j].base) != levels[j].base:
-                        raise RuntimeError(f"level {i}: generator moves an earlier base")
+        for i in range(len(levels)):
+            self._check_layout(levels, i)
         if mode == "full":
             for i, lv in enumerate(levels):
-                effective = [g for deeper in levels[i:] for g in deeper.gens]
-                for pt, u in lv.orbit.items():
-                    for s in effective:
-                        img = s.apply(pt)
-                        if img not in lv.orbit:
+                for pt in lv.orbit.tolist():
+                    u = lv.trace(pt)
+                    for g in lv.gens:
+                        img = g.apply(pt)
+                        if lv.pred[img] < 0:
                             raise RuntimeError(
                                 f"level {i}: orbit is not closed at point {pt}")
-                        h = (u * s) * lv.orbit[img].inverse()
-                        residue, _ = self._strip(h, levels, i + 1)
+                        h = (Permutation._raw(g.images[u])
+                             * Permutation._raw(lv.trace(img)).inverse())
+                        residue, _ = self._strip(h.images, levels, i + 1)
                         if residue is not None:
                             raise RuntimeError(
                                 f"level {i}: Schreier element at point {pt} does not sift")
             for g in self._generators:
-                residue, _ = self._strip(g, levels)
+                residue, _ = self._strip(g.images, levels)
                 if residue is not None:
                     raise RuntimeError("an original generator does not sift through the chain")
-        elif mode == "random":
-            rng = random.Random(seed)
+            return
+        rng = random.Random(seed)
+        ident = Permutation.identity(self._degree)
+        for _ in range(samples):
+            g = ident
+            for lv in levels:
+                pt = int(lv.orbit[rng.randrange(lv.orbit.size)])
+                g = g * Permutation._raw(lv.trace(pt))
+            residue, _ = self._strip(g.images, levels)
+            if residue is not None:
+                raise RuntimeError("a random transversal product does not sift")
+        if self._generators:
             for _ in range(samples):
                 g = ident
-                for lv in levels:
-                    pts = list(lv.orbit)
-                    g = g * lv.orbit[pts[rng.randrange(len(pts))]]
-                residue, _ = self._strip(g, levels)
+                for _ in range(rng.randrange(1, 30)):
+                    g = g * self._generators[rng.randrange(len(self._generators))]
+                residue, _ = self._strip(g.images, levels)
                 if residue is not None:
-                    raise RuntimeError("a random transversal product does not sift")
-            if self._generators:
-                for _ in range(samples):
-                    g = ident
-                    for _ in range(rng.randrange(1, 30)):
-                        g = g * self._generators[rng.randrange(len(self._generators))]
-                    residue, _ = self._strip(g, levels)
-                    if residue is not None:
-                        raise RuntimeError("a random generator word does not sift")
-        else:
-            raise ValueError(f"unknown verification mode {mode!r}")
+                    raise RuntimeError("a random generator word does not sift")
+
+    def _check_layout(self, levels: list[_Level], i: int) -> None:
+        lv = levels[i]
+        n = self._degree
+        on = lv.pred >= 0
+        if lv.pred[lv.base] != lv.base or lv.label[lv.base] != -1:
+            raise RuntimeError(f"level {i}: the base is not the root of its Schreier vector")
+        if (lv.orbit.size != np.count_nonzero(on) or not on[lv.orbit].all()
+                or lv.orbit[0] != lv.base):
+            raise RuntimeError(f"level {i}: orbit list and Schreier vector disagree")
+        for g in lv.gens:
+            for j in range(i):
+                if g.apply(levels[j].base) != levels[j].base:
+                    raise RuntimeError(f"level {i}: generator moves an earlier base")
+        if i + 1 < len(levels):
+            mine = {g.key() for g in lv.gens}
+            if any(g.key() not in mine for g in levels[i + 1].gens):
+                raise RuntimeError(f"level {i + 1}: generator missing from the level above")
+        if len(lv.inverses) != len(lv.gens) or any(
+                not np.array_equal(g.images[inv], np.arange(n, dtype=np.int32))
+                for g, inv in zip(lv.gens, lv.inverses)):
+            raise RuntimeError(f"level {i}: stored inverses do not match the generators")
+        pts = lv.orbit[1:]
+        labels = lv.label[pts]
+        if labels.size and (labels.min() < 0 or labels.max() >= len(lv.gens)):
+            raise RuntimeError(f"level {i}: Schreier vector names an unknown generator")
+        images = np.array([g.images for g in lv.gens], dtype=np.int32).reshape(-1, n)
+        if labels.size and not np.array_equal(images[labels, lv.pred[pts]], pts):
+            raise RuntimeError(f"level {i}: Schreier vector edge is not a generator step")
+        root = np.where(on, lv.pred, np.arange(n, dtype=np.int32))
+        for _ in range(n.bit_length()):
+            root = root[root]
+        if not (root[on] == lv.base).all():
+            raise RuntimeError(f"level {i}: Schreier vector does not lead back to the base")
 
 
 def _longest_cycle_point(g: Permutation) -> int:

@@ -167,35 +167,29 @@ def check_flag_connectivity(graph: FlagGraph) -> bool:
 
 def check_section_connectivity(realized: RealizedGroup, certificate: SggiCertificate,
                                max_order: int = DEFAULT_SECTION_MAX_ORDER) -> bool:
-    """For every face, the flags containing it must be connected by moves
-    that fix it (adjacency at every other rank). Exhaustive, so guarded by
-    ``max_order``."""
+    """For every incident pair of an i-face and a j-face (i < j), the flags
+    containing both must be connected by moves that fix both (adjacency at
+    every rank but i and j).
+
+    The flags through one such pair are a union of orbits of
+    <r_k : k not in {i, j}>, so the sections are connected exactly when the
+    number of distinct (phi_i, phi_j) pairs equals the number of those
+    orbits. Exhaustive over flags, so guarded by ``max_order``.
+    """
     _require_certificate(realized, certificate)
     if realized.order > max_order:
         raise LimitExceededError(
             f"section connectivity is exhaustive; order {realized.order} "
             f"exceeds the guard {max_order}")
     d = realized.rank
+    # A single i-face needs no check: its flags are one orbit of
+    # <r_k : k != i> by the definition of the face.
+    faces = [realized.quotient(x for x in range(d) if x != i) for i in range(d)]
     for i in range(d):
-        subset = tuple(x for x in range(d) if x != i)
-        phi = realized.quotient(subset).phi
-        moves = [realized.right[j] for j in subset]
-        for face in range(realized.quotient(subset).size):
-            members = np.flatnonzero(phi == face)
-            member_set = set(int(m) for m in members)
-            start = int(members[0])
-            seen = {start}
-            stack = [start]
-            while stack:
-                e = stack.pop()
-                for arr in moves:
-                    img = int(arr[e])
-                    if img not in seen:
-                        if img not in member_set:
-                            return False
-                        seen.add(img)
-                        stack.append(img)
-            if seen != member_set:
+        for j in range(i + 1, d):
+            pairs = faces[i].phi.astype(np.int64) * faces[j].size + faces[j].phi
+            orbits = realized.quotient(x for x in range(d) if x not in (i, j)).size
+            if np.unique(pairs).size != orbits:
                 return False
     return True
 

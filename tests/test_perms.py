@@ -1,11 +1,15 @@
 """Permutations and deterministic stabilizer chains."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import polycert.perms as perms_mod
 from polycert import CapacityError, Permutation, PermutationGroup
+from polycert.families import family_g, tight_quotient_presentation
+from polycert.realize import RealizedGroup
 
 perm_arrays = st.permutations(range(8))
 perms8 = perm_arrays.map(Permutation)
@@ -213,21 +217,91 @@ def test_verify_chain_catches_corruption():
         g.verify_chain("full")
 
 
-def test_randomized_mode_agrees():
-    a = Permutation([1, 2, 3, 4, 5, 6, 7, 0])
-    b = Permutation([1, 0, 2, 3, 4, 5, 6, 7])
-    det = PermutationGroup([a, b])
-    rnd = PermutationGroup([a, b], randomized=True, seed=99)
-    assert det.order() == rnd.order() == 40320
-    probe = a * b * a
-    assert det.contains(probe) and rnd.contains(probe)
-    rnd2 = PermutationGroup([a, b], randomized=True)  # default seed
-    assert rnd2.order() == 40320
-
-
 def test_capacity_guard(monkeypatch):
     monkeypatch.setattr(perms_mod, "MAX_DEGREE", 1 << 10)
     with pytest.raises(CapacityError):
         Permutation(np.arange((1 << 10) + 4))
     with pytest.raises(CapacityError):
         Permutation.identity((1 << 10) + 4)
+
+
+def closure_order(gens: list[list[int]], n: int) -> int:
+    """Size of the group the image lists generate, by brute-force closure:
+    every element is one row, keyed by its images read as base-n digits."""
+    images = np.array(gens, dtype=np.int64).reshape(-1, n)
+    weights = n ** np.arange(n, dtype=np.int64)
+    frontier = np.arange(n, dtype=np.int64)[None, :]
+    seen = frontier @ weights
+    while frontier.size:
+        products = np.concatenate([g[frontier] for g in images])
+        keys, first = np.unique(products @ weights, return_index=True)
+        new = ~np.isin(keys, seen)
+        seen = np.concatenate([seen, keys[new]])
+        frontier = products[first[new]]
+    return int(seen.size)
+
+
+@st.composite
+def small_groups(draw):
+    """1-3 generators on at most 8 points; each permutes a drawn subset of
+    the points, so the group may be intransitive."""
+    n = draw(st.integers(2, 8))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        support = draw(st.permutations(range(n)))[:draw(st.integers(1, n))]
+        shuffled = draw(st.permutations(support))
+        img = list(range(n))
+        for a, b in zip(support, shuffled):
+            img[a] = b
+        gens.append(img)
+    return n, gens
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_groups())
+@example((4, [[1, 0, 2, 3], [1, 2, 3, 0]]))  # S4: three nontrivial stabilizers
+@example((6, [[1, 2, 0, 3, 4, 5], [0, 1, 2, 4, 5, 3]]))  # C3 x C3, intransitive
+@example((8, [[1, 2, 3, 4, 5, 6, 7, 0], [1, 0, 2, 3, 4, 5, 6, 7]]))  # S8
+@example((7, [[0, 1, 2, 3, 4, 5, 6]]))  # the identity only
+def test_chain_order_matches_brute_force_and_sympy(case):
+    from sympy.combinatorics import Permutation as SympyPermutation
+    from sympy.combinatorics import PermutationGroup as SympyGroup
+
+    n, gens = case
+    perms = [Permutation(x) for x in gens]
+    g = PermutationGroup(perms)
+    expected = closure_order(gens, n)
+    assert g.order() == expected
+    assert SympyGroup([SympyPermutation(x) for x in gens]).order() == expected
+    g.verify_chain("full")
+    word = perms[0]
+    for p in perms[1:] + perms[:1]:
+        word = word * p
+    assert all(p in g for p in perms) and word in g
+    base = g.base()
+    if base and expected > len(g.orbit(base[0])):
+        # a nontrivial stabilizer: the deeper levels came from sifting
+        assert len(base) > 1
+
+
+def test_regular_chain_is_one_level_and_verifies_in_full():
+    rg = RealizedGroup(tight_quotient_presentation((8, 8, 8)))
+    g = rg.regular_permutation_group()
+    assert rg.order == 1024
+    assert g.order() == 1024
+    assert g.base() == (0,)
+    g.verify_chain("full")
+
+
+def test_chain_memory_is_linear_in_the_degree():
+    rg = RealizedGroup(family_g(5, 12, (2, 2, 2, 3)))
+    gens = rg.table.to_permutations()
+    tracemalloc.start()
+    try:
+        g = PermutationGroup(gens, degree=rg.order)
+        assert g.order() == 4096
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one stored transversal entry per point would be 4096 * 16 KB = 64 MB
+    assert peak < 8 * 2**20

@@ -11,6 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from polycert import polytope
 from polycert.errors import FormatError, LimitExceededError, UncertifiedInputError
 from polycert.families import coxeter_string_presentation
 from polycert.polytope import (
@@ -134,6 +135,16 @@ def test_section_connectivity_and_diamond(tight44):
     assert check_section_connectivity(rg, cert)
     ok, failures = check_diamond(rg, cert)
     assert ok and failures == ()
+
+
+def test_section_pair_count_catches_hidden_centre(monkeypatch):
+    # The hidden centre fails the intersection property, so the flags through
+    # an incident (0-face, 2-face) pair are two orbits of <r1>, not one.
+    p = failing_presentation()
+    rg, cert = realize(p), certify(p)
+    assert not cert.passed
+    monkeypatch.setattr(polytope, "_require_certificate", lambda *args: None)
+    assert check_section_connectivity(rg, cert) is False
 
 
 def test_polyhedra_pass_flag_checks():

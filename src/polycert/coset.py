@@ -2,9 +2,13 @@
 
 Two strategies are provided: a relator-oriented scan ("hlt", the default,
 with a lookahead pass once the table grows past a soft threshold) and a
-definition-oriented one ("felsch", driven by a deduction stack). Both produce
-the same standardized table for the same inputs, which the test suite uses as
-a cross-check.
+definition-oriented one ("felsch", driven by a deduction stack). Felsch
+scans a deduction once: a new entry alpha^c = beta is checked by scanning,
+at alpha only, the cyclic conjugates of the relators and of their inverses
+that start with c, which read every relator cycle through that entry (the
+lemma is in ``_Engine._process_deductions``). Both strategies produce the
+same standardized table for the same inputs, which the test suite uses as a
+cross-check.
 
 Conventions:
 
@@ -531,12 +535,27 @@ class _Engine:
         return [[self._relator(seq) for seq in sorted(g)] for g in groups]
 
     def _process_deductions(self, groups: list[list[_Relator]]) -> None:
+        """Pop deductions (alpha, c) and scan every word of ``groups[c]`` at alpha.
+
+        Lemma: every relator cycle through the edge alpha -c-> beta is read
+        from alpha by a word of ``groups[c]``, so beta = alpha^c needs no
+        scan of its own. Proof: a cycle that crosses the edge forwards is a
+        cyclic conjugate c u of a relator or its inverse, read from alpha.
+        One that crosses it backwards is some inv(c) u read from beta; its
+        inverse u^-1 c, rotated to c u^-1, is a cyclic conjugate of the
+        inverse word, so ``_felsch_groups`` put it in ``groups[c]``. Read
+        from alpha it visits the same cosets in reverse order, and since
+        every defined entry keeps its back link, its forward walk reads the
+        entries of the other word's backward walk and vice versa. Both scans
+        therefore stop at the same gap: they close the same one-letter gap
+        (writing the same entry and back link) or meet at the same two
+        cosets. An entry that either scan defines is pushed as a deduction
+        of its own, so cycles through it are scanned when it is popped.
+        """
         limit = self.limits.max_deductions
         stack = self.dedstack
         stats = self.stats
         p = self.p
-        t = self.t
-        inv = self.cols.inv
         scan = self._scan
         while stack:
             if len(stack) > MAX_DEDUCTION_STACK:
@@ -554,12 +573,6 @@ class _Engine:
             for rel in groups[c]:
                 if scan(alpha, rel, False) and p[alpha] != alpha:
                     break
-            else:
-                beta = t[c][alpha]
-                if beta >= 0 and p[beta] == beta:
-                    for rel in groups[inv[c]]:
-                        if scan(beta, rel, False) and p[beta] != beta:
-                            break
 
     def run_felsch(self) -> None:
         groups = self._felsch_groups()
@@ -665,24 +678,3 @@ def enumerate_cosets(presentation: Presentation,
     result.subgroup_generators = subgens
     result.validate()
     return result
-
-
-def group_order(presentation: Presentation,
-                limits: EnumerationLimits | None = None,
-                strategy: str = "hlt") -> int:
-    """Order of the presented group (index of the trivial subgroup)."""
-    return enumerate_cosets(presentation, (), limits, strategy).live_count
-
-
-def subgroup_index(presentation: Presentation,
-                   generator_subset: Iterable[int],
-                   limits: EnumerationLimits | None = None,
-                   strategy: str = "hlt") -> int:
-    """Index of the standard (parabolic) subgroup spanned by a generator subset."""
-    subset = sorted(set(generator_subset))
-    for i in subset:
-        if not 0 <= i < presentation.generator_count:
-            raise InvalidGeneratorError(
-                f"generator index {i} out of range for {presentation.generator_count} generators")
-    gens = [Word([(i, 1)]) for i in subset]
-    return enumerate_cosets(presentation, gens, limits, strategy).live_count

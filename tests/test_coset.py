@@ -7,12 +7,14 @@ words, entirely independent of the table-based engine it checks.
 import tracemalloc
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import polycert.coset as coset_mod
 from polycert import (
     EnumerationLimits,
     InvalidGeneratorError,
     LimitExceededError,
+    PermutationGroup,
     Presentation,
     TableNotClosedError,
     commutator,
@@ -22,11 +24,10 @@ from polycert import (
     family_g,
     family_k,
     generator,
-    group_order,
     pair,
     power,
-    subgroup_index,
     tight_quotient_presentation,
+    word,
 )
 
 
@@ -36,6 +37,14 @@ def dihedral(m):
         power(generator(1), 2),
         power(pair(0, 1), m),
     ))
+
+
+# C4 x C2, with the involution r1 and the order-4 generator r0
+C4_X_C2 = Presentation(2, (
+    power(generator(0), 4),
+    power(generator(1), 2),
+    commutator(generator(0), generator(1)),
+))
 
 
 def closure_order(perms, cap=1 << 13):
@@ -66,22 +75,21 @@ def closure_order(perms, cap=1 << 13):
 
 def test_trivial_group():
     p = Presentation(1, (generator(0),))
-    assert group_order(p) == 1
+    assert enumerate_cosets(p).live_count == 1
 
 
 def test_cyclic_groups():
     for m in (1, 2, 3, 8, 31):
         p = Presentation(1, (power(generator(0), m),))
-        assert group_order(p) == m
+        assert enumerate_cosets(p).live_count == m
 
 
 def test_dihedral_order_and_index():
     p = dihedral(3)
-    assert group_order(p) == 6
-    assert subgroup_index(p, [0]) == 3
-    assert subgroup_index(p, [1]) == 3
-    assert subgroup_index(p, [0, 1]) == 1
-    assert subgroup_index(p, []) == 6
+    for subset, index in (([], 6), ([0], 3), ([1], 3), ([0, 1], 1)):
+        for strategy in coset_mod.STRATEGIES:
+            t = enumerate_cosets(p, [generator(i) for i in subset], strategy=strategy)
+            assert t.live_count == index, (subset, strategy)
 
 
 def test_table_shape_and_permutations():
@@ -107,21 +115,60 @@ def test_subgroup_enumeration():
 
 
 def test_strategies_agree_byte_for_byte():
+    g4 = family_g(4, 12, (3, 3, 3))
+    k4 = family_k(4, (2, 2, 2))
     cases = [
-        dihedral(3),
-        dihedral(6),
-        tight_quotient_presentation((4, 4)),
-        tight_quotient_presentation((4, 8)),
-        family_a(3, 1, (2, 2)),
-        family_k(4, (2, 2, 2)),
+        (dihedral(3), ()),
+        (dihedral(6), ()),
+        (tight_quotient_presentation((4, 4)), ()),
+        (tight_quotient_presentation((4, 8)), ()),
+        (family_a(3, 1, (2, 2)), ()),
+        (k4, ()),
+        # r0 is not an involution, so it has two columns
+        (C4_X_C2, ()),
+        (C4_X_C2, (generator(1),)),
+        # Felsch defines 4,108 cosets here for 4,096 live ones
+        (g4, ()),
+        # parabolic subgroups
+        (g4, (generator(0), generator(3))),
+        (g4, (generator(1), generator(2))),
+        (k4, (generator(0),)),
+        (k4, (generator(0), generator(1), generator(2))),
     ]
-    for p in cases:
-        th = enumerate_cosets(p, strategy="hlt")
-        tf = enumerate_cosets(p, strategy="felsch")
+    coincidences = False
+    for p, subgens in cases:
+        th = enumerate_cosets(p, subgens, strategy="hlt")
+        tf = enumerate_cosets(p, subgens, strategy="felsch")
         assert th.table == tf.table, "standardized tables must not depend on strategy"
         assert th.stats.strategy == "hlt"
         assert tf.stats.strategy == "felsch"
         assert tf.stats.deductions > 0
+        coincidences |= tf.stats.cosets_created > tf.stats.live_count
+    assert coincidences
+
+
+def test_felsch_groups_read_each_cycle_from_both_ends():
+    # the lemma of _Engine._process_deductions: a word c u of groups[c],
+    # read backwards from the other end of its c edge, is inv(c) u^-1, and
+    # that word is in groups[inv(c)], so no deduction needs a second scan;
+    # each relator of the three involutory presentations reads backwards as
+    # one of its own rotations, so only C4_X_C2 needs the inverse words
+    cases = [
+        family_g(5, 12, (2, 2, 2, 3)),
+        tight_quotient_presentation((8, 8, 8)),
+        coxeter_string_presentation((4, 4, 4)),
+        C4_X_C2,
+    ]
+    for p in cases:
+        engine = coset_mod._Engine(p, (), EnumerationLimits(), "felsch")
+        inv = engine.cols.inv
+        groups = [{seq for seq, _, _ in g} for g in engine._felsch_groups()]
+        for c, words in enumerate(groups):
+            assert words, (p, c)
+            for w in words:
+                assert w[0] == c
+                back = (inv[c],) + tuple(inv[x] for x in reversed(w[1:]))
+                assert back in groups[inv[c]], (p, c, w)
 
 
 def test_enumeration_is_deterministic():
@@ -198,10 +245,12 @@ def test_limits_validation():
 
 def test_lagrange_divisibility():
     p = family_k(4, (2, 3, 2))
-    order = group_order(p)
+    order = enumerate_cosets(p).live_count
     for subset in ([], [0], [1], [0, 1], [1, 2], [0, 3], [0, 1, 2], [1, 2, 3]):
-        index = subgroup_index(p, subset)
-        assert order % index == 0
+        for strategy in coset_mod.STRATEGIES:
+            index = enumerate_cosets(
+                p, [generator(i) for i in subset], strategy=strategy).live_count
+            assert order % index == 0, (subset, strategy)
 
 
 def test_bad_inputs():
@@ -212,8 +261,6 @@ def test_bad_inputs():
         enumerate_cosets(p, subgroup_generators=[generator(5)])
     with pytest.raises(InvalidGeneratorError):
         enumerate_cosets(p, subgroup_generators=["r0"])
-    with pytest.raises(InvalidGeneratorError):
-        subgroup_index(p, [0, 9])
 
 
 def test_unclosed_table_refuses_lookup():
@@ -334,5 +381,65 @@ def test_commutator_relator_enumeration():
         power(generator(1), 4),
         commutator(generator(0), generator(1)),
     ))
-    assert group_order(p) == 16
-    assert group_order(p, strategy="felsch") == 16
+    for strategy in coset_mod.STRATEGIES:
+        assert enumerate_cosets(p, strategy=strategy).live_count == 16
+
+
+@st.composite
+def small_presentations(draw):
+    """2-4 generators, most of them involutions; a few short relators; and
+    maybe one subgroup generator. Many of these groups are infinite."""
+    n = draw(st.integers(2, 4))
+    letters = st.tuples(st.integers(0, n - 1), st.sampled_from((1, -1)))
+    relators = []
+    for g in range(n):
+        if draw(st.integers(0, 3)):
+            relators.append(power(generator(g), 2))
+        else:
+            relators.append(power(generator(g), draw(st.integers(3, 6))))
+    for _ in range(draw(st.integers(1, 4))):
+        w = word(draw(st.lists(letters, min_size=1, max_size=3)))
+        relators.append(power(w, draw(st.integers(1, 4))))
+    relators = [r for r in relators if len(r)]
+    subgroup = []
+    if draw(st.booleans()):
+        w = word(draw(st.lists(letters, min_size=1, max_size=3)))
+        subgroup = [w] if len(w) else []
+    return Presentation(n, relators), subgroup
+
+
+def sympy_order(p):
+    """Order of the presented group by sympy's own HLT enumeration.
+
+    ``FpGroup.order()`` is not used: before it enumerates, it splits off a
+    finite-index subgroup and asks for that subgroup's order, which on some
+    groups of order 1 to 24 hit the recursion limit or did not return in 40 s.
+    """
+    from sympy.combinatorics.fp_groups import FpGroup
+    from sympy.combinatorics.free_groups import free_group
+
+    free, *gens = free_group([f"r{g}" for g in range(p.generator_count)])
+    relators = []
+    for r in p.relators:
+        w = free.identity
+        for g, s in r:
+            w = w * gens[g] ** s
+        relators.append(w)
+    return len(FpGroup(free, relators).coset_enumeration([]).table)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_presentations())
+def test_random_presentations_agree_across_enumerators(case):
+    p, subgroup = case
+    try:
+        th = enumerate_cosets(p, subgroup, EnumerationLimits(max_cosets=1000))
+    except LimitExceededError:
+        assume(False)
+    tf = enumerate_cosets(p, subgroup, EnumerationLimits(max_cosets=1 << 16),
+                          strategy="felsch")
+    assert tf.table == th.table
+    if not subgroup:
+        n = th.live_count
+        assert PermutationGroup(th.to_permutations()).order() == n
+        assert sympy_order(p) == n

@@ -9,14 +9,13 @@ Subcommands:
 * ``paper-tables``: rebuild and re-verify the small-parameter tables (the
   section counts and tight orders) and report them.
 * ``export``: convert a TSV atlas to JSON (or re-emit TSV).
-* ``hasse``: print the face lattice of a certified group as dot or edge list.
+* ``hasse``: check the face lattice of a certified group (flag matchings,
+  flag connectivity, the diamond condition, section connectivity) and print
+  it as dot or edge list.
 
 Exit codes are stable: 0 pass, 3 a mathematical check failed, 4 invalid
 parameters or formats, 5 a resource limit was hit. Failures print one
 machine-readable ``polycert: <category>: <message>`` line on stderr.
-
-Defaults can come from the environment (flags win): POLYCERT_MAX_COSETS,
-POLYCERT_STRATEGY, POLYCERT_JOBS, POLYCERT_UNSAFE_PARAMS=1.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -45,7 +43,15 @@ from .errors import (
     TableNotClosedError,
     UncertifiedInputError,
 )
-from .polytope import build_lattice, export_hasse
+from .polytope import (
+    build_lattice,
+    check_diamond,
+    check_flag_connectivity,
+    check_flag_matchings,
+    check_section_connectivity,
+    export_hasse,
+    flag_graph,
+)
 from .realize import realize
 from .verify import SggiSpec, certify
 from .words import Presentation, presentation_from_text, word_from_text
@@ -58,49 +64,10 @@ EXIT_LIMIT_EXCEEDED = 5
 FAMILIES = ("G", "H", "K", "L", "M", "A", "coxeter", "tight", "raw")
 
 
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name)
-    if raw in (None, ""):
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParameterError(f"environment variable {name} is not an integer: {raw!r}")
-
-
-def _resolve_max_cosets(args) -> int:
-    if args.max_cosets is not None:
-        return args.max_cosets
-    env = _env_int("POLYCERT_MAX_COSETS")
-    return env if env is not None else DEFAULT_MAX_COSETS
-
-
-def _resolve_strategy(args) -> str:
-    if args.strategy is not None:
-        return args.strategy
-    env = os.environ.get("POLYCERT_STRATEGY")
-    if env in (None, ""):
-        return "hlt"
-    if env not in ("hlt", "felsch"):
-        raise ParameterError(f"POLYCERT_STRATEGY must be hlt or felsch, not {env!r}")
-    return env
-
-
-def _resolve_unsafe(args) -> bool:
-    if args.unsafe_params:
-        return True
-    return os.environ.get("POLYCERT_UNSAFE_PARAMS", "") == "1"
-
-
-def _resolve_jobs(args) -> int:
-    if getattr(args, "jobs", None) is not None:
-        if args.jobs < 1:
-            raise ParameterError("--jobs must be at least 1")
-        return args.jobs
-    env = _env_int("POLYCERT_JOBS")
-    if env is not None and env < 1:
-        raise ParameterError("POLYCERT_JOBS must be at least 1")
-    return env if env is not None else 1
+def _limits(args) -> EnumerationLimits:
+    if args.max_cosets < 1:
+        raise ParameterError("--max-cosets must be at least 1")
+    return EnumerationLimits(max_cosets=args.max_cosets)
 
 
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
@@ -120,7 +87,7 @@ def _require(args, names: list[str], family: str) -> None:
 def build_presentation(args) -> tuple[Presentation, tuple[int, ...] | None, str]:
     """Resolve CLI family flags into (presentation, declared type, params text)."""
     family = args.family
-    unsafe = _resolve_unsafe(args)
+    unsafe = args.unsafe_params
     if family == "G":
         _require(args, ["d", "n", "k"], family)
         k = _parse_int_list(args.k, "--k")
@@ -199,8 +166,8 @@ def _add_family_flags(sub) -> None:
 
 
 def _add_engine_flags(sub) -> None:
-    sub.add_argument("--max-cosets", type=int)
-    sub.add_argument("--strategy", choices=("hlt", "felsch"))
+    sub.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS)
+    sub.add_argument("--strategy", choices=("hlt", "felsch"), default="hlt")
     sub.add_argument("--out", help="write the primary output to this file")
 
 
@@ -214,17 +181,16 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 def _cmd_verify(args) -> int:
     presentation, declared, params_text = build_presentation(args)
-    limits = EnumerationLimits(max_cosets=_resolve_max_cosets(args))
-    strategy = _resolve_strategy(args)
+    limits = _limits(args)
     mode = "full" if args.full_ip else "recursive"
     spec = SggiSpec(presentation, declared)
-    cert = certify(spec, mode=mode, limits=limits, strategy=strategy)
+    cert = certify(spec, mode=mode, limits=limits, strategy=args.strategy)
     f_vector = None
     if cert.passed:
         f_vector = tuple(cert.order // o for _, o in cert.parabolic_orders)
     doc = certs.build_certificate_document(
         cert, family=args.family, params=params_text,
-        unsafe_params=_resolve_unsafe(args), f_vector=f_vector)
+        unsafe_params=args.unsafe_params, f_vector=f_vector)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(certs.certificate_to_json(doc))
@@ -259,13 +225,12 @@ def _all_exponents(d: int, n: int, k_min: int) -> list[tuple[int, ...]]:
 
 
 def _sweep_one(task) -> dict:
-    d, n, ks, strategy, max_cosets, ip_mode = task
+    d, n, ks, strategy, limits, ip_mode = task
     started = time.perf_counter()
     result = {"d": d, "n": n, "k": ks}
     try:
         p = families.family_g(d, n, ks)
         spec = SggiSpec(p, tuple(1 << e for e in ks))
-        limits = EnumerationLimits(max_cosets=max_cosets)
         modes = ["recursive", "full"] if ip_mode == "both" else [ip_mode]
         cert = None
         verdicts = []
@@ -290,9 +255,10 @@ def _sweep_one(task) -> dict:
 
 
 def _cmd_sweep(args) -> int:
-    strategy = _resolve_strategy(args)
-    max_cosets = _resolve_max_cosets(args)
-    jobs = _resolve_jobs(args)
+    limits = _limits(args)
+    jobs = args.jobs
+    if jobs < 1:
+        raise ParameterError("--jobs must be at least 1")
     if args.d_min > args.d_max or args.n_min > args.n_max:
         raise ParameterError("empty sweep range")
     tasks = []
@@ -301,7 +267,7 @@ def _cmd_sweep(args) -> int:
             raise ParameterError("sweep ranks start at 3")
         for n in range(args.n_min, args.n_max + 1):
             for ks in _all_exponents(d, n, args.k_min):
-                tasks.append((d, n, ks, strategy, max_cosets, args.ip))
+                tasks.append((d, n, ks, args.strategy, limits, args.ip))
     results = []
     if jobs == 1:
         for task in tasks:
@@ -333,8 +299,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_paper_tables(args) -> int:
-    strategy = _resolve_strategy(args)
-    limits = EnumerationLimits(max_cosets=_resolve_max_cosets(args))
+    limits = _limits(args)
     lines = []
     all_ok = True
     lines.append("section parameter tuples (rank, total): count, all orders verified")
@@ -345,7 +310,7 @@ def _cmd_paper_tables(args) -> int:
             verified = 0
             for slack, *ks in tuples:
                 p = families.family_a(rank, slack, tuple(ks))
-                if realize(p, limits, strategy).order == 1 << total:
+                if realize(p, limits, args.strategy).order == 1 << total:
                     verified += 1
             ok = verified == len(tuples)
             all_ok = all_ok and ok
@@ -355,7 +320,7 @@ def _cmd_paper_tables(args) -> int:
     for rank in (3, 4):
         for ks in _tight_types(rank):
             p = families.tight_quotient_presentation(ks)
-            order = realize(p, limits, strategy).order
+            order = realize(p, limits, args.strategy).order
             want = 2 * prod(ks)
             ok = order == want
             all_ok = all_ok and ok
@@ -411,17 +376,29 @@ def _cmd_export(args) -> int:
 
 def _cmd_hasse(args) -> int:
     presentation, declared, _ = build_presentation(args)
-    limits = EnumerationLimits(max_cosets=_resolve_max_cosets(args))
-    strategy = _resolve_strategy(args)
-    rg = realize(presentation, limits, strategy)
+    limits = _limits(args)
+    rg = realize(presentation, limits, args.strategy)
     if rg.order > args.max_order:
         raise LimitExceededError(
             f"group order {rg.order} exceeds --max-order {args.max_order}")
-    cert = certify(SggiSpec(presentation, declared), limits=limits, strategy=strategy)
+    cert = certify(SggiSpec(presentation, declared), limits=limits, strategy=args.strategy)
     if not cert.passed:
         print("polycert: check-failed: group is not a certified string C-group",
               file=sys.stderr)
         return EXIT_CHECK_FAILED
+    graph = flag_graph(rg, cert)
+    verdicts = (
+        ("flag matching", check_flag_matchings(graph)[0]),
+        ("flag connectivity", check_flag_connectivity(graph)),
+        ("diamond", check_diamond(rg, cert, max_order=args.max_order)[0]),
+        ("section connectivity",
+         check_section_connectivity(rg, cert, max_order=args.max_order)),
+    )
+    for name, ok in verdicts:
+        if not ok:
+            print(f"polycert: check-failed: face lattice fails the {name} check",
+                  file=sys.stderr)
+            return EXIT_CHECK_FAILED
     lattice = build_lattice(rg, cert)
     _write_or_print(export_hasse(lattice, args.format), args.out)
     return EXIT_OK
@@ -448,7 +425,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--k-min", type=int, default=2)
     p_sweep.add_argument("--ip", choices=("recursive", "full", "both"),
                          default="recursive")
-    p_sweep.add_argument("--jobs", type=int)
+    p_sweep.add_argument("--jobs", type=int, default=1)
     _add_engine_flags(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 

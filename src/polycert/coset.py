@@ -13,8 +13,7 @@ cross-check.
 Conventions:
 
 * Cosets are right cosets of the given subgroup, numbered from 0; coset 0 is
-  the subgroup itself. (Reports aimed at humans may show 1-based ids; the in
-  memory table is 0-based.)
+  the subgroup itself.
 * The table stores one column per generator-and-sign, except that a generator
   with an explicit square relator is an involution and shares a single column
   for both signs.
@@ -147,7 +146,6 @@ class CosetTable:
     subgroup_generators: tuple[Word, ...]
     table: list[list[int]]
     columns: _ColumnMap
-    closed: bool
     stats: EnumerationStats
 
     @property
@@ -178,8 +176,6 @@ class CosetTable:
         """
         from .perms import Permutation
 
-        if not self.closed:
-            raise TableNotClosedError("cannot read permutations off a partial table")
         n, ncols = len(self.table), self.columns.ncols
         flat = np.fromiter(chain.from_iterable(self.table), dtype=np.int32, count=n * ncols)
         cols = [self.columns.fwd[g] for g in range(self.presentation.generator_count)]
@@ -221,18 +217,6 @@ class CosetTable:
             if self.trace(0, w) != 0:
                 raise TableNotClosedError(
                     f"subgroup generator {word_to_text(w)!r} moves coset 0")
-
-    def dump_text(self) -> str:
-        """Debug dump, one row per live coset (1-based for readability)."""
-        header = []
-        for g in range(self.presentation.generator_count):
-            header.append(f"r{g}")
-            if self.columns.bwd[g] != self.columns.fwd[g]:
-                header.append(f"r{g}^-1")
-        lines = ["coset  " + "  ".join(header)]
-        for i, row in enumerate(self.table):
-            lines.append(f"{i + 1:>5}  " + "  ".join(str(v + 1) for v in row))
-        return "\n".join(lines) + "\n"
 
 
 class _Engine:
@@ -605,7 +589,6 @@ class _Engine:
             subgroup_generators=(),  # caller fills in
             table=self._standardize(),
             columns=self.cols,
-            closed=True,
             stats=self.stats,
         )
 

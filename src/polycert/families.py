@@ -218,11 +218,6 @@ def family_a(rank: int, slack: int, k: Sequence[int]) -> Presentation:
     return _scheme(rank, ks, slack)
 
 
-def subgroup_n_words() -> tuple[Word, ...]:
-    """Generators of the distinguished cyclic normal subgroup <(r0 r1)^2>."""
-    return (power(pair(0, 1), 2),)
-
-
 def a_parameter_tuples(rank: int, total: int) -> list[tuple[int, ...]]:
     """All (slack, k_2, ..., k_rank) with slack >= 1, k_i >= 2, summing to
     ``total``, in lexicographic order."""

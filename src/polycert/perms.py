@@ -44,13 +44,12 @@ pass restarts at its level. Pairs (orbit point, generator) already proven
 stay proven, because old points keep their tree entries and the chain below
 only grows.
 
-``verify_chain("full")`` does not use the lemma: it traces every transversal
+``verify_chain`` does not use the lemma: it traces every transversal
 element, forms every Schreier element of every level and sifts it.
 """
 
 from __future__ import annotations
 
-import random
 import threading
 from dataclasses import dataclass, field
 from math import lcm
@@ -61,7 +60,6 @@ import numpy as np
 from .errors import CapacityError
 
 MAX_DEGREE = 1 << 22
-DEFAULT_SEED = 1729
 # Cells of the level batch built at once; larger point sets X go in chunks.
 BATCH_CELLS = 1 << 20
 
@@ -385,32 +383,28 @@ class PermutationGroup:
                     self._levels = self._build()
         return self._levels
 
-    def _build(self, base_prefix: Sequence[int] = ()) -> list[_Level]:
+    def _build(self) -> list[_Level]:
         levels: list[_Level] = []
         for g in self._generators:
             if g.is_identity:
                 continue
             residue, j = self._strip(g.images, levels)
             if residue is not None:
-                self._add(levels, residue, j, base_prefix)
+                self._add(levels, residue, j)
         i = len(levels) - 1
         while i >= 0:
             found = self._settle(levels, i)
             if found is None:
                 i -= 1
             else:
-                i = self._add(levels, *found, base_prefix)
+                i = self._add(levels, *found)
         return levels
 
-    def _add(self, levels: list[_Level], g: np.ndarray, j: int,
-             base_prefix: Sequence[int]) -> int:
+    def _add(self, levels: list[_Level], g: np.ndarray, j: int) -> int:
         """Make ``g``, which fixes the base points before level ``j``, a
         strong generator; returns the level whose base it moves first."""
         while j == len(levels):
-            idx = len(levels)
-            if idx < len(base_prefix):
-                base = base_prefix[idx]
-            elif idx == 0:
+            if not levels:
                 base = self._first_base()
             else:
                 base = _longest_cycle_point(Permutation._raw(g))
@@ -497,70 +491,37 @@ class PermutationGroup:
         levels = self._chain()
         return tuple(levels[0].gens) if levels else ()
 
-    def stabilizer_of_point(self, point: int) -> "PermutationGroup":
-        """The subgroup fixing one point, via a fresh chain based there."""
-        if not 0 <= point < self._degree:
-            raise ValueError(f"point {point} out of range")
-        levels = self._build(base_prefix=(point,))
-        inner = tuple(levels[1].gens) if len(levels) > 1 else ()
-        return PermutationGroup(inner, degree=self._degree)
-
-    def verify_chain(self, mode: str = "full", seed: int = DEFAULT_SEED,
-                     samples: int = 50) -> None:
+    def verify_chain(self) -> None:
         """Re-check the chain after the fact; raises RuntimeError on any defect.
 
-        Every mode first checks each level's layout: the Schreier vector
-        leads from every orbit point back to the base along generator edges,
-        the generators fix the earlier base points, and a deeper level's
-        generators are among this level's. ``full`` then traces every
-        transversal element, forms every Schreier element of every level and
-        sifts it, without the lemma; ``random`` sifts seeded random group
-        elements (products of random transversal entries) and random
-        generator words instead.
+        First checks each level's layout: the Schreier vector leads from
+        every orbit point back to the base along generator edges, the
+        generators fix the earlier base points, and a deeper level's
+        generators are among this level's. Then traces every transversal
+        element, forms every Schreier element of every level and sifts it,
+        without the lemma, and sifts every original generator.
         """
-        if mode not in ("full", "random"):
-            raise ValueError(f"unknown verification mode {mode!r}")
         levels = self._chain()
         for i in range(len(levels)):
             self._check_layout(levels, i)
-        if mode == "full":
-            for i, lv in enumerate(levels):
-                for pt in lv.orbit.tolist():
-                    u = lv.trace(pt)
-                    for g in lv.gens:
-                        img = g.apply(pt)
-                        if lv.pred[img] < 0:
-                            raise RuntimeError(
-                                f"level {i}: orbit is not closed at point {pt}")
-                        h = (Permutation._raw(g.images[u])
-                             * Permutation._raw(lv.trace(img)).inverse())
-                        residue, _ = self._strip(h.images, levels, i + 1)
-                        if residue is not None:
-                            raise RuntimeError(
-                                f"level {i}: Schreier element at point {pt} does not sift")
-            for g in self._generators:
-                residue, _ = self._strip(g.images, levels)
-                if residue is not None:
-                    raise RuntimeError("an original generator does not sift through the chain")
-            return
-        rng = random.Random(seed)
-        ident = Permutation.identity(self._degree)
-        for _ in range(samples):
-            g = ident
-            for lv in levels:
-                pt = int(lv.orbit[rng.randrange(lv.orbit.size)])
-                g = g * Permutation._raw(lv.trace(pt))
+        for i, lv in enumerate(levels):
+            for pt in lv.orbit.tolist():
+                u = lv.trace(pt)
+                for g in lv.gens:
+                    img = g.apply(pt)
+                    if lv.pred[img] < 0:
+                        raise RuntimeError(
+                            f"level {i}: orbit is not closed at point {pt}")
+                    h = (Permutation._raw(g.images[u])
+                         * Permutation._raw(lv.trace(img)).inverse())
+                    residue, _ = self._strip(h.images, levels, i + 1)
+                    if residue is not None:
+                        raise RuntimeError(
+                            f"level {i}: Schreier element at point {pt} does not sift")
+        for g in self._generators:
             residue, _ = self._strip(g.images, levels)
             if residue is not None:
-                raise RuntimeError("a random transversal product does not sift")
-        if self._generators:
-            for _ in range(samples):
-                g = ident
-                for _ in range(rng.randrange(1, 30)):
-                    g = g * self._generators[rng.randrange(len(self._generators))]
-                residue, _ = self._strip(g.images, levels)
-                if residue is not None:
-                    raise RuntimeError("a random generator word does not sift")
+                raise RuntimeError("an original generator does not sift through the chain")
 
     def _check_layout(self, levels: list[_Level], i: int) -> None:
         lv = levels[i]

@@ -226,8 +226,7 @@ def check_diamond(realized: RealizedGroup, certificate: SggiCertificate,
         # distinct (pair, middle face) combinations, then middles per pair
         combo = np.unique(pair_codes * sizes[i] + phis[i])
         pair_of_combo = combo // sizes[i]
-        _, counts = np.unique(pair_of_combo, return_counts=True)
-        uniq_pairs = np.unique(pair_of_combo)
+        uniq_pairs, counts = np.unique(pair_of_combo, return_counts=True)
         for code, cnt in zip(uniq_pairs, counts):
             if cnt != 2 and len(failures) < 10:
                 failures.append((i, int(code // n_upper), int(code % n_upper), int(cnt)))

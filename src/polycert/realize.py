@@ -60,12 +60,10 @@ class RealizedGroup:
         self.order = self.table.live_count
         matrix = np.asarray(self.table.table, dtype=np.int32)
         cols = self.table.columns
-        self._matrix = matrix
         self.right = [matrix[:, cols.fwd[g]].copy() for g in range(presentation.generator_count)]
         for arr in self.right:
             arr.setflags(write=False)
         self.stats: Counter = Counter(enumerations=1)
-        self._left: dict[int, np.ndarray] = {}
         self._quotients: dict[frozenset[int], Quotient] = {}
         self._masks: dict[frozenset[int], np.ndarray] = {}
         self._element_orders: dict[Word, int] = {}
@@ -100,41 +98,6 @@ class RealizedGroup:
             n += 1
         self._element_orders[w] = n
         return n
-
-    # -- left multiplication ----------------------------------------------------
-
-    def left_array(self, gen: int) -> np.ndarray:
-        """Left multiplication by one generator, as an element-id image array.
-
-        Built by one sweep over the standardized table: the identity row seeds
-        lam[gen-image of 0], and lam(e * x) = lam(e) * x extends it. The
-        standardized numbering discovers every element before its row is
-        scanned, so a single ascending pass fills the whole array.
-        """
-        cached = self._left.get(gen)
-        if cached is not None:
-            return cached
-        if not 0 <= gen < self.rank:
-            raise InvalidGeneratorError(f"generator index {gen} out of range")
-        matrix = self._matrix
-        n = self.order
-        lam = np.full(n, -1, dtype=np.int32)
-        lam[0] = self.right[gen][0]
-        ncols = matrix.shape[1]
-        for e in range(n):
-            le = lam[e]
-            if le < 0:
-                raise InvalidGeneratorError("table numbering is not in discovery order")
-            row = matrix[e]
-            target = matrix[le]
-            for c in range(ncols):
-                v = row[c]
-                if lam[v] < 0:
-                    lam[v] = target[c]
-        lam.setflags(write=False)
-        self._left[gen] = lam
-        self.stats["left_arrays"] += 1
-        return lam
 
     # -- parabolic subgroups -----------------------------------------------------
 
@@ -186,12 +149,6 @@ class RealizedGroup:
         """Order of the intersection of two parabolic subgroups."""
         both = self._mask(self._check_subset(left)) & self._mask(self._check_subset(right))
         return int(np.count_nonzero(both))
-
-    def regular_permutation_group(self):
-        """The regular permutation representation as a PermutationGroup."""
-        from .perms import PermutationGroup
-
-        return PermutationGroup(self.table.to_permutations(), degree=self.order)
 
 
 @lru_cache(maxsize=32)

@@ -21,11 +21,7 @@ from math import prod
 from typing import Iterable, Sequence
 
 from .coset import EnumerationLimits
-from .errors import (
-    HomomorphismError,
-    ParameterError,
-    UncertifiedInputError,
-)
+from .errors import HomomorphismError, ParameterError
 from .realize import RealizedGroup, realize
 from .words import Presentation, Word, commutator, generator, pair, word_to_text
 
@@ -276,80 +272,3 @@ def check_homomorphism(source: Presentation,
                 f"relator {word_to_text(rel)!r} does not vanish under the "
                 f"generator mapping", relator=rel)
 
-
-def identity_generator_images(rank: int) -> list[Word]:
-    """The mapping r_i -> r_i, for same-rank quotient comparisons."""
-    return [generator(i) for i in range(rank)]
-
-
-@dataclass(frozen=True)
-class QuotientCheckResult:
-    """Outcome of the section-injectivity quotient test."""
-
-    ok: bool
-    side: str
-    source_order: int
-    target_order: int
-    source_section_order: int
-    target_section_order: int
-    messages: tuple[str, ...]
-
-
-def quotient_criterion(source: Presentation,
-                       target: Presentation,
-                       side: str = "facet",
-                       source_certificate: SggiCertificate | None = None,
-                       limits: EnumerationLimits | None = None) -> QuotientCheckResult:
-    """Certify a same-rank quotient target of a certified string C-group.
-
-    The criterion: the generator-to-generator mapping is a homomorphism, and
-    it is injective on one terminal section (the ``facet`` side drops the last
-    generator, the ``vertex`` side drops the first). Injectivity is decided
-    by comparing the section's order on both sides, since the mapping carries
-    the source section onto the target section. When it holds, the target is
-    itself a string C-group.
-    """
-    if side not in ("facet", "vertex"):
-        raise ValueError(f"side must be 'facet' or 'vertex', not {side!r}")
-    if source.generator_count != target.generator_count:
-        raise ParameterError(
-            f"quotient comparison needs equal ranks; "
-            f"got {source.generator_count} and {target.generator_count}")
-    if source_certificate is None:
-        source_certificate = certify(source, limits=limits)
-    if source_certificate.presentation != source:
-        raise UncertifiedInputError(
-            "the supplied certificate does not belong to the source presentation")
-    if not source_certificate.passed:
-        raise UncertifiedInputError(
-            "the source presentation is not a certified string C-group")
-    check_homomorphism(source, target,
-                       identity_generator_images(source.generator_count), limits)
-    rank = source.generator_count
-    if side == "facet":
-        subset = tuple(range(rank - 1))
-    else:
-        subset = tuple(range(1, rank))
-    src_section = realize(source, limits).parabolic_order(subset)
-    tgt_section = realize(target, limits).parabolic_order(subset)
-    src_order = realize(source, limits).order
-    tgt_order = realize(target, limits).order
-    messages = []
-    ok = src_section == tgt_section
-    if ok:
-        messages.append(
-            f"{side} section order {src_section} agrees; the target inherits "
-            f"the string C-group property")
-    else:
-        messages.append(
-            f"{side} section order differs: source {src_section}, "
-            f"target {tgt_section}; no conclusion")
-    return QuotientCheckResult(
-        ok=ok,
-        side=side,
-        source_order=src_order,
-        target_order=tgt_order,
-        source_section_order=src_section,
-        target_section_order=tgt_section,
-        messages=tuple(messages),
-    )

@@ -116,23 +116,6 @@ def pair(i: int, j: int) -> Word:
     return Word([(i, 1), (j, 1)])
 
 
-def reduce(w: Word, involutory: bool = False) -> Word:
-    """Reduce ``w``; freely by default, modulo squares when ``involutory``.
-
-    Involutory reduction treats every generator as an involution: signs are
-    dropped and adjacent equal letters cancel. Both modes are idempotent.
-    """
-    if not involutory:
-        return Word(w.letters)  # construction re-reduces; already a fixpoint
-    stack: list[int] = []
-    for gen, _sign in w.letters:
-        if stack and stack[-1] == gen:
-            stack.pop()
-        else:
-            stack.append(gen)
-    return Word([(g, 1) for g in stack])
-
-
 def power(w: Word, e: int) -> Word:
     """``w`` concatenated ``e`` times (``e >= 0``), freely reduced."""
     if e < 0:

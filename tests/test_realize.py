@@ -9,12 +9,11 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from polycert.coset import EnumerationLimits
 from polycert.errors import InvalidGeneratorError
 from polycert.families import family_a, family_k, tight_quotient_presentation
+from polycert.perms import PermutationGroup
 from polycert.realize import RealizedGroup, realize
 from polycert.words import Presentation, Word, commutator, generator, pair, power
 
@@ -106,19 +105,6 @@ def test_intersection_orders_match_element_sets():
         assert rg.stats["enumerations"] == 1
 
 
-def test_left_arrays_commute_with_right_action():
-    for p in ORACLE_PRESENTATIONS:
-        rg = RealizedGroup(p)
-        for x in range(rg.rank):
-            lam = rg.left_array(x)
-            assert int(lam[0]) == rg.element_of(generator(x))
-            assert sorted(lam.tolist()) == list(range(rg.order))
-            for g in range(rg.rank):
-                rho = rg.right[g]
-                # x * (e * g) == (x * e) * g
-                assert np.array_equal(lam[rho], rho[lam])
-
-
 def test_quotient_partition_consistency():
     rg = RealizedGroup(family_k(4, (2, 2, 2)))
     for subset in [(), (0,), (0, 1), (1, 2, 3), (0, 2), (0, 1, 2, 3)]:
@@ -166,7 +152,7 @@ def test_strategies_realize_identically():
 
 def test_regular_permutation_group():
     rg = RealizedGroup(family_a(3, 1, (2, 2)))
-    g = rg.regular_permutation_group()
+    g = PermutationGroup(rg.table.to_permutations(), degree=rg.order)
     assert g.order() == rg.order == 32
     assert g.orbit(0) == tuple(range(32))
 
@@ -178,21 +164,4 @@ def test_bad_generator_subsets(tight44):
     with pytest.raises(InvalidGeneratorError):
         rg.intersection_order((0,), (-1,))
     with pytest.raises(InvalidGeneratorError):
-        rg.left_array(3)
-    with pytest.raises(InvalidGeneratorError):
         rg.quotient((7,))
-
-
-rank3_letters = st.tuples(st.integers(0, 2), st.sampled_from((1, -1)))
-rank3_words = st.lists(rank3_letters, max_size=12).map(Word)
-
-
-@given(w=rank3_words)
-def test_left_word_action_matches_element_ids(tight44, w):
-    _, rg, _ = tight44
-    # every generator is an involution, so r^-1 acts on the left as r does
-    lam = np.arange(rg.order)
-    for g, _ in w:
-        lam = lam[rg.left_array(g)]
-    assert int(lam[0]) == rg.element_of(w)
-    assert rg.order % rg.element_order(w) == 0

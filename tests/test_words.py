@@ -16,7 +16,6 @@ from polycert import (
     pair,
     power,
     presentation_from_text,
-    reduce,
     word_from_text,
     word_to_text,
 )
@@ -73,15 +72,6 @@ def test_power_and_commutator_shapes():
     assert conj.letters == ((1, -1), (0, 1), (1, 1))
 
 
-def test_involutory_reduction():
-    w = Word([(0, 1), (0, -1)])
-    assert w == Word()
-    v = word_from_text("r0 r1 r1 r0 r2")
-    assert reduce(v, involutory=True) == generator(2)
-    # signs are irrelevant once generators are involutions
-    assert reduce(Word([(0, -1), (0, 1), (1, -1)]), involutory=True) == generator(1)
-
-
 def test_text_round_trip_examples():
     assert word_to_text(Word()) == "1"
     assert word_from_text("1") == Word()
@@ -95,16 +85,10 @@ def test_text_round_trip_examples():
         word_from_text("r-1")
 
 
-@given(words)
-def test_reduce_is_idempotent(w):
-    assert reduce(w) == w
-    assert reduce(reduce(w, involutory=True), involutory=True) == reduce(w, involutory=True)
-
-
 @given(words, words)
 def test_concatenation_reduces(u, v):
     prod = u * v
-    assert reduce(prod) == prod
+    assert Word(prod.letters) == prod
     assert prod == Word(u.letters + v.letters)
 
 

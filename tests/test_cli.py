@@ -76,18 +76,16 @@ def test_verify_below_range_total(capsys):
     assert "param-invalid" in err
 
 
-def test_environment_does_not_configure_a_run(capsys, monkeypatch):
-    args = ("verify", "--family", "tight", "--k", "4,4")
-    _, expected, _ = run(capsys, *args)
-    monkeypatch.setenv("POLYCERT_STRATEGY", "banana")
-    monkeypatch.setenv("POLYCERT_MAX_COSETS", "10")
-    monkeypatch.setenv("POLYCERT_UNSAFE_PARAMS", "1")
-    assert run(capsys, *args) == (0, expected, "")
-    below_range = ("verify", "--family", "H", "--n", "8", "--s", "2", "--t", "2")
-    assert run(capsys, *below_range)[0] == 4
-    code, out, _ = run(capsys, *below_range, "--unsafe-params")
+def test_unsafe_params_flag_and_env(capsys, monkeypatch):
+    args = ("verify", "--family", "H", "--n", "8", "--s", "2", "--t", "2")
+    code, out, _ = run(capsys, *args, "--unsafe-params")
     assert code == 0
     assert "order: 256 (2^8)" in out
+    # the environment no longer lifts the range guard; only the flag does
+    monkeypatch.setenv("POLYCERT_UNSAFE_PARAMS", "1")
+    code, _, err = run(capsys, *args)
+    assert code == 4
+    assert "param-invalid" in err
 
 
 def test_verify_raw_check_failed(capsys):
@@ -104,6 +102,30 @@ def test_verify_infinite_group_hits_limit(capsys):
                        "--max-cosets", "200")
     assert code == 5
     assert "polycert: limit-exceeded:" in err
+
+
+def test_max_cosets_env_and_flag_precedence(capsys, monkeypatch):
+    args = ("verify", "--family", "tight", "--k", "4,4")
+    code, _, err = run(capsys, *args, "--max-cosets", "10")
+    assert code == 5
+    assert "limit-exceeded" in err
+    _, expected, _ = run(capsys, *args)
+    # the flag is the only source of the limit: the environment is ignored
+    for value in ("10", "ten"):
+        monkeypatch.setenv("POLYCERT_MAX_COSETS", value)
+        assert run(capsys, *args) == (0, expected, "")
+        assert run(capsys, *args, "--max-cosets", "100000") == (0, expected, "")
+
+
+def test_strategy_env(capsys, monkeypatch):
+    args = ("verify", "--family", "tight", "--k", "4,4")
+    code, expected, _ = run(capsys, *args, "--strategy", "felsch")
+    assert code == 0
+    assert "result: PASS" in expected
+    assert run(capsys, *args, "--strategy", "hlt") == (0, expected, "")
+    # the environment names no strategy, not even an invalid one
+    monkeypatch.setenv("POLYCERT_STRATEGY", "banana")
+    assert run(capsys, *args) == (0, expected, "")
 
 
 @pytest.mark.parametrize("argv", [

@@ -181,6 +181,16 @@ def test_stabilizer_on_disjoint_face_actions(tight44):
         assert g.order() == len(g.orbit(off)) * rg.parabolic_order(s)
 
 
+def test_verify_chain_full_and_random():
+    # the full re-check is the only mode; a sound chain passes it
+    a = Permutation([1, 2, 3, 0, 4, 5])
+    b = Permutation([0, 1, 2, 4, 3, 5])
+    g = PermutationGroup([a, b])
+    g.verify_chain()
+    assert g.order() == 120
+    g.verify_chain()
+
+
 def test_verify_chain_catches_corruption():
     a = Permutation([1, 0, 2, 3])
     b = Permutation([1, 2, 3, 0])

@@ -85,6 +85,14 @@ def test_text_round_trip_examples():
         word_from_text("r-1")
 
 
+@given(words)
+def test_reduce_is_idempotent(w):
+    # a word is freely reduced on construction, so rebuilding it is a fixpoint
+    assert Word(w.letters) == w
+    assert Word(Word(w.letters).letters).letters == w.letters
+    assert all(a[0] != b[0] or a[1] != -b[1] for a, b in zip(w.letters, w.letters[1:]))
+
+
 @given(words, words)
 def test_concatenation_reduces(u, v):
     prod = u * v

@@ -1,11 +1,15 @@
 """Serialized forms of certification results: JSON documents and a TSV atlas.
 
-The JSON document carries everything a certificate decided, including the
-intersection evidence rows and a sha256 digest over their canonical JSON
-form; parsing recomputes and checks the digest, so silent edits to the
-evidence are caught. Orders are stored exactly, with a convenience log2
-field that is null whenever the order is not a power of two (tight groups of
-non-2-power type exist, so this cannot be assumed).
+The fields of ``CertificateDocument`` and ``AtlasRow`` declare both formats:
+the JSON keys, the atlas columns and the types a loader accepts are all
+read off them.
+
+Loading a JSON document checks every value against its field's declared
+type and recomputes the sha256 digest over the intersection evidence rows.
+The digest covers only those rows; checking a certificate by replaying it
+arrives with ROADMAP item 2. Orders are stored exactly, with a convenience
+log2 field that is null whenever the order is not a power of two (tight
+groups of non-2-power type exist, so this cannot be assumed).
 
 The atlas is a flat TSV with a fixed column set; the wall-clock column comes
 last so determinism comparisons can strip it. Skipped parameter tuples are
@@ -16,19 +20,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+import typing
+from dataclasses import MISSING, dataclass, fields
 from typing import Sequence
 
 from .errors import FormatError
-from .verify import IntersectionEvidence, SggiCertificate
+from .verify import SggiCertificate
 
 SCHEMA_VERSION = 1
-
-ATLAS_COLUMNS = (
-    "family", "params", "rank", "order", "log2_order", "schlafli_type",
-    "involutions_ok", "string_ok", "intersection_ok", "passed",
-    "degenerate", "tight", "minimal", "warnings", "seconds",
-)
 
 
 def order_log2(n: int) -> int | None:
@@ -43,9 +42,7 @@ def canonical_json(obj) -> str:
 
 
 def evidence_digest(evidence: Sequence[tuple[tuple[int, ...], tuple[int, ...], int, int]]) -> str:
-    rows = [[list(left), list(right), got, expected]
-            for left, right, got, expected in evidence]
-    return "sha256:" + hashlib.sha256(canonical_json(rows).encode()).hexdigest()
+    return "sha256:" + hashlib.sha256(canonical_json(evidence).encode()).hexdigest()
 
 
 @dataclass(frozen=True, eq=True)
@@ -77,117 +74,6 @@ class CertificateDocument:
     schema_version: int = SCHEMA_VERSION
 
 
-def build_certificate_document(cert: SggiCertificate,
-                               family: str | None = None,
-                               params: str | None = None,
-                               unsafe_params: bool = False,
-                               f_vector: Sequence[int] | None = None) -> CertificateDocument:
-    evidence = tuple((row.left, row.right, row.got, row.expected)
-                     for row in cert.intersection_evidence)
-    return CertificateDocument(
-        family=family,
-        params=params,
-        rank=cert.rank,
-        order=cert.order,
-        log2_order=order_log2(cert.order),
-        schlafli_type=cert.schlafli_type,
-        declared_type=cert.declared_type,
-        involution_orders=cert.involution_orders,
-        involutions_ok=cert.involutions_ok,
-        string_ok=cert.string_ok,
-        intersection_ok=cert.intersection_ok,
-        passed=cert.passed,
-        intersection_mode=cert.intersection_mode,
-        degenerate=cert.degenerate,
-        tight=cert.tight,
-        minimal=cert.minimal,
-        parabolic_orders=cert.parabolic_orders,
-        warnings=cert.warnings,
-        unsafe_params=unsafe_params,
-        f_vector=tuple(f_vector) if f_vector is not None else None,
-        evidence=evidence,
-        evidence_digest=evidence_digest(evidence),
-    )
-
-
-def certificate_to_json(doc: CertificateDocument) -> str:
-    payload = {
-        "schema_version": doc.schema_version,
-        "family": doc.family,
-        "params": doc.params,
-        "rank": doc.rank,
-        "order": {"value": doc.order, "log2": doc.log2_order},
-        "schlafli_type": list(doc.schlafli_type),
-        "declared_type": list(doc.declared_type) if doc.declared_type is not None else None,
-        "involution_orders": list(doc.involution_orders),
-        "checks": {
-            "involutions": doc.involutions_ok,
-            "string": doc.string_ok,
-            "intersection": doc.intersection_ok,
-            "passed": doc.passed,
-        },
-        "intersection_mode": doc.intersection_mode,
-        "degenerate": doc.degenerate,
-        "tight": doc.tight,
-        "minimal": doc.minimal,
-        "parabolic_orders": [[list(subset), order]
-                             for subset, order in doc.parabolic_orders],
-        "warnings": list(doc.warnings),
-        "unsafe_params": doc.unsafe_params,
-        "f_vector": list(doc.f_vector) if doc.f_vector is not None else None,
-        "evidence": [[list(l), list(r), got, exp] for l, r, got, exp in doc.evidence],
-        "evidence_digest": doc.evidence_digest,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def certificate_from_json(text: str) -> CertificateDocument:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"certificate is not valid JSON: {exc}") from exc
-    try:
-        if payload["schema_version"] != SCHEMA_VERSION:
-            raise FormatError(
-                f"unsupported certificate schema {payload['schema_version']!r}")
-        evidence = tuple(
-            (tuple(l), tuple(r), int(got), int(exp))
-            for l, r, got, exp in payload["evidence"])
-        doc = CertificateDocument(
-            family=payload["family"],
-            params=payload["params"],
-            rank=int(payload["rank"]),
-            order=int(payload["order"]["value"]),
-            log2_order=payload["order"]["log2"],
-            schlafli_type=tuple(payload["schlafli_type"]),
-            declared_type=tuple(payload["declared_type"])
-            if payload["declared_type"] is not None else None,
-            involution_orders=tuple(payload["involution_orders"]),
-            involutions_ok=bool(payload["checks"]["involutions"]),
-            string_ok=bool(payload["checks"]["string"]),
-            intersection_ok=bool(payload["checks"]["intersection"]),
-            passed=bool(payload["checks"]["passed"]),
-            intersection_mode=payload["intersection_mode"],
-            degenerate=bool(payload["degenerate"]),
-            tight=bool(payload["tight"]),
-            minimal=bool(payload["minimal"]),
-            parabolic_orders=tuple(
-                (tuple(subset), int(order))
-                for subset, order in payload["parabolic_orders"]),
-            warnings=tuple(payload["warnings"]),
-            unsafe_params=bool(payload["unsafe_params"]),
-            f_vector=tuple(payload["f_vector"])
-            if payload["f_vector"] is not None else None,
-            evidence=evidence,
-            evidence_digest=payload["evidence_digest"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed certificate document: {exc!r}") from exc
-    if evidence_digest(doc.evidence) != doc.evidence_digest:
-        raise FormatError("evidence digest mismatch; the document was altered")
-    return doc
-
-
 @dataclass(frozen=True)
 class AtlasRow:
     """One atlas line; ``params`` stays textual (e.g. 'd=4;n=10;k=2,2,2')."""
@@ -209,56 +95,153 @@ class AtlasRow:
     seconds: float | None
 
 
+# The JSON keys of the document fields that are not stored at the top level.
+_JSON_PATHS = {
+    "order": ("order", "value"),
+    "log2_order": ("order", "log2"),
+    "involutions_ok": ("checks", "involutions"),
+    "string_ok": ("checks", "string"),
+    "intersection_ok": ("checks", "intersection"),
+    "passed": ("checks", "passed"),
+}
+
+
+def _optional(hint) -> tuple[typing.Any, bool]:
+    """``(T, True)`` for a hint ``T | None``, else ``(hint, False)``."""
+    args = typing.get_args(hint)
+    if type(None) not in args:
+        return hint, False
+    (inner,) = (a for a in args if a is not type(None))
+    return inner, True
+
+
+# Type hints resolved once: resolving them takes longer than a whole load.
+_DOCUMENT_FIELDS = tuple(
+    (name, _JSON_PATHS.get(name, (name,)), hint)
+    for name, hint in typing.get_type_hints(CertificateDocument).items())
+_ATLAS_HINTS = typing.get_type_hints(AtlasRow)
+ATLAS_COLUMNS = tuple(_ATLAS_HINTS)
+
+
+def _copy(cls, source, **own):
+    """A ``cls`` built from ``own`` plus every other field without a default,
+    read off the attribute of the same name on ``source``."""
+    shared = {f.name: getattr(source, f.name) for f in fields(cls)
+              if f.name not in own and f.default is MISSING}
+    return cls(**own, **shared)
+
+
+def build_certificate_document(cert: SggiCertificate,
+                               family: str | None = None,
+                               params: str | None = None,
+                               unsafe_params: bool = False,
+                               f_vector: Sequence[int] | None = None) -> CertificateDocument:
+    evidence = tuple((row.left, row.right, row.got, row.expected)
+                     for row in cert.intersection_evidence)
+    return _copy(
+        CertificateDocument, cert, family=family, params=params,
+        log2_order=order_log2(cert.order), unsafe_params=unsafe_params,
+        f_vector=tuple(f_vector) if f_vector is not None else None,
+        evidence=evidence, evidence_digest=evidence_digest(evidence))
+
+
+def certificate_to_json(doc: CertificateDocument) -> str:
+    payload: dict = {}
+    for name, (*outer, key), _ in _DOCUMENT_FIELDS:
+        node = payload
+        for part in outer:
+            node = node.setdefault(part, {})
+        node[key] = getattr(doc, name)
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _decode(value, hint, name: str):
+    """``value`` as loaded from JSON for field ``name``, checked against
+    ``hint`` and with its lists made tuples; TypeError when it does not fit."""
+    hint, optional = _optional(hint)
+    if value is None and optional:
+        return None
+    if typing.get_origin(hint) is tuple:
+        args = typing.get_args(hint)
+        if not isinstance(value, list):
+            raise TypeError(f"field {name}: {value!r} is not a list")
+        if args[-1] is Ellipsis:
+            return tuple(_decode(v, args[0], name) for v in value)
+        if len(value) != len(args):
+            raise TypeError(f"field {name}: {value!r} does not have {len(args)} entries")
+        return tuple(_decode(v, a, name) for v, a in zip(value, args))
+    if type(value) is not hint:
+        raise TypeError(f"field {name}: {value!r} is not of type {hint.__name__}")
+    return value
+
+
+def certificate_from_json(text: str) -> CertificateDocument:
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"certificate is not valid JSON: {exc}") from exc
+    try:
+        if payload["schema_version"] != SCHEMA_VERSION:
+            raise FormatError(
+                f"unsupported certificate schema {payload['schema_version']!r}")
+        values = {}
+        for name, path, hint in _DOCUMENT_FIELDS:
+            value = payload
+            for key in path:
+                value = value[key]
+            values[name] = _decode(value, hint, name)
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"malformed certificate document: {exc!r}") from exc
+    doc = CertificateDocument(**values)
+    if evidence_digest(doc.evidence) != doc.evidence_digest:
+        raise FormatError("evidence digest mismatch; the document was altered")
+    return doc
+
+
 def row_from_document(doc: CertificateDocument, seconds: float | None = None) -> AtlasRow:
-    return AtlasRow(
-        family=doc.family or "raw",
-        params=doc.params or "-",
-        rank=doc.rank,
-        order=doc.order,
-        log2_order=doc.log2_order,
-        schlafli_type=doc.schlafli_type,
-        involutions_ok=doc.involutions_ok,
-        string_ok=doc.string_ok,
-        intersection_ok=doc.intersection_ok,
-        passed=doc.passed,
-        degenerate=doc.degenerate,
-        tight=doc.tight,
-        minimal=doc.minimal,
-        warnings=doc.warnings,
-        seconds=seconds,
-    )
-
-
-def _bool_text(v: bool) -> str:
-    return "true" if v else "false"
+    return _copy(AtlasRow, doc, family=doc.family or "raw",
+                 params=doc.params or "-", seconds=seconds)
 
 
 def _clean_cell(text: str) -> str:
     return text.replace("\t", " ").replace("\n", " ").strip() or "-"
 
 
+def _bool_cell(cell: str) -> bool:
+    if cell not in ("true", "false"):
+        raise ValueError(f"{cell!r} is neither true nor false")
+    return cell == "true"
+
+
+def _tuple_cell(item, sep: str):
+    return lambda cell: () if cell == "-" else tuple(map(item, cell.split(sep)))
+
+
+# (format, parse) per atlas column type; "-" stands for None and for ().
+_CELLS = {
+    str: (str, str),
+    int: (str, int),
+    float: ("{:.3f}".format, float),
+    bool: (lambda v: "true" if v else "false", _bool_cell),
+    tuple[int, ...]: (lambda v: ",".join(map(str, v)) or "-", _tuple_cell(int, ",")),
+    tuple[str, ...]: (lambda v: _clean_cell("|".join(v)), _tuple_cell(str, "|")),
+}
+
+
+def _atlas_codec(name: str, hint):
+    hint, optional = _optional(hint)
+    return (name, optional, *_CELLS[hint])
+
+
+_ATLAS_CODECS = tuple(_atlas_codec(name, hint) for name, hint in _ATLAS_HINTS.items())
+
+
 def format_atlas(rows: Sequence[AtlasRow],
                  skipped: Sequence[tuple[str, str, str]] = ()) -> str:
     lines = ["# atlas-version 1", "\t".join(ATLAS_COLUMNS)]
     for r in rows:
-        cells = [
-            r.family,
-            r.params,
-            str(r.rank),
-            str(r.order),
-            "-" if r.log2_order is None else str(r.log2_order),
-            ",".join(map(str, r.schlafli_type)) if r.schlafli_type else "-",
-            _bool_text(r.involutions_ok),
-            _bool_text(r.string_ok),
-            _bool_text(r.intersection_ok),
-            _bool_text(r.passed),
-            _bool_text(r.degenerate),
-            _bool_text(r.tight),
-            _bool_text(r.minimal),
-            _clean_cell("|".join(r.warnings)) if r.warnings else "-",
-            "-" if r.seconds is None else f"{r.seconds:.3f}",
-        ]
-        lines.append("\t".join(cells))
+        lines.append("\t".join("-" if (v := getattr(r, name)) is None else fmt(v)
+                               for name, _, fmt, _ in _ATLAS_CODECS))
     for family, params, reason in skipped:
         lines.append(f"# skipped\t{family}\t{params}\t{_clean_cell(reason)}")
     return "\n".join(lines) + "\n"
@@ -290,24 +273,9 @@ def parse_atlas(text: str) -> tuple[list[AtlasRow], list[tuple[str, str, str]]]:
             raise FormatError(
                 f"line {lineno}: expected {len(ATLAS_COLUMNS)} columns, got {len(cells)}")
         try:
-            rows.append(AtlasRow(
-                family=cells[0],
-                params=cells[1],
-                rank=int(cells[2]),
-                order=int(cells[3]),
-                log2_order=None if cells[4] == "-" else int(cells[4]),
-                schlafli_type=() if cells[5] == "-" else tuple(
-                    int(x) for x in cells[5].split(",")),
-                involutions_ok=cells[6] == "true",
-                string_ok=cells[7] == "true",
-                intersection_ok=cells[8] == "true",
-                passed=cells[9] == "true",
-                degenerate=cells[10] == "true",
-                tight=cells[11] == "true",
-                minimal=cells[12] == "true",
-                warnings=() if cells[13] == "-" else tuple(cells[13].split("|")),
-                seconds=None if cells[14] == "-" else float(cells[14]),
-            ))
+            rows.append(AtlasRow(**{
+                name: None if optional and cell == "-" else parse(cell)
+                for cell, (name, optional, _, parse) in zip(cells, _ATLAS_CODECS)}))
         except ValueError as exc:
             raise FormatError(f"line {lineno}: bad cell value ({exc})") from exc
     if not saw_header:

@@ -21,6 +21,7 @@ machine-readable ``polycert: <category>: <message>`` line on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import sys
@@ -349,23 +350,7 @@ def _cmd_export(args) -> int:
     else:
         payload = {
             "atlas_version": 1,
-            "rows": [{
-                "family": r.family,
-                "params": r.params,
-                "rank": r.rank,
-                "order": r.order,
-                "log2_order": r.log2_order,
-                "schlafli_type": list(r.schlafli_type),
-                "involutions_ok": r.involutions_ok,
-                "string_ok": r.string_ok,
-                "intersection_ok": r.intersection_ok,
-                "passed": r.passed,
-                "degenerate": r.degenerate,
-                "tight": r.tight,
-                "minimal": r.minimal,
-                "warnings": list(r.warnings),
-                "seconds": r.seconds,
-            } for r in rows],
+            "rows": [dataclasses.asdict(r) for r in rows],
             "skipped": [{"family": f, "params": p, "reason": why}
                         for f, p, why in skipped],
         }

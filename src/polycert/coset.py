@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -105,11 +105,10 @@ class EnumerationStats:
 class _ColumnMap:
     """Generator/sign to table-column layout, honoring involution sharing."""
 
-    __slots__ = ("ncols", "fwd", "bwd", "inv", "gens")
+    __slots__ = ("ncols", "fwd", "bwd", "inv")
 
     def __init__(self, presentation: Presentation):
         involutory = presentation.involutory_generators()
-        self.gens = presentation.generator_count
         fwd: list[int] = []
         bwd: list[int] = []
         inv: list[int] = []
@@ -233,7 +232,6 @@ class _Engine:
                  limits: EnumerationLimits, strategy: str):
         self.presentation = presentation
         self.limits = limits
-        self.strategy = strategy
         self.cols = _ColumnMap(presentation)
         inv = self.cols.inv
         self.t = [array("i", [-1]) for _ in range(self.cols.ncols)]
@@ -290,16 +288,19 @@ class _Engine:
             col.extend(undefined)
         self.p.frombytes(np.arange(cap, 2 * cap, dtype=np.intc).tobytes())
 
+    def _limit_error(self, message: str, **counts) -> LimitExceededError:
+        """``message``, with how far the run got: cosets created and live, table bytes."""
+        live = self._live()
+        table_bytes = sum(col.itemsize * len(col) for col in self.t)
+        return LimitExceededError(
+            f"{message} ({self.created} cosets created, {live} live, "
+            f"{table_bytes} table bytes; the table is not closed)",
+            cosets_created=self.created, live_cosets=live,
+            table_bytes=table_bytes, **counts)
+
     def _define(self, alpha: int, c: int) -> int:
         if self.created >= self.limits.max_cosets:
-            live = self._live()
-            table_bytes = sum(col.itemsize * len(col) for col in self.t)
-            raise LimitExceededError(
-                f"coset limit {self.limits.max_cosets} exceeded "
-                f"({self.created} cosets created, {live} live, "
-                f"{table_bytes} table bytes; the table is not closed)",
-                cosets_created=self.created, live_cosets=live,
-                table_bytes=table_bytes)
+            raise self._limit_error(f"coset limit {self.limits.max_cosets} exceeded")
         new = self.n
         if new == len(self.p):
             self._grow()
@@ -550,8 +551,8 @@ class _Engine:
             alpha, c = stack.pop()
             stats.deductions += 1
             if stats.deductions > limit:
-                raise LimitExceededError(
-                    f"deduction limit {limit} exceeded", deductions=stats.deductions)
+                raise self._limit_error(f"deduction limit {limit} exceeded",
+                                        deductions=stats.deductions)
             if p[alpha] != alpha:
                 continue
             for rel in groups[c]:

@@ -25,8 +25,9 @@ class ParameterError(PolycertError):
 class LimitExceededError(PolycertError):
     """An enumeration or search blew past its configured resource limits.
 
-    A coset limit also reports how far the enumeration got: the cosets still
-    live and the bytes allocated to the table's columns.
+    A coset or deduction limit also reports how far the enumeration got: the
+    cosets created and still live and the bytes allocated to the table's
+    columns.
     """
 
     def __init__(self, message: str, *, cosets_created: int | None = None,

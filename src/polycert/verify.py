@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import prod
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .coset import EnumerationLimits
 from .errors import HomomorphismError, ParameterError

@@ -17,7 +17,6 @@ from polycert.certificates import (
 )
 from polycert.errors import FormatError
 from polycert.families import family_h
-from polycert.realize import realize
 from polycert.verify import certify
 
 
@@ -81,6 +80,26 @@ def test_malformed_documents_are_rejected(tight44):
         certificate_from_json(json.dumps(payload))
 
 
+@pytest.mark.parametrize("path, value", [
+    (("checks", "passed"), "false"),
+    (("order", "value"), True),
+    (("rank",), 3.9),
+    (("rank",), "3"),
+    (("schlafli_type",), "ab"),
+    (("warnings",), "xyz"),
+])
+def test_wrongly_typed_leaf_is_rejected(tight44, path, value):
+    _, _, cert = tight44
+    payload = json.loads(certificate_to_json(build_certificate_document(cert)))
+    *outer, key = path
+    node = payload
+    for part in outer:
+        node = node[part]
+    node[key] = value
+    with pytest.raises(FormatError, match="malformed"):
+        certificate_from_json(json.dumps(payload))
+
+
 def test_evidence_digest_is_canonical():
     rows_a = (((0,), (1,), 2, 2), ((0, 1), (1, 2), 4, 4))
     rows_b = tuple(((tuple(l), tuple(r), g, e)
@@ -133,10 +152,14 @@ def test_atlas_rejects_malformed_text():
     header = "\t".join(ATLAS_COLUMNS)
     with pytest.raises(FormatError, match="columns"):
         parse_atlas(header + "\nG\td=4\n")
-    good_row = "\t".join(["G", "d=4", "4", "x", "-", "4,4", "true", "true",
-                          "true", "true", "false", "false", "true", "-", "-"])
-    with pytest.raises(FormatError, match="bad cell"):
-        parse_atlas(header + "\n" + good_row + "\n")
+    cells = ["G", "d=4", "4", "16", "-", "4,4", "true", "true",
+             "true", "true", "false", "false", "true", "-", "-"]
+    assert len(parse_atlas(header + "\n" + "\t".join(cells) + "\n")[0]) == 1
+    # an unparsable order, and a bool cell that is neither true nor false
+    for column, bad in ((3, "x"), (9, "yes")):
+        row = "\t".join(cells[:column] + [bad] + cells[column + 1:])
+        with pytest.raises(FormatError, match="bad cell"):
+            parse_atlas(header + "\n" + row + "\n")
     with pytest.raises(FormatError, match="skipped"):
         parse_atlas(header + "\n# skipped\tG\n")
 

@@ -339,3 +339,30 @@ def test_library_reads_no_environment():
     assert len(sources) > 5, "no library sources found; the scan is broken"
     for path in sources:
         assert _environment_reads(path.read_text()) == [], path.name
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names that ``source`` imports and never references."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_library_imports_only_what_it_uses():
+    """Every imported name is referenced; ``__init__`` re-exports are exempt."""
+    assert _unused_imports(
+        "from __future__ import annotations\nimport os.path, json as j\n"
+        "from typing import Iterable, Sequence\nx: Sequence = j.loads(os.sep)\n"
+        "def f(y: Iterable): pass\nimport sys as s, re\n"
+    ) == ["re", "s"]
+    sources = sorted(Path(polycert.__file__).parent.glob("*.py"))
+    assert len(sources) > 5, "no library sources found; the scan is broken"
+    for path in sources:
+        if path.name != "__init__.py":
+            assert _unused_imports(path.read_text()) == [], path.name

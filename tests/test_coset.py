@@ -197,6 +197,21 @@ def test_limit_exceeded_on_infinite_group():
         assert f"{err.table_bytes} table bytes" in str(err)
 
 
+def test_deduction_limit_reports_progress():
+    # Felsch on an infinite group stops at the deduction limit long before
+    # the coset limit, and says how far it got, as the coset limit does
+    p = coxeter_string_presentation((4, 4, 4))
+    limits = EnumerationLimits(max_cosets=10**6, max_deductions=1000)
+    with pytest.raises(LimitExceededError) as info:
+        enumerate_cosets(p, limits=limits, strategy="felsch")
+    err = info.value
+    assert err.deductions == 1001
+    assert 0 < err.live_cosets <= err.cosets_created < 10**6
+    # four involution columns of 4-byte entries, at most twice the cosets
+    assert 4 * 4 * err.cosets_created <= err.table_bytes <= 2 * 4 * 4 * err.cosets_created
+    assert f"{err.cosets_created} cosets created, {err.live_cosets} live" in str(err)
+
+
 def test_limit_run_memory_per_coset():
     # int32 columns take 4 bytes per column and coset slot; a table of
     # Python lists, one per coset, would take over 130 bytes per coset here

@@ -8,7 +8,6 @@ f-vector (4, 8, 4).
 
 from collections import Counter
 
-import numpy as np
 import pytest
 
 from polycert import polytope

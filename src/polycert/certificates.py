@@ -5,15 +5,17 @@ the JSON keys, the atlas columns and the types a loader accepts are all
 read off them.
 
 Loading a JSON document checks every value against its field's declared
-type and recomputes the sha256 digest over the intersection evidence rows.
+type, refuses keys that no field declares, and recomputes the sha256 digest
+over the intersection evidence rows.
 The digest covers only those rows; checking a certificate by replaying it
 arrives with ROADMAP item 2. Orders are stored exactly, with a convenience
 log2 field that is null whenever the order is not a power of two (tight
 groups of non-2-power type exist, so this cannot be assumed).
 
 The atlas is a flat TSV with a fixed column set; the wall-clock column comes
-last so determinism comparisons can strip it. Skipped parameter tuples are
-appended as '# skipped' comment lines with their reason.
+last so determinism comparisons can strip it. A cell is read only in the
+exact form the writer gives it. Skipped parameter tuples are appended as
+'# skipped' comment lines with their reason.
 """
 
 from __future__ import annotations
@@ -193,6 +195,8 @@ def certificate_from_json(text: str) -> CertificateDocument:
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed certificate document: {exc!r}") from exc
     doc = CertificateDocument(**values)
+    if json.loads(certificate_to_json(doc)) != payload:
+        raise FormatError("malformed certificate document: keys that no field declares")
     if evidence_digest(doc.evidence) != doc.evidence_digest:
         raise FormatError("evidence digest mismatch; the document was altered")
     return doc
@@ -207,22 +211,17 @@ def _clean_cell(text: str) -> str:
     return text.replace("\t", " ").replace("\n", " ").strip() or "-"
 
 
-def _bool_cell(cell: str) -> bool:
-    if cell not in ("true", "false"):
-        raise ValueError(f"{cell!r} is neither true nor false")
-    return cell == "true"
-
-
 def _tuple_cell(item, sep: str):
     return lambda cell: () if cell == "-" else tuple(map(item, cell.split(sep)))
 
 
 # (format, parse) per atlas column type; "-" stands for None and for ().
+# A cell is only read if formatting its parsed value writes it back unchanged.
 _CELLS = {
     str: (str, str),
     int: (str, int),
     float: ("{:.3f}".format, float),
-    bool: (lambda v: "true" if v else "false", _bool_cell),
+    bool: (lambda v: "true" if v else "false", lambda cell: cell == "true"),
     tuple[int, ...]: (lambda v: ",".join(map(str, v)) or "-", _tuple_cell(int, ",")),
     tuple[str, ...]: (lambda v: _clean_cell("|".join(v)), _tuple_cell(str, "|")),
 }
@@ -230,7 +229,9 @@ _CELLS = {
 
 def _atlas_codec(name: str, hint):
     hint, optional = _optional(hint)
-    return (name, optional, *_CELLS[hint])
+    fmt, parse = _CELLS[hint]
+    return (name, lambda v: "-" if v is None else fmt(v),
+            (lambda cell: None if cell == "-" else parse(cell)) if optional else parse)
 
 
 _ATLAS_CODECS = tuple(_atlas_codec(name, hint) for name, hint in _ATLAS_HINTS.items())
@@ -240,8 +241,7 @@ def format_atlas(rows: Sequence[AtlasRow],
                  skipped: Sequence[tuple[str, str, str]] = ()) -> str:
     lines = ["# atlas-version 1", "\t".join(ATLAS_COLUMNS)]
     for r in rows:
-        lines.append("\t".join("-" if (v := getattr(r, name)) is None else fmt(v)
-                               for name, _, fmt, _ in _ATLAS_CODECS))
+        lines.append("\t".join(fmt(getattr(r, name)) for name, fmt, _ in _ATLAS_CODECS))
     for family, params, reason in skipped:
         lines.append(f"# skipped\t{family}\t{params}\t{_clean_cell(reason)}")
     return "\n".join(lines) + "\n"
@@ -273,9 +273,12 @@ def parse_atlas(text: str) -> tuple[list[AtlasRow], list[tuple[str, str, str]]]:
             raise FormatError(
                 f"line {lineno}: expected {len(ATLAS_COLUMNS)} columns, got {len(cells)}")
         try:
-            rows.append(AtlasRow(**{
-                name: None if optional and cell == "-" else parse(cell)
-                for cell, (name, optional, _, parse) in zip(cells, _ATLAS_CODECS)}))
+            values = {}
+            for cell, (name, fmt, parse) in zip(cells, _ATLAS_CODECS):
+                values[name] = value = parse(cell)
+                if fmt(value) != cell:
+                    raise ValueError(f"{name} {cell!r} would be written {fmt(value)!r}")
+            rows.append(AtlasRow(**values))
         except ValueError as exc:
             raise FormatError(f"line {lineno}: bad cell value ({exc})") from exc
     if not saw_header:

@@ -1,8 +1,9 @@
 """Face lattices and flag graphs of certified string C-groups.
 
-Faces of rank i are the cosets w<all generators but r_i>; flags are the
-group elements themselves, two flags sharing their rank-i face exactly when
-the rank-i quotient map sends them to the same coset. Moving to the
+Faces of rank i are the cosets w<all generators but r_i>, and the least and
+greatest faces (ranks -1 and d) are the one coset of the whole group; flags
+are the group elements themselves, two flags sharing their rank-i face
+exactly when the rank-i quotient map sends them to the same coset. Moving to the
 i-adjacent flag is right multiplication by r_i, which is a fixed-point-free
 involution on flags whenever the generators are genuine involutions.
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, LimitExceededError, UncertifiedInputError
-from .realize import RealizedGroup
+from .realize import Quotient, RealizedGroup, orbit_labels
 from .verify import SggiCertificate
 
 DEFAULT_DIAMOND_MAX_ORDER = 1 << 10
@@ -34,47 +35,48 @@ def _require_certificate(realized: RealizedGroup, certificate: SggiCertificate) 
             "refusing to build polytope structure from a failed certificate")
 
 
+def _faces(realized: RealizedGroup) -> list[Quotient]:
+    """The faces of ranks -1 to d as partitions of the flags: the i-faces are
+    the cosets of <r_j : j != i>, and the least and greatest faces are both
+    the single coset of the whole group."""
+    d = realized.rank
+    whole = realized.quotient(range(d))
+    return [whole, *(realized.quotient(j for j in range(d) if j != i)
+                     for i in range(d)), whole]
+
+
 @dataclass(frozen=True)
 class FaceLattice:
     """The full face poset, least and greatest faces included.
 
-    Node ids: 0 is the least face (rank -1); faces of ranks 0..d-1 follow in
-    coset order; the last node is the greatest face (rank d). ``covers`` holds
-    (lower, upper) node pairs with ranks one apart.
+    Node ids run through the ranks -1 to d in turn, each rank's faces in
+    coset order: 0 is the least face and the last node the greatest.
+    ``covers`` holds (lower, upper) node pairs with ranks one apart.
     """
 
     rank: int
     group_order: int
     f_vector: tuple[int, ...]
-    face_representatives: tuple[tuple[int, ...], ...]
     covers: tuple[tuple[int, int], ...]
 
     @property
+    def _rank_sizes(self) -> tuple[int, ...]:
+        return (1, *self.f_vector, 1)
+
+    @property
     def node_count(self) -> int:
-        return 2 + sum(self.f_vector)
+        return sum(self._rank_sizes)
 
     def node_id(self, face_rank: int, index: int) -> int:
-        if face_rank == -1:
-            if index != 0:
-                raise IndexError("the least face is unique")
-            return 0
-        if face_rank == self.rank:
-            if index != 0:
-                raise IndexError("the greatest face is unique")
-            return self.node_count - 1
-        if not 0 <= face_rank < self.rank:
+        if not -1 <= face_rank <= self.rank:
             raise IndexError(f"face rank {face_rank} out of range")
-        if not 0 <= index < self.f_vector[face_rank]:
+        sizes = self._rank_sizes
+        if not 0 <= index < sizes[face_rank + 1]:
             raise IndexError(f"face index {index} out of range at rank {face_rank}")
-        return 1 + sum(self.f_vector[:face_rank]) + index
+        return sum(sizes[:face_rank + 1]) + index
 
     def node_label(self, node: int) -> str:
-        if node == 0:
-            return "-1:0"
-        if node == self.node_count - 1:
-            return f"{self.rank}:0"
-        node -= 1
-        for r, count in enumerate(self.f_vector):
+        for r, count in enumerate(self._rank_sizes, start=-1):
             if node < count:
                 return f"{r}:{node}"
             node -= count
@@ -84,38 +86,23 @@ class FaceLattice:
 def build_lattice(realized: RealizedGroup, certificate: SggiCertificate) -> FaceLattice:
     """Assemble the face lattice of a certified group.
 
-    One pass of the element list per consecutive rank pair collects the
-    cover relations; f_vector entries are the coset counts of the corank-1
-    standard subgroups.
+    A face covers another of rank one less exactly when some flag lies in
+    both, so the covers between consecutive ranks are the distinct pairs of
+    their coset ids over all flags.
     """
     _require_certificate(realized, certificate)
-    d = realized.rank
-    quotients = []
-    for i in range(d):
-        subset = tuple(x for x in range(d) if x != i)
-        quotients.append(realized.quotient(subset))
-    f_vector = tuple(q.size for q in quotients)
-    reps = tuple(tuple(int(v) for v in q.reps) for q in quotients)
+    faces = _faces(realized)
+    offsets = np.cumsum([0] + [q.size for q in faces]).tolist()
     covers: list[tuple[int, int]] = []
-    offset = [1]
-    for f in f_vector:
-        offset.append(offset[-1] + f)
-    greatest = offset[-1]
-    covers.extend((0, offset[0] + c) for c in range(f_vector[0]))
-    for i in range(d - 1):
-        lo = quotients[i].phi.astype(np.int64)
-        hi = quotients[i + 1].phi.astype(np.int64)
-        codes = np.unique(lo * f_vector[i + 1] + hi)
-        for code in codes:
-            covers.append((offset[i] + int(code // f_vector[i + 1]),
-                           offset[i + 1] + int(code % f_vector[i + 1])))
-    covers.extend((offset[d - 1] + c, greatest) for c in range(f_vector[d - 1]))
+    for r, (lower, upper) in enumerate(zip(faces, faces[1:])):
+        codes = np.unique(lower.phi.astype(np.int64) * upper.size + upper.phi)
+        covers.extend(zip((offsets[r] + codes // upper.size).tolist(),
+                          (offsets[r + 1] + codes % upper.size).tolist()))
     covers.sort()
     return FaceLattice(
-        rank=d,
+        rank=realized.rank,
         group_order=realized.order,
-        f_vector=f_vector,
-        face_representatives=reps,
+        f_vector=tuple(q.size for q in faces[1:-1]),
         covers=tuple(covers),
     )
 
@@ -149,20 +136,7 @@ def check_flag_matchings(graph: FlagGraph) -> tuple[bool, tuple[int, ...]]:
 
 def check_flag_connectivity(graph: FlagGraph) -> bool:
     """Is every flag reachable from flag 0 by adjacency moves?"""
-    n = graph.n_flags
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    frontier = np.array([0], dtype=np.int32)
-    while frontier.size:
-        nxt = []
-        for arr in graph.moves:
-            imgs = arr[frontier]
-            fresh = imgs[~seen[imgs]]
-            if fresh.size:
-                seen[fresh] = True
-                nxt.append(fresh)
-        frontier = np.concatenate(nxt) if nxt else np.empty(0, dtype=np.int32)
-    return bool(seen.all())
+    return not orbit_labels(graph.moves, graph.n_flags).any()
 
 
 def check_section_connectivity(realized: RealizedGroup, certificate: SggiCertificate,
@@ -184,10 +158,11 @@ def check_section_connectivity(realized: RealizedGroup, certificate: SggiCertifi
     d = realized.rank
     # A single i-face needs no check: its flags are one orbit of
     # <r_k : k != i> by the definition of the face.
-    faces = [realized.quotient(x for x in range(d) if x != i) for i in range(d)]
+    faces = _faces(realized)
     for i in range(d):
         for j in range(i + 1, d):
-            pairs = faces[i].phi.astype(np.int64) * faces[j].size + faces[j].phi
+            lower, upper = faces[i + 1], faces[j + 1]
+            pairs = lower.phi.astype(np.int64) * upper.size + upper.phi
             orbits = realized.quotient(x for x in range(d) if x not in (i, j)).size
             if np.unique(pairs).size != orbits:
                 return False
@@ -207,30 +182,18 @@ def check_diamond(realized: RealizedGroup, certificate: SggiCertificate,
         raise LimitExceededError(
             f"diamond check is exhaustive; order {realized.order} "
             f"exceeds the guard {max_order}")
-    d = realized.rank
-    n = realized.order
-    zeros = np.zeros(n, dtype=np.int64)
-    phis = []
-    sizes = []
-    for i in range(d):
-        subset = tuple(x for x in range(d) if x != i)
-        q = realized.quotient(subset)
-        phis.append(q.phi.astype(np.int64))
-        sizes.append(q.size)
+    faces = _faces(realized)
     failures: list[tuple[int, int, int, int]] = []
-    for i in range(d):
-        lower = zeros if i == 0 else phis[i - 1]
-        upper = zeros if i == d - 1 else phis[i + 1]
-        n_upper = 1 if i == d - 1 else sizes[i + 1]
-        pair_codes = lower * n_upper + upper
+    for i in range(realized.rank):
+        lower, middle, upper = faces[i:i + 3]
+        pair_codes = lower.phi.astype(np.int64) * upper.size + upper.phi
         # distinct (pair, middle face) combinations, then middles per pair
-        combo = np.unique(pair_codes * sizes[i] + phis[i])
-        pair_of_combo = combo // sizes[i]
-        uniq_pairs, counts = np.unique(pair_of_combo, return_counts=True)
-        for code, cnt in zip(uniq_pairs, counts):
-            if cnt != 2 and len(failures) < 10:
-                failures.append((i, int(code // n_upper), int(code % n_upper), int(cnt)))
-    return (not failures, tuple(failures))
+        combo = np.unique(pair_codes * middle.size + middle.phi)
+        pairs, counts = np.unique(combo // middle.size, return_counts=True)
+        bad = counts != 2
+        failures.extend((i, int(code // upper.size), int(code % upper.size), int(cnt))
+                        for code, cnt in zip(pairs[bad], counts[bad]))
+    return (not failures, tuple(failures[:10]))
 
 
 def export_hasse(lattice: FaceLattice, fmt: str = "edges") -> str:

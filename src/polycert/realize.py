@@ -7,11 +7,12 @@ that single table without further enumerations.
 
 For a generator subset S, the orbits of right multiplication by S are the
 left cosets w<S>, and the orbit of the identity is <S> itself. One numpy
-routine computes that partition; the element set of <S> is kept as a
-boolean mask over the element ids. The order of a parabolic subgroup is the
-size of its mask, and the order of an intersection of two parabolics is the
-size of the conjunction of their masks, exact for any presentation.
-``quotient`` turns the same partition into a coset map for the face lattice.
+routine, ``orbit_labels``, computes that partition. The element set of <S>
+is kept as a boolean mask over the element ids, the one cache per subset.
+The order of a parabolic subgroup is the size of its mask, and the order of
+an intersection of two parabolics is the size of the conjunction of their
+masks, exact for any presentation. ``quotient`` turns the same partition
+into a coset map for the face lattice, built afresh on each call.
 
 ``stats`` counts the table-building passes: one enumeration, plus
 ``quotient_actions`` for every partition built.
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,23 +31,43 @@ from .errors import InvalidGeneratorError
 from .words import Presentation, Word
 
 
+def orbit_labels(perms: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """The smallest point of each point's orbit under the group that the
+    permutations ``perms`` of ``range(n)`` generate.
+
+    Min-label propagation with pointer jumping: every label only ever
+    decreases to a point of the same orbit, and at the fixed point labels
+    agree along every edge. Each array must be a permutation: then it has
+    finite order, so its forward edges already connect each orbit and no
+    inverse arrays are needed.
+    """
+    labels = np.arange(n, dtype=np.int32)
+    while True:
+        nxt = labels
+        for arr in perms:
+            nxt = np.minimum(nxt, nxt[arr])
+        nxt = nxt[nxt]
+        if np.array_equal(nxt, labels):
+            return labels
+        labels = nxt
+
+
 class Quotient:
     """The set of left cosets w<S>, as a partition of the element ids.
 
-    ``phi`` maps each element id to its coset id; coset ids are assigned in
-    order of their smallest element, and ``reps`` holds that smallest element.
+    Built from each element's smallest coset-mate, as ``orbit_labels`` gives
+    it. ``phi`` maps each element id to its coset id; coset ids are assigned
+    in order of their smallest element.
     """
 
-    __slots__ = ("subset", "phi", "reps", "size")
+    __slots__ = ("phi", "size")
 
-    def __init__(self, subset: frozenset[int], labels: np.ndarray):
-        self.subset = subset
-        reps, phi = np.unique(labels, return_inverse=True)
-        phi = phi.astype(np.int32)
+    def __init__(self, labels: np.ndarray):
+        ids = np.cumsum(labels == np.arange(len(labels)), dtype=np.int32) - 1
+        phi = ids[labels]
         phi.setflags(write=False)
         self.phi = phi
-        self.reps = reps
-        self.size = len(reps)
+        self.size = int(ids[-1]) + 1
 
 
 class RealizedGroup:
@@ -64,7 +85,6 @@ class RealizedGroup:
         for arr in self.right:
             arr.setflags(write=False)
         self.stats: Counter = Counter(enumerations=1)
-        self._quotients: dict[frozenset[int], Quotient] = {}
         self._masks: dict[frozenset[int], np.ndarray] = {}
         self._element_orders: dict[Word, int] = {}
 
@@ -102,27 +122,10 @@ class RealizedGroup:
     # -- parabolic subgroups -----------------------------------------------------
 
     def _orbit_labels(self, fs: frozenset[int]) -> np.ndarray:
-        """The smallest element of each element's orbit under right
-        multiplication by the generators in ``fs``.
-
-        Min-label propagation with pointer jumping: every label only ever
-        decreases to an element of the same orbit, and at the fixed point
-        labels agree along every generator edge. Each generator is a
-        permutation of finite order, so its forward edges already connect
-        each orbit and no inverse arrays are needed.
-        """
-        labels = np.arange(self.order, dtype=np.int32)
-        rights = [self.right[g] for g in sorted(fs)]
-        while True:
-            nxt = labels
-            for arr in rights:
-                nxt = np.minimum(nxt, nxt[arr])
-            nxt = nxt[nxt]
-            if np.array_equal(nxt, labels):
-                break
-            labels = nxt
+        """The smallest element of each left coset w<fs>: the orbits of right
+        multiplication by the generators in ``fs``."""
         self.stats["quotient_actions"] += 1
-        return labels
+        return orbit_labels([self.right[g] for g in sorted(fs)], self.order)
 
     def _mask(self, fs: frozenset[int]) -> np.ndarray:
         """The elements of <fs>: the orbit of the identity, whose label is 0."""
@@ -134,12 +137,7 @@ class RealizedGroup:
         return mask
 
     def quotient(self, subset: Iterable[int]) -> Quotient:
-        fs = self._check_subset(subset)
-        q = self._quotients.get(fs)
-        if q is None:
-            q = Quotient(fs, self._orbit_labels(fs))
-            self._quotients[fs] = q
-        return q
+        return Quotient(self._orbit_labels(self._check_subset(subset)))
 
     def parabolic_order(self, subset: Iterable[int]) -> int:
         """Order of the subgroup spanned by a subset of the generators."""

@@ -80,6 +80,17 @@ def test_malformed_documents_are_rejected(tight44):
         certificate_from_json(json.dumps(payload))
 
 
+def _load_edited(cert, path, value):
+    """Load the certificate of ``cert`` with the JSON value at ``path`` set."""
+    payload = json.loads(certificate_to_json(build_certificate_document(cert)))
+    *outer, key = path
+    node = payload
+    for part in outer:
+        node = node[part]
+    node[key] = value
+    return certificate_from_json(json.dumps(payload))
+
+
 @pytest.mark.parametrize("path, value", [
     (("checks", "passed"), "false"),
     (("order", "value"), True),
@@ -90,14 +101,15 @@ def test_malformed_documents_are_rejected(tight44):
 ])
 def test_wrongly_typed_leaf_is_rejected(tight44, path, value):
     _, _, cert = tight44
-    payload = json.loads(certificate_to_json(build_certificate_document(cert)))
-    *outer, key = path
-    node = payload
-    for part in outer:
-        node = node[part]
-    node[key] = value
     with pytest.raises(FormatError, match="malformed"):
-        certificate_from_json(json.dumps(payload))
+        _load_edited(cert, path, value)
+
+
+@pytest.mark.parametrize("path", [("surplus",), ("checks", "extra"), ("order", "x")])
+def test_undeclared_key_is_rejected(tight44, path):
+    _, _, cert = tight44
+    with pytest.raises(FormatError, match="malformed"):
+        _load_edited(cert, path, 1)
 
 
 def test_evidence_digest_is_canonical():
@@ -162,6 +174,25 @@ def test_atlas_rejects_malformed_text():
             parse_atlas(header + "\n" + row + "\n")
     with pytest.raises(FormatError, match="skipped"):
         parse_atlas(header + "\n# skipped\tG\n")
+
+
+@pytest.mark.parametrize("column, cell", [
+    ("order", " 1_0_2_4 "),
+    ("order", "+32"),
+    ("rank", " 3"),
+    ("schlafli_type", "4, 4"),
+    ("log2_order", "\u0665"),  # ARABIC-INDIC DIGIT FIVE
+    ("seconds", "1_0.5"),
+])
+def test_atlas_cell_must_be_written_form(tight44, column, cell):
+    _, _, cert = tight44
+    row = row_from_document(build_certificate_document(cert), seconds=0.125)
+    header, line = format_atlas([row]).splitlines()[1:]
+    assert parse_atlas(format_atlas([row]))[0] == [row]
+    cells = line.split("\t")
+    cells[ATLAS_COLUMNS.index(column)] = cell
+    with pytest.raises(FormatError, match="bad cell"):
+        parse_atlas(header + "\n" + "\t".join(cells) + "\n")
 
 
 def test_atlas_cleans_reason_text():

@@ -341,6 +341,18 @@ def test_library_reads_no_environment():
         assert _environment_reads(path.read_text()) == [], path.name
 
 
+def test_readme_family_constructors_exist():
+    """Every constructor README's "Group families" table names is a function
+    of ``polycert.families``."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Group families\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| ")][1:]
+    names = [row.split("|")[2].strip().strip("`").split("(")[0] for row in rows]
+    assert len(names) >= 8, "no family table found; the scan is broken"
+    for name in names:
+        assert callable(getattr(polycert.families, name, None)), name
+
+
 def _unused_imports(source: str) -> list[str]:
     """Names that ``source`` imports and never references."""
     tree = ast.parse(source)

@@ -6,14 +6,17 @@ tetrahedron 4/6/4, and the smallest self-dual torus map of square type has
 f-vector (4, 8, 4).
 """
 
+import hashlib
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from polycert import polytope
 from polycert.errors import FormatError, LimitExceededError, UncertifiedInputError
-from polycert.families import coxeter_string_presentation
+from polycert.families import coxeter_string_presentation, tight_quotient_presentation
 from polycert.polytope import (
+    FlagGraph,
     build_lattice,
     check_diamond,
     check_flag_connectivity,
@@ -144,6 +147,18 @@ def test_section_pair_count_catches_hidden_centre(monkeypatch):
     assert not cert.passed
     monkeypatch.setattr(polytope, "_require_certificate", lambda *args: None)
     assert check_section_connectivity(rg, cert) is False
+    # the same centre leaves one 1-face under each incident (1-face, 2-face)
+    # pair, where a diamond needs two
+    assert check_diamond(rg, cert) == (False, ((2, 0, 0, 1), (2, 1, 0, 1)))
+
+
+def test_flag_connectivity_detects_two_components():
+    # one rank, flags {0, 1} and {2, 3} swapped in pairs: two components
+    graph = FlagGraph(4, (np.array([1, 0, 3, 2], dtype=np.int32),))
+    assert check_flag_matchings(graph) == (True, ())
+    assert check_flag_connectivity(graph) is False
+    joined = FlagGraph(4, graph.moves + (np.array([3, 2, 1, 0], dtype=np.int32),))
+    assert check_flag_connectivity(joined) is True
 
 
 def test_polyhedra_pass_flag_checks():
@@ -204,6 +219,16 @@ def test_export_dot():
     assert text.count("->") == len(lat.covers)
     assert text.count("label=") == lat.node_count
     assert text.rstrip().endswith("}")
+
+
+def test_export_is_pinned_for_tight_444():
+    _, _, lat = realized_with_lattice(tight_quotient_presentation((4, 4, 4)))
+    digests = {fmt: hashlib.sha256(export_hasse(lat, fmt).encode()).hexdigest()
+               for fmt in ("edges", "dot")}
+    assert digests == {
+        "edges": "a7c29963cd09722fbb1dc56d383608fffc4cc578d43ea9dba91c914e3c87a504",
+        "dot": "db5fda6230cd1aa589594249b4b61b0dcc5754da2edf6f76e46ba57487165aa0",
+    }
 
 
 def test_export_bad_format(tight44):

@@ -12,10 +12,11 @@ arrives with ROADMAP item 2. Orders are stored exactly, with a convenience
 log2 field that is null whenever the order is not a power of two (tight
 groups of non-2-power type exist, so this cannot be assumed).
 
-The atlas is a flat TSV with a fixed column set; the wall-clock column comes
-last so determinism comparisons can strip it. A cell is read only in the
-exact form the writer gives it. Skipped parameter tuples are appended as
-'# skipped' comment lines with their reason.
+The atlas is a flat TSV with a fixed column set, after a '# atlas-version 1'
+first line; the wall-clock column comes last so determinism comparisons can
+strip it. Skipped parameter tuples are appended as '# skipped' comment lines
+with their reason, and no other comment line is read. A cell or a reason is
+read only in the exact form the writer gives it.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .errors import FormatError
 from .verify import SggiCertificate
 
 SCHEMA_VERSION = 1
+ATLAS_VERSION_LINE = "# atlas-version 1"
 
 
 def order_log2(n: int) -> int | None:
@@ -239,7 +241,7 @@ _ATLAS_CODECS = tuple(_atlas_codec(name, hint) for name, hint in _ATLAS_HINTS.it
 
 def format_atlas(rows: Sequence[AtlasRow],
                  skipped: Sequence[tuple[str, str, str]] = ()) -> str:
-    lines = ["# atlas-version 1", "\t".join(ATLAS_COLUMNS)]
+    lines = [ATLAS_VERSION_LINE, "\t".join(ATLAS_COLUMNS)]
     for r in rows:
         lines.append("\t".join(fmt(getattr(r, name)) for name, fmt, _ in _ATLAS_CODECS))
     for family, params, reason in skipped:
@@ -250,18 +252,27 @@ def format_atlas(rows: Sequence[AtlasRow],
 def parse_atlas(text: str) -> tuple[list[AtlasRow], list[tuple[str, str, str]]]:
     rows: list[AtlasRow] = []
     skipped: list[tuple[str, str, str]] = []
-    saw_header = False
+    saw_version = saw_header = False
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
+            continue
+        if not saw_version:
+            if line != ATLAS_VERSION_LINE:
+                raise FormatError(
+                    f"line {lineno}: expected {ATLAS_VERSION_LINE!r} first, got {line!r}")
+            saw_version = True
             continue
         if line.startswith("# skipped\t"):
             parts = line.split("\t")
             if len(parts) != 4:
                 raise FormatError(f"line {lineno}: malformed skipped entry")
+            if parts[3] != _clean_cell(parts[3]):
+                raise FormatError(f"line {lineno}: skipped reason {parts[3]!r} "
+                                  f"would be written {_clean_cell(parts[3])!r}")
             skipped.append((parts[1], parts[2], parts[3]))
             continue
         if line.startswith("#"):
-            continue
+            raise FormatError(f"line {lineno}: unexpected comment line {line!r}")
         cells = line.split("\t")
         if not saw_header:
             if tuple(cells) != ATLAS_COLUMNS:

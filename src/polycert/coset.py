@@ -29,8 +29,8 @@ in capacity when full, so they hold at most twice as many slots as cosets
 were ever defined. Dead cosets produced by coincidences are compacted away
 whenever they outnumber live ones 3 to 1: compaction renumbers the columns
 in place, and the final standardization reads them, both with numpy
-gathers over views of the arrays. Only the finished table is handed out as
-one Python list per coset.
+gathers over views of the arrays. The finished table is handed out as one
+read-only int32 matrix, with a row per coset and the same columns.
 
 Every returned table is re-verified post hoc (every relator traces to a
 closed cycle from every live coset, and every subgroup generator fixes
@@ -42,7 +42,6 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -52,6 +51,7 @@ from .errors import (
     LimitExceededError,
     TableNotClosedError,
 )
+from .perms import Permutation
 from .words import Presentation, Word, word_to_text
 
 DEFAULT_MAX_COSETS = 1 << 22
@@ -143,17 +143,28 @@ class CosetTable:
 
     presentation: Presentation
     subgroup_generators: tuple[Word, ...]
-    table: list[list[int]]
+    matrix: np.ndarray
     columns: _ColumnMap
     stats: EnumerationStats
 
     @property
+    def table(self) -> list[list[int]]:
+        """The matrix as one Python list per coset, ``matrix.tolist()``.
+
+        Kept for the benchmark's ``perfbench/workloads.py``, which stays
+        unchanged while the library changes: it compares
+        ``rg.table.table != felsch.table``, and ``!=`` between two arrays
+        gives an array whose truth value raises.
+        """
+        return self.matrix.tolist()
+
+    @property
     def live_count(self) -> int:
-        return len(self.table)
+        return self.matrix.shape[0]
 
     def lookup(self, coset: int, gen: int, sign: int = 1) -> int:
         """Image of ``coset`` under one generator letter."""
-        target = self.table[coset][self.columns.col(gen, sign)]
+        target = int(self.matrix[coset, self.columns.col(gen, sign)])
         if target < 0:
             raise TableNotClosedError(
                 f"entry for coset {coset}, generator r{gen}"
@@ -173,12 +184,7 @@ class CosetTable:
         Involutory generators yield self-inverse permutations; a table over
         the whole group yields identity permutations on a single point.
         """
-        from .perms import Permutation
-
-        n, ncols = len(self.table), self.columns.ncols
-        flat = np.fromiter(chain.from_iterable(self.table), dtype=np.int32, count=n * ncols)
-        cols = [self.columns.fwd[g] for g in range(self.presentation.generator_count)]
-        return [Permutation(row) for row in flat.reshape(n, ncols)[:, cols].T]
+        return [Permutation(row) for row in self.matrix[:, self.columns.fwd].T]
 
     def validate(self) -> None:
         """Exhaustive post-hoc closure check, independent of the run's bookkeeping.
@@ -187,13 +193,11 @@ class CosetTable:
         to a closed cycle from every live coset, and every subgroup generator
         word fixes coset 0.
         """
-        table = self.table
+        t = self.matrix
+        n = len(t)
         ncols = self.columns.ncols
-        n = len(table)
-        for i, row in enumerate(table):
-            if len(row) != ncols:
-                raise TableNotClosedError(f"row {i} has wrong width")
-        t = np.asarray(table, dtype=np.int64).reshape(n, ncols)
+        if t.shape != (n, ncols):
+            raise TableNotClosedError(f"table has shape {t.shape}, expected ({n}, {ncols})")
         ids = np.arange(n)
         out_of_range = (t < 0) | (t >= n)
         safe = np.where(out_of_range, 0, t)
@@ -588,19 +592,17 @@ class _Engine:
         return CosetTable(
             presentation=self.presentation,
             subgroup_generators=(),  # caller fills in
-            table=self._standardize(),
+            matrix=self._standardize(),
             columns=self.cols,
             stats=self.stats,
         )
 
-    def _standardize(self) -> list[list[int]]:
+    def _standardize(self) -> np.ndarray:
         """Canonical renumbering: first-visit order scanning rows by column.
 
         Makes the final numbering independent of enumeration history, so both
         strategies produce byte-identical tables for the same input. Returns
-        the rows as lists whose entries are the shared int objects of one
-        ``range(n)``, so a large table holds one int object per coset, not
-        one per cell.
+        the table as a read-only int32 matrix of shape (cosets, columns).
         """
         n = self.n
         t = self.t
@@ -625,11 +627,8 @@ class _Engine:
         std = np.empty((n, len(t)), dtype=np.intc)
         for c, col in enumerate(t):
             std[:, c] = new_id[np.frombuffer(col, dtype=np.intc, count=n)[old]]
-        ids = list(range(n))
-        ids.append(-1)
-        cells = list(map(ids.__getitem__, std.ravel().tolist()))
-        width = len(t)
-        return [cells[k * width:(k + 1) * width] for k in range(n)]
+        std.setflags(write=False)
+        return std
 
 
 def enumerate_cosets(presentation: Presentation,

@@ -17,7 +17,9 @@ first reached each point) and ``pred`` (the point it was reached from; -1 off
 the orbit, the base maps to itself). The transversal element u_x, which
 carries b to x, is traced up that tree on demand, so a level costs O(degree)
 memory rather than one stored permutation per orbit point. Orbits are closed
-breadth first, one numpy gather per frontier and generator.
+breadth first, one numpy gather per frontier and generator. Every other
+orbit question, the first base point included, goes to ``orbit_labels``,
+which labels each point with the smallest point of its orbit.
 
 The chain is complete once, from the deepest level up, every Schreier
 generator u_x s u_{x^s}^-1 of a level sifts through the levels below it. At
@@ -196,7 +198,7 @@ class Permutation:
         return f"Permutation({shown}, degree={self.degree})"
 
 
-def _bfs(images: Sequence[np.ndarray], pred: np.ndarray, label: np.ndarray | None,
+def _bfs(images: Sequence[np.ndarray], pred: np.ndarray, label: np.ndarray,
          frontier: np.ndarray, first: Iterable[int]) -> list[np.ndarray]:
     """Grow a breadth-first tree: the generators ``first`` on ``frontier``,
     then every generator on each fresh layer, until no point is new.
@@ -215,8 +217,7 @@ def _bfs(images: Sequence[np.ndarray], pred: np.ndarray, label: np.ndarray | Non
             pts = imgs[new]
             if pts.size:
                 pred[pts] = frontier[new]
-                if label is not None:
-                    label[pts] = k
+                label[pts] = k
                 fresh.append(pts)
         frontier = np.concatenate(fresh) if fresh else frontier[:0]
         if frontier.size:
@@ -225,11 +226,25 @@ def _bfs(images: Sequence[np.ndarray], pred: np.ndarray, label: np.ndarray | Non
     return layers
 
 
-def _orbit_from(images: Sequence[np.ndarray], pred: np.ndarray, point: int) -> np.ndarray:
-    """The orbit of ``point`` in the order reached, marking it in ``pred``."""
-    pred[point] = point
-    start = np.array([point], dtype=np.int32)
-    return np.concatenate([start, *_bfs(images, pred, None, start, range(len(images)))])
+def orbit_labels(perms: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """The smallest point of each point's orbit under the group that the
+    permutations ``perms`` of ``range(n)`` generate.
+
+    Min-label propagation with pointer jumping: every label only ever
+    decreases to a point of the same orbit, and at the fixed point labels
+    agree along every edge. Each array must be a permutation: then it has
+    finite order, so its forward edges already connect each orbit and no
+    inverse arrays are needed.
+    """
+    labels = np.arange(n, dtype=np.int32)
+    while True:
+        nxt = labels
+        for arr in perms:
+            nxt = np.minimum(nxt, nxt[arr])
+        nxt = nxt[nxt]
+        if np.array_equal(nxt, labels):
+            return labels
+        labels = nxt
 
 
 @dataclass
@@ -350,30 +365,6 @@ class PermutationGroup:
     def generators(self) -> tuple[Permutation, ...]:
         return self._generators
 
-    # -- plain orbit machinery (no chain required) --------------------------
-
-    def _orbit_arrays(self) -> list[np.ndarray]:
-        """All orbits in the order of their smallest point, each as reached."""
-        images = [g.images for g in self._generators]
-        pred = np.full(self._degree, -1, dtype=np.int32)
-        out = []
-        for point in range(self._degree):
-            if pred[point] < 0:
-                out.append(_orbit_from(images, pred, point))
-        return out
-
-    def orbit(self, point: int) -> tuple[int, ...]:
-        """The orbit of a point under the whole group, ascending."""
-        if not 0 <= point < self._degree:
-            raise ValueError(f"point {point} out of range")
-        pred = np.full(self._degree, -1, dtype=np.int32)
-        pts = _orbit_from([g.images for g in self._generators], pred, point)
-        return tuple(np.sort(pts).tolist())
-
-    def orbits(self) -> list[tuple[int, ...]]:
-        """All orbits, each ascending, ordered by smallest element."""
-        return [tuple(np.sort(o).tolist()) for o in self._orbit_arrays()]
-
     # -- stabilizer chain ----------------------------------------------------
 
     def _chain(self) -> list[_Level]:
@@ -446,7 +437,8 @@ class PermutationGroup:
 
     def _first_base(self) -> int:
         """Smallest point of a largest orbit of the full generating set."""
-        return int(max(self._orbit_arrays(), key=len)[0])
+        labels = orbit_labels([g.images for g in self._generators], self._degree)
+        return int(np.argmax(np.bincount(labels)))
 
     @staticmethod
     def _strip(g: np.ndarray, levels: list[_Level], start: int = 0):

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, LimitExceededError, UncertifiedInputError
-from .realize import Quotient, RealizedGroup, orbit_labels
+from .perms import orbit_labels
+from .realize import Quotient, RealizedGroup
 from .verify import SggiCertificate
 
 DEFAULT_DIAMOND_MAX_ORDER = 1 << 10

@@ -2,16 +2,17 @@
 
 A ``RealizedGroup`` runs one coset enumeration over the trivial subgroup, so
 group elements are coset ids (0 is the identity) and each generator is a
-right-multiplication array over the elements. Everything else is derived from
-that single table without further enumerations.
+right-multiplication array over the elements: the read-only image array of
+its permutation from ``CosetTable.to_permutations``. Everything else is
+derived from that single table without further enumerations.
 
 For a generator subset S, the orbits of right multiplication by S are the
-left cosets w<S>, and the orbit of the identity is <S> itself. One numpy
-routine, ``orbit_labels``, computes that partition. The element set of <S>
-is kept as a boolean mask over the element ids, the one cache per subset.
-The order of a parabolic subgroup is the size of its mask, and the order of
-an intersection of two parabolics is the size of the conjunction of their
-masks, exact for any presentation. ``quotient`` turns the same partition
+left cosets w<S>, and the orbit of the identity is <S> itself. The library's
+one orbit routine, ``perms.orbit_labels``, computes that partition. The
+element set of <S> is kept as a boolean mask over the element ids, the one
+cache per subset. The order of a parabolic subgroup is the size of its mask,
+and the order of an intersection of two parabolics is the size of the
+conjunction of their masks, exact for any presentation. ``quotient`` turns the same partition
 into a coset map for the face lattice, built afresh on each call.
 
 ``stats`` counts the table-building passes: one enumeration, plus
@@ -22,34 +23,14 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .coset import EnumerationLimits, enumerate_cosets
 from .errors import InvalidGeneratorError
+from .perms import orbit_labels
 from .words import Presentation, Word
-
-
-def orbit_labels(perms: Sequence[np.ndarray], n: int) -> np.ndarray:
-    """The smallest point of each point's orbit under the group that the
-    permutations ``perms`` of ``range(n)`` generate.
-
-    Min-label propagation with pointer jumping: every label only ever
-    decreases to a point of the same orbit, and at the fixed point labels
-    agree along every edge. Each array must be a permutation: then it has
-    finite order, so its forward edges already connect each orbit and no
-    inverse arrays are needed.
-    """
-    labels = np.arange(n, dtype=np.int32)
-    while True:
-        nxt = labels
-        for arr in perms:
-            nxt = np.minimum(nxt, nxt[arr])
-        nxt = nxt[nxt]
-        if np.array_equal(nxt, labels):
-            return labels
-        labels = nxt
 
 
 class Quotient:
@@ -79,11 +60,7 @@ class RealizedGroup:
         self.presentation = presentation
         self.table = enumerate_cosets(presentation, (), limits, strategy)
         self.order = self.table.live_count
-        matrix = np.asarray(self.table.table, dtype=np.int32)
-        cols = self.table.columns
-        self.right = [matrix[:, cols.fwd[g]].copy() for g in range(presentation.generator_count)]
-        for arr in self.right:
-            arr.setflags(write=False)
+        self.right = [perm.images for perm in self.table.to_permutations()]
         self.stats: Counter = Counter(enumerations=1)
         self._masks: dict[frozenset[int], np.ndarray] = {}
         self._element_orders: dict[Word, int] = {}

@@ -157,11 +157,14 @@ def test_atlas_cells(tight44):
 
 
 def test_atlas_rejects_malformed_text():
+    version = "# atlas-version 1\n"
     with pytest.raises(FormatError, match="no header"):
         parse_atlas("")
+    with pytest.raises(FormatError, match="no header"):
+        parse_atlas(version)
     with pytest.raises(FormatError, match="unexpected atlas header"):
-        parse_atlas("family\tparams\n")
-    header = "\t".join(ATLAS_COLUMNS)
+        parse_atlas(version + "family\tparams\n")
+    header = version + "\t".join(ATLAS_COLUMNS)
     with pytest.raises(FormatError, match="columns"):
         parse_atlas(header + "\nG\td=4\n")
     cells = ["G", "d=4", "4", "16", "-", "4,4", "true", "true",
@@ -187,12 +190,12 @@ def test_atlas_rejects_malformed_text():
 def test_atlas_cell_must_be_written_form(tight44, column, cell):
     _, _, cert = tight44
     row = row_from_document(build_certificate_document(cert), seconds=0.125)
-    header, line = format_atlas([row]).splitlines()[1:]
+    version, header, line = format_atlas([row]).splitlines()
     assert parse_atlas(format_atlas([row]))[0] == [row]
     cells = line.split("\t")
     cells[ATLAS_COLUMNS.index(column)] = cell
     with pytest.raises(FormatError, match="bad cell"):
-        parse_atlas(header + "\n" + "\t".join(cells) + "\n")
+        parse_atlas("\n".join([version, header, "\t".join(cells)]) + "\n")
 
 
 def test_atlas_cleans_reason_text():
@@ -201,3 +204,26 @@ def test_atlas_cleans_reason_text():
     rows, skipped = parse_atlas(header_only)
     assert rows == []
     assert skipped == [("G", "d=4", "tab here and newline")]
+
+
+@pytest.mark.parametrize("first, message", [
+    ("# atlas-version 7", "atlas-version 1"),
+    ("", "atlas-version 1"),  # the header comes first: no version line
+    ("# atlas-version 1\n# written by hand", "unexpected comment line"),
+])
+def test_atlas_requires_version_line_and_no_stray_comments(first, message):
+    text = format_atlas([], [("G", "d=4", "coset limit exceeded")])
+    body = text.split("\n", 1)[1]
+    assert parse_atlas(text)[1] == [("G", "d=4", "coset limit exceeded")]
+    with pytest.raises(FormatError, match=message):
+        parse_atlas((first + "\n" if first else "") + body)
+
+
+@pytest.mark.parametrize("reason", ["  spaced reason ", "", "two  spaces "])
+def test_atlas_skipped_reason_must_be_written_form(reason):
+    text = format_atlas([], [("G", "d=4", reason)])
+    _, skipped = parse_atlas(text)
+    assert format_atlas([], skipped) == text
+    hand_written = format_atlas([]) + f"# skipped\tG\td=4\t{reason}\n"
+    with pytest.raises(FormatError, match="skipped reason"):
+        parse_atlas(hand_written)

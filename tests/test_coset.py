@@ -6,6 +6,7 @@ words, entirely independent of the table-based engine it checks.
 
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -96,6 +97,9 @@ def test_table_shape_and_permutations():
     p = dihedral(4)
     t = enumerate_cosets(p)
     assert t.live_count == 8
+    assert t.matrix.shape == (8, 2) and t.matrix.dtype == np.int32
+    assert not t.matrix.flags.writeable
+    assert t.table == t.matrix.tolist()
     perms = t.to_permutations()
     assert len(perms) == 2
     a, b = perms
@@ -280,7 +284,9 @@ def test_bad_inputs():
 def test_unclosed_table_refuses_lookup():
     p = dihedral(4)
     t = enumerate_cosets(p)
-    t.table[1][0] = -1
+    corrupt = t.matrix.copy()
+    corrupt[1, 0] = -1
+    t.matrix = corrupt
     with pytest.raises(TableNotClosedError):
         t.trace(0, pair(0, 0))
 
@@ -288,17 +294,22 @@ def test_unclosed_table_refuses_lookup():
 def test_validate_catches_corruption():
     enumerate_cosets(dihedral(4)).validate()
 
+    def set_entry(t, i, c, value):
+        corrupt = t.matrix.copy()
+        corrupt[i, c] = value
+        t.matrix = corrupt
+
     def wrong_arrow(t):
-        t.table[2][0] ^= 1
+        set_entry(t, 2, 0, t.matrix[2, 0] ^ 1)
 
     def undefined_entry(t):
-        t.table[0][1] = -1
+        set_entry(t, 0, 1, -1)
 
     def out_of_range_entry(t):
-        t.table[0][1] = len(t.table)
+        set_entry(t, 0, 1, len(t.matrix))
 
-    def short_row(t):
-        t.table[5].pop()
+    def missing_column(t):
+        t.matrix = t.matrix[:, :-1].copy()
 
     def open_relator(t):
         # (r0 r1)^2 is the central rotation of the dihedral group of order 8,
@@ -313,7 +324,7 @@ def test_validate_catches_corruption():
         (wrong_arrow, r"entry \(2, col 0\) lacks a consistent back link"),
         (undefined_entry, r"entry \(0, col 1\) = -1 undefined"),
         (out_of_range_entry, r"entry \(0, col 1\) = 8 undefined or out of range"),
-        (short_row, "row 5 has wrong width"),
+        (missing_column, r"table has shape \(8, 1\), expected \(8, 2\)"),
         (open_relator, "does not close at coset 0"),
         (moving_subgroup_generator, "moves coset 0"),
     ]

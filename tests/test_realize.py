@@ -13,7 +13,7 @@ import pytest
 from polycert.coset import EnumerationLimits
 from polycert.errors import InvalidGeneratorError
 from polycert.families import family_a, family_k, tight_quotient_presentation
-from polycert.perms import PermutationGroup
+from polycert.perms import PermutationGroup, orbit_labels
 from polycert.realize import RealizedGroup, realize
 from polycert.words import Presentation, Word, commutator, generator, pair, power
 
@@ -154,7 +154,7 @@ def test_regular_permutation_group():
     rg = RealizedGroup(family_a(3, 1, (2, 2)))
     g = PermutationGroup(rg.table.to_permutations(), degree=rg.order)
     assert g.order() == rg.order == 32
-    assert g.orbit(0) == tuple(range(32))
+    assert not orbit_labels(rg.right, rg.order).any()  # one orbit: the action is transitive
 
 
 def test_bad_generator_subsets(tight44):

@@ -62,7 +62,29 @@ EXIT_CHECK_FAILED = 3
 EXIT_PARAM_INVALID = 4
 EXIT_LIMIT_EXCEEDED = 5
 
-FAMILIES = ("G", "H", "K", "L", "M", "A", "coxeter", "tight", "raw")
+
+def _two_powers(ks: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(1 << e for e in ks)
+
+
+# Each family's required flags, in params-text order, and a builder that
+# takes their values (``--k`` parsed), then --unsafe-params, and returns the
+# presentation and the declared type.
+FAMILY_TABLE = {
+    "G": (("d", "n", "k"), lambda d, n, k, unsafe: (
+        families.family_g(d, n, k, unsafe), _two_powers(k))),
+    "H": (("n", "s", "t"), lambda n, s, t, unsafe: (
+        families.family_h(n, s, t, unsafe), (1 << s, 1 << t))),
+    "K": (("d", "k"), lambda d, k, _: (families.family_k(d, k), _two_powers(k))),
+    "L": (("d", "k"), lambda d, k, _: (families.family_l(d, k), _two_powers(k[:-1]))),
+    "M": (("d", "n", "k"), lambda d, n, k, unsafe: (
+        families.family_m(d, n, k, unsafe), (2,) + _two_powers(k[1:]))),
+    "A": (("rank", "l", "k"), lambda rank, slack, k, _: (
+        families.family_a(rank, slack, k), _two_powers(k))),
+    "coxeter": (("k",), lambda k, _: (families.coxeter_string_presentation(k), k)),
+    "tight": (("k",), lambda k, _: (families.tight_quotient_presentation(k), k)),
+}
+FAMILIES = (*FAMILY_TABLE, "raw")
 
 
 def _limits(args) -> EnumerationLimits:
@@ -78,64 +100,37 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
         raise ParameterError(f"{what} must be comma-separated integers, got {text!r}")
 
 
-def _require(args, names: list[str], family: str) -> None:
-    missing = [n for n in names if getattr(args, n.replace("-", "_")) is None]
-    if missing:
-        flags = ", ".join(f"--{n}" for n in missing)
-        raise ParameterError(f"family {family} needs {flags}")
+def _read_text(path: str, what: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"cannot read {what}: {exc}")
+
+
+def _write_text(text: str, out: str | None) -> None:
+    """Write ``text`` to the file ``out``, or to stdout when there is none."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParameterError(f"cannot write output: {exc}")
+
+
+def _params_text(args) -> str:
+    """``flag=value`` for each of the family's flags, as typed, in table order."""
+    return ";".join(f"{flag}={getattr(args, flag)}" for flag in FAMILY_TABLE[args.family][0])
 
 
 def build_presentation(args) -> tuple[Presentation, tuple[int, ...] | None, str]:
     """Resolve CLI family flags into (presentation, declared type, params text)."""
-    family = args.family
-    unsafe = args.unsafe_params
-    if family == "G":
-        _require(args, ["d", "n", "k"], family)
-        k = _parse_int_list(args.k, "--k")
-        p = families.family_g(args.d, args.n, k, unsafe)
-        return p, tuple(1 << e for e in k), f"d={args.d};n={args.n};k={args.k}"
-    if family == "H":
-        _require(args, ["n", "s", "t"], family)
-        p = families.family_h(args.n, args.s, args.t, unsafe)
-        return p, (1 << args.s, 1 << args.t), f"n={args.n};s={args.s};t={args.t}"
-    if family == "K":
-        _require(args, ["d", "k"], family)
-        k = _parse_int_list(args.k, "--k")
-        p = families.family_k(args.d, k)
-        return p, tuple(1 << e for e in k), f"d={args.d};k={args.k}"
-    if family == "L":
-        _require(args, ["d", "k"], family)
-        k = _parse_int_list(args.k, "--k")
-        p = families.family_l(args.d, k)
-        return p, tuple(1 << e for e in k[:-1]), f"d={args.d};k={args.k}"
-    if family == "M":
-        _require(args, ["d", "n", "k"], family)
-        k = _parse_int_list(args.k, "--k")
-        p = families.family_m(args.d, args.n, k, unsafe)
-        declared = (2,) + tuple(1 << e for e in k[1:])
-        return p, declared, f"d={args.d};n={args.n};k={args.k}"
-    if family == "A":
-        _require(args, ["rank", "l", "k"], family)
-        k = _parse_int_list(args.k, "--k")
-        p = families.family_a(args.rank, args.l, k)
-        return p, tuple(1 << e for e in k), f"rank={args.rank};l={args.l};k={args.k}"
-    if family == "coxeter":
-        _require(args, ["k"], family)
-        k = _parse_int_list(args.k, "--k")
-        p = families.coxeter_string_presentation(k)
-        return p, k, f"k={args.k}"
-    if family == "tight":
-        _require(args, ["k"], family)
-        k = _parse_int_list(args.k, "--k")
-        p = families.tight_quotient_presentation(k)
-        return p, k, f"k={args.k}"
-    if family == "raw":
+    if args.family == "raw":
         if args.presentation_file:
-            try:
-                text = open(args.presentation_file, encoding="utf-8").read()
-            except OSError as exc:
-                raise ParameterError(f"cannot read presentation file: {exc}")
-            p = presentation_from_text(text)
+            p = presentation_from_text(
+                _read_text(args.presentation_file, "presentation file"))
         else:
             if args.generators is None or args.relators is None:
                 raise ParameterError(
@@ -146,7 +141,14 @@ def build_presentation(args) -> tuple[Presentation, tuple[int, ...] | None, str]
             p = Presentation(args.generators, rels)
         declared = _parse_int_list(args.type, "--type") if args.type else None
         return p, declared, "-"
-    raise ParameterError(f"unknown family {family!r}")
+    flags, build = FAMILY_TABLE[args.family]
+    values = [getattr(args, flag) for flag in flags]
+    missing = [f"--{flag}" for flag, v in zip(flags, values) if v is None]
+    if missing:
+        raise ParameterError(f"family {args.family} needs {', '.join(missing)}")
+    p, declared = build(*(_parse_int_list(v, "--k") if flag == "k" else v
+                          for flag, v in zip(flags, values)), args.unsafe_params)
+    return p, declared, _params_text(args)
 
 
 def _add_family_flags(sub) -> None:
@@ -172,14 +174,6 @@ def _add_engine_flags(sub) -> None:
     sub.add_argument("--out", help="write the primary output to this file")
 
 
-def _write_or_print(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _cmd_verify(args) -> int:
     presentation, declared, params_text = build_presentation(args)
     limits = _limits(args)
@@ -193,8 +187,7 @@ def _cmd_verify(args) -> int:
         cert, family=args.family, params=params_text,
         unsafe_params=args.unsafe_params, f_vector=f_vector)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(certs.certificate_to_json(doc))
+        _write_text(certs.certificate_to_json(doc), args.out)
     log2 = certs.order_log2(cert.order)
     lines = [
         f"family: {args.family}",
@@ -228,10 +221,11 @@ def _all_exponents(d: int, n: int, k_min: int) -> list[tuple[int, ...]]:
 def _sweep_one(task) -> dict:
     d, n, ks, strategy, limits, ip_mode = task
     started = time.perf_counter()
-    result = {"d": d, "n": n, "k": ks}
+    g = argparse.Namespace(family="G", d=d, n=n, k=",".join(map(str, ks)),
+                           unsafe_params=False)
+    result = {"params": _params_text(g)}
     try:
-        p = families.family_g(d, n, ks)
-        spec = SggiSpec(p, tuple(1 << e for e in ks))
+        spec = SggiSpec(*build_presentation(g)[:2])
         modes = ["recursive", "full"] if ip_mode == "both" else [ip_mode]
         cert = None
         verdicts = []
@@ -245,8 +239,7 @@ def _sweep_one(task) -> dict:
         if cert.passed:
             f_vector = tuple(cert.order // o for _, o in cert.parabolic_orders)
         doc = certs.build_certificate_document(
-            cert, family="G", params=f"d={d};n={n};k={','.join(map(str, ks))}",
-            f_vector=f_vector)
+            cert, family="G", params=result["params"], f_vector=f_vector)
         result["row"] = certs.row_from_document(
             doc, seconds=time.perf_counter() - started)
     except (ParameterError, LimitExceededError, CapacityError,
@@ -282,15 +275,14 @@ def _cmd_sweep(args) -> int:
     rows = []
     skipped = []
     for res in results:
-        key = f"d={res['d']};n={res['n']};k={','.join(map(str, res['k']))}"
         if "row" in res:
             rows.append(res["row"])
         else:
-            skipped.append(("G", key, res["skip"]))
+            skipped.append(("G", res["params"], res["skip"]))
     rows.sort(key=lambda r: (r.family, r.rank, r.params))
     skipped.sort()
     text = certs.format_atlas(rows, skipped)
-    _write_or_print(text, args.out)
+    _write_text(text, args.out)
     failed = [r for r in rows if not r.passed]
     if failed or skipped:
         print(f"polycert: check-failed: {len(failed)} failing rows, "
@@ -328,7 +320,7 @@ def _cmd_paper_tables(args) -> int:
             lines.append(f"  k={','.join(map(str, ks))}: order {order}"
                          f"{'' if ok else f' MISMATCH (expected {want})'}")
     lines.append("all verified" if all_ok else "MISMATCHES FOUND")
-    _write_or_print("\n".join(lines) + "\n", args.out)
+    _write_text("\n".join(lines) + "\n", args.out)
     if not all_ok:
         print("polycert: check-failed: table values did not reproduce", file=sys.stderr)
         return EXIT_CHECK_FAILED
@@ -340,11 +332,7 @@ def _tight_types(rank: int) -> list[tuple[int, ...]]:
 
 
 def _cmd_export(args) -> int:
-    try:
-        text = open(args.infile, encoding="utf-8").read()
-    except OSError as exc:
-        raise ParameterError(f"cannot read atlas: {exc}")
-    rows, skipped = certs.parse_atlas(text)
+    rows, skipped = certs.parse_atlas(_read_text(args.infile, "atlas"))
     if args.format == "tsv":
         out = certs.format_atlas(rows, skipped)
     else:
@@ -355,7 +343,7 @@ def _cmd_export(args) -> int:
                         for f, p, why in skipped],
         }
         out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    _write_or_print(out, args.out)
+    _write_text(out, args.out)
     return EXIT_OK
 
 
@@ -385,7 +373,7 @@ def _cmd_hasse(args) -> int:
                   file=sys.stderr)
             return EXIT_CHECK_FAILED
     lattice = build_lattice(rg, cert)
-    _write_or_print(export_hasse(lattice, args.format), args.out)
+    _write_text(export_hasse(lattice, args.format), args.out)
     return EXIT_OK
 
 

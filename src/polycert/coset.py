@@ -55,7 +55,6 @@ from .perms import Permutation
 from .words import Presentation, Word, word_to_text
 
 DEFAULT_MAX_COSETS = 1 << 22
-DEFAULT_MAX_DEDUCTIONS = 1 << 26
 
 # Compact when dead rows exceed this multiple of live rows.
 COMPACTION_DEAD_LIVE_RATIO = 3
@@ -65,6 +64,9 @@ FIRST_LOOKAHEAD = 1 << 15
 
 # Felsch falls back to a lookahead when the deduction stack grows past this.
 MAX_DEDUCTION_STACK = 1 << 14
+
+# Felsch stops with a LimitExceededError after processing this many deductions.
+MAX_DEDUCTIONS = 1 << 26
 
 STRATEGIES = ("hlt", "felsch")
 
@@ -78,18 +80,14 @@ class EnumerationLimits:
     """Resource bounds for one enumeration run.
 
     ``max_cosets`` bounds the cumulative number of cosets ever defined
-    (live plus dead); ``max_deductions`` bounds deduction-stack processing in
-    the felsch strategy.
+    (live plus dead).
     """
 
     max_cosets: int = DEFAULT_MAX_COSETS
-    max_deductions: int = DEFAULT_MAX_DEDUCTIONS
 
     def __post_init__(self):
         if self.max_cosets < 1:
             raise ValueError("max_cosets must be positive")
-        if self.max_deductions < 1:
-            raise ValueError("max_deductions must be positive")
 
 
 @dataclass
@@ -541,7 +539,7 @@ class _Engine:
         cosets. An entry that either scan defines is pushed as a deduction
         of its own, so cycles through it are scanned when it is popped.
         """
-        limit = self.limits.max_deductions
+        limit = MAX_DEDUCTIONS
         stack = self.dedstack
         stats = self.stats
         p = self.p

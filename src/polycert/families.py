@@ -40,17 +40,13 @@ def _check_exponents(k: Sequence[int], what: str = "k") -> tuple[int, ...]:
     return ks
 
 
-def _involutions(rank: int) -> list[Word]:
-    return [power(generator(i), 2) for i in range(rank)]
-
-
-def _nonadjacent_squares(rank: int) -> list[Word]:
-    return [power(pair(j, kk), 2)
-            for j in range(rank) for kk in range(j + 2, rank)]
-
-
-def _adjacent_powers(rank: int, orders: Sequence[int]) -> list[Word]:
-    return [power(pair(i, i + 1), orders[i]) for i in range(rank - 1)]
+def _coxeter_relators(rank: int, orders: Sequence[int]) -> list[Word]:
+    """The string Coxeter relators, in this order: the involutions r_i^2, the
+    adjacent powers (r_i r_{i+1})^orders[i], and the commuting non-neighbours
+    (r_i r_j)^2 for j >= i + 2."""
+    return ([power(generator(i), 2) for i in range(rank)]
+            + [power(pair(i, i + 1), orders[i]) for i in range(rank - 1)]
+            + [power(pair(i, j), 2) for i in range(rank) for j in range(i + 2, rank)])
 
 
 def _mixing_commutators(rank: int) -> list[Word]:
@@ -84,11 +80,7 @@ def _tail_relator(rank: int, slack: int) -> Word:
 
 def _scheme(rank: int, k: Sequence[int], slack: int) -> Presentation:
     """The main 2-power scheme: order 2**(sum(k) + slack)."""
-    rels: list[Word] = []
-    rels.extend(_involutions(rank))
-    rels.extend(_adjacent_powers(rank, [1 << e for e in k]))
-    rels.extend(_nonadjacent_squares(rank))
-    rels.extend(_mixing_commutators(rank))
+    rels = _coxeter_relators(rank, [1 << e for e in k]) + _mixing_commutators(rank)
     rels.extend(_fourth_power_commutators(rank))
     rels.append(_tail_relator(rank, slack))
     return Presentation(rank, tuple(rels))
@@ -98,9 +90,7 @@ def coxeter_string_presentation(k: Sequence[int]) -> Presentation:
     """The string Coxeter group with adjacent-product orders ``k`` (infinite
     for most parameters; enumerate with care)."""
     ks = _check_exponents(k)
-    rank = len(ks) + 1
-    rels = _involutions(rank) + _adjacent_powers(rank, ks) + _nonadjacent_squares(rank)
-    return Presentation(rank, tuple(rels))
+    return Presentation(len(ks) + 1, tuple(_coxeter_relators(len(ks) + 1, ks)))
 
 
 def tight_quotient_presentation(k: Sequence[int]) -> Presentation:
@@ -116,11 +106,22 @@ def tight_quotient_presentation(k: Sequence[int]) -> Presentation:
             raise ParameterError(
                 f"tight quotients need even type entries larger than 2, got {v}")
     rank = len(ks) + 1
-    rels = _involutions(rank) + _adjacent_powers(rank, ks) + _nonadjacent_squares(rank)
+    rels = _coxeter_relators(rank, ks)
     for i in range(rank - 2):
         rels.append(commutator(generator(i), power(pair(i + 1, i + 2), 2)))
         rels.append(commutator(power(pair(i, i + 1), 2), generator(i + 2)))
     return Presentation(rank, tuple(rels))
+
+
+def _check_rank(d: int, k: Sequence[int], name: str = "rank d",
+                minimum: int = 3) -> tuple[int, ...]:
+    """A rank of at least ``minimum`` and its d - 1 exponents."""
+    if not isinstance(d, int) or isinstance(d, bool) or d < minimum:
+        raise ParameterError(f"{name} must be an integer >= {minimum}, got {d!r}")
+    ks = _check_exponents(k)
+    if len(ks) != d - 1:
+        raise ParameterError(f"rank {d} needs {d - 1} exponents, got {len(ks)}")
+    return ks
 
 
 def _check_total(n: int, k: tuple[int, ...], unsafe: bool) -> int:
@@ -146,11 +147,7 @@ def family_h(n: int, s: int, t: int, unsafe: bool = False) -> Presentation:
 
 def family_g(d: int, n: int, k: Sequence[int], unsafe: bool = False) -> Presentation:
     """Rank-d member: order 2**n, adjacent-product orders 2**k[i]."""
-    if not isinstance(d, int) or isinstance(d, bool) or d < 3:
-        raise ParameterError(f"rank d must be an integer >= 3, got {d!r}")
-    ks = _check_exponents(k)
-    if len(ks) != d - 1:
-        raise ParameterError(f"rank {d} needs {d - 1} exponents, got {len(ks)}")
+    ks = _check_rank(d, k)
     if d == 3:
         return family_h(n, ks[0], ks[1], unsafe)
     slack = _check_total(n, ks, unsafe)
@@ -163,19 +160,11 @@ def family_k(d: int, k: Sequence[int]) -> Presentation:
     Same scheme as ``family_g`` but with the last section collapsed outright
     by [(r_{d-3} r_{d-2})^2, r_{d-1}] instead of a slack-dependent tail.
     """
-    if not isinstance(d, int) or isinstance(d, bool) or d < 3:
-        raise ParameterError(f"rank d must be an integer >= 3, got {d!r}")
-    ks = _check_exponents(k)
-    if len(ks) != d - 1:
-        raise ParameterError(f"rank {d} needs {d - 1} exponents, got {len(ks)}")
+    ks = _check_rank(d, k)
     if d == 3:
         warnings.warn("the rank-3 facet-side quotient is degenerate-prone; "
                       "intended for rank >= 4", stacklevel=2)
-    rels: list[Word] = []
-    rels.extend(_involutions(d))
-    rels.extend(_adjacent_powers(d, [1 << e for e in ks]))
-    rels.extend(_nonadjacent_squares(d))
-    rels.extend(_mixing_commutators(d))
+    rels = _coxeter_relators(d, [1 << e for e in ks]) + _mixing_commutators(d)
     rels.append(_last_section_commutator(d))
     return Presentation(d, tuple(rels))
 
@@ -183,11 +172,7 @@ def family_k(d: int, k: Sequence[int]) -> Presentation:
 def family_l(d: int, k: Sequence[int]) -> Presentation:
     """The rank-(d-1) section of the facet-side quotient: drop the last
     generator and exponent; order 2**(1 + sum(k[:-1]))."""
-    if not isinstance(d, int) or isinstance(d, bool) or d < 4:
-        raise ParameterError(f"the rank-(d-1) section needs d >= 4, got {d!r}")
-    ks = _check_exponents(k)
-    if len(ks) != d - 1:
-        raise ParameterError(f"rank {d} needs {d - 1} exponents, got {len(ks)}")
+    ks = _check_rank(d, k, minimum=4)
     with warnings.catch_warnings():
         # Dropping to rank 3 is the whole point here, not an accident.
         warnings.simplefilter("ignore")
@@ -208,11 +193,7 @@ def family_a(rank: int, slack: int, k: Sequence[int]) -> Presentation:
     No minimum-total guard: these arise as sections of larger safe groups.
     Order 2**(slack + sum(k)).
     """
-    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 3:
-        raise ParameterError(f"rank must be an integer >= 3, got {rank!r}")
-    ks = _check_exponents(k)
-    if len(ks) != rank - 1:
-        raise ParameterError(f"rank {rank} needs {rank - 1} exponents, got {len(ks)}")
+    ks = _check_rank(rank, k, name="rank")
     if not isinstance(slack, int) or isinstance(slack, bool) or slack < 1:
         raise ParameterError(f"slack must be an integer >= 1, got {slack!r}")
     return _scheme(rank, ks, slack)

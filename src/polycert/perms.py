@@ -18,8 +18,10 @@ the orbit, the base maps to itself). The transversal element u_x, which
 carries b to x, is traced up that tree on demand, so a level costs O(degree)
 memory rather than one stored permutation per orbit point. Orbits are closed
 breadth first, one numpy gather per frontier and generator. Every other
-orbit question, the first base point included, goes to ``orbit_labels``,
-which labels each point with the smallest point of its orbit.
+orbit question goes to ``orbit_labels``, which labels each point with the
+smallest point of its orbit. A new level's base point is the smallest point
+of a largest orbit: of all generators for the first level, of the new strong
+generator for the levels after it.
 
 The chain is complete once, from the deepest level up, every Schreier
 generator u_x s u_{x^s}^-1 of a level sifts through the levels below it. At
@@ -226,6 +228,11 @@ def _bfs(images: Sequence[np.ndarray], pred: np.ndarray, label: np.ndarray,
     return layers
 
 
+def _largest_orbit_point(perms: Sequence[np.ndarray], n: int) -> int:
+    """Smallest point of a largest orbit of ``perms``: the base point rule."""
+    return int(np.argmax(np.bincount(orbit_labels(perms, n))))
+
+
 def orbit_labels(perms: Sequence[np.ndarray], n: int) -> np.ndarray:
     """The smallest point of each point's orbit under the group that the
     permutations ``perms`` of ``range(n)`` generate.
@@ -395,10 +402,8 @@ class PermutationGroup:
         """Make ``g``, which fixes the base points before level ``j``, a
         strong generator; returns the level whose base it moves first."""
         while j == len(levels):
-            if not levels:
-                base = self._first_base()
-            else:
-                base = _longest_cycle_point(Permutation._raw(g))
+            gens = [g] if levels else [h.images for h in self._generators]
+            base = _largest_orbit_point(gens, self._degree)
             levels.append(_Level.start(base, self._degree))
             if g[base] == base:
                 j += 1
@@ -434,11 +439,6 @@ class PermutationGroup:
                     return residue, j
             lv.checked[k] = size
         return None
-
-    def _first_base(self) -> int:
-        """Smallest point of a largest orbit of the full generating set."""
-        labels = orbit_labels([g.images for g in self._generators], self._degree)
-        return int(np.argmax(np.bincount(labels)))
 
     @staticmethod
     def _strip(g: np.ndarray, levels: list[_Level], start: int = 0):
@@ -548,14 +548,3 @@ class PermutationGroup:
             root = root[root]
         if not (root[on] == lv.base).all():
             raise RuntimeError(f"level {i}: Schreier vector does not lead back to the base")
-
-
-def _longest_cycle_point(g: Permutation) -> int:
-    """Smallest point on a longest cycle; base heuristic for fresh levels."""
-    best_len = 0
-    best_point = 0
-    for cyc in g.cycles():
-        if len(cyc) > best_len:
-            best_len = len(cyc)
-            best_point = cyc[0]
-    return best_point

@@ -149,7 +149,9 @@ def check_section_connectivity(realized: RealizedGroup, certificate: SggiCertifi
     The flags through one such pair are a union of orbits of
     <r_k : k not in {i, j}>, so the sections are connected exactly when the
     number of distinct (phi_i, phi_j) pairs equals the number of those
-    orbits. Exhaustive over flags, so guarded by ``max_order``.
+    orbits. Those orbits are the left cosets of that subgroup, so there are
+    order / |<r_k : k not in {i, j}>| of them. Exhaustive over flags, so
+    guarded by ``max_order``.
     """
     _require_certificate(realized, certificate)
     if realized.order > max_order:
@@ -164,7 +166,8 @@ def check_section_connectivity(realized: RealizedGroup, certificate: SggiCertifi
         for j in range(i + 1, d):
             lower, upper = faces[i + 1], faces[j + 1]
             pairs = lower.phi.astype(np.int64) * upper.size + upper.phi
-            orbits = realized.quotient(x for x in range(d) if x not in (i, j)).size
+            orbits = realized.order // realized.parabolic_order(
+                x for x in range(d) if x not in (i, j))
             if np.unique(pairs).size != orbits:
                 return False
     return True

@@ -62,6 +62,31 @@ def test_verify_writes_certificate(capsys, tmp_path):
     assert doc.passed
 
 
+@pytest.mark.parametrize("argv, params, declared", [
+    (("--family", "G", "--d", "4", "--n", "10", "--k", "2,2,3"),
+     "d=4;n=10;k=2,2,3", (4, 4, 8)),
+    (("--family", "G", "--d", "3", "--n", "10", "--k", "04,4"),
+     "d=3;n=10;k=04,4", (16, 16)),
+    (("--family", "H", "--n", "10", "--s", "2", "--t", "3"), "n=10;s=2;t=3", (4, 8)),
+    (("--family", "K", "--d", "4", "--k", "2,2,2"), "d=4;k=2,2,2", (4, 4, 4)),
+    (("--family", "L", "--d", "4", "--k", "2,3,2"), "d=4;k=2,3,2", (4, 8)),
+    (("--family", "M", "--d", "4", "--n", "10", "--k", "2,2,2"),
+     "d=4;n=10;k=2,2,2", (2, 4, 4)),
+    (("--family", "A", "--rank", "3", "--l", "1", "--k", "2,3"),
+     "rank=3;l=1;k=2,3", (4, 8)),
+    (("--family", "coxeter", "--k", "2,3"), "k=2,3", (2, 3)),
+    (("--family", "tight", "--k", "4,8"), "k=4,8", (4, 8)),
+], ids=["G", "G-as-typed", "H", "K", "L", "M", "A", "coxeter", "tight"])
+def test_verify_every_family(capsys, tmp_path, argv, params, declared):
+    # the params text keeps each flag as typed, in the family's flag order
+    path = tmp_path / "cert.json"
+    code, out, err = run(capsys, "verify", *argv, "--out", str(path))
+    assert (code, err) == (0, "")
+    assert f"params: {params}" in out.splitlines()
+    doc = certificate_from_json(path.read_text())
+    assert (doc.family, doc.params, doc.declared_type) == (argv[1], params, declared)
+
+
 def test_verify_missing_flags(capsys):
     code, _, err = run(capsys, "verify", "--family", "G", "--d", "4")
     assert code == 4
@@ -153,6 +178,31 @@ def test_verify_from_presentation_file(capsys, tmp_path):
                        "--presentation-file", str(tmp_path / "missing.txt"))
     assert code == 4
     assert "cannot read presentation file" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "--family", "raw", "--presentation-file", "{latin1}"),
+     "cannot read presentation file: 'utf-8' codec can't decode"),
+    (("export", "--in", "{latin1}"), "cannot read atlas: 'utf-8' codec can't decode"),
+    (("verify", "--family", "tight", "--k", "4,4", "--out", "{nodir}"),
+     "cannot write output: [Errno 2]"),
+    (("sweep", "--d-min", "3", "--d-max", "3", "--n-min", "9", "--n-max", "9",
+      "--k-min", "4", "--out", "{nodir}"), "cannot write output: [Errno 2]"),
+    (("paper-tables", "--out", "{nodir}"), "cannot write output: [Errno 2]"),
+    (("hasse", "--family", "tight", "--k", "4,4", "--out", "{nodir}"),
+     "cannot write output: [Errno 2]"),
+], ids=["presentation-file", "export-in", "verify-out", "sweep-out", "paper-tables-out",
+        "hasse-out"])
+def test_file_errors_are_param_invalid(capsys, tmp_path, argv, message):
+    # an unreadable input or an --out in a missing directory ends in one
+    # stderr line and exit 4, not a traceback
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("generators 3\n# caf\u00e9\n".encode("latin-1"))
+    paths = {"latin1": str(latin1), "nodir": str(tmp_path / "missing" / "out.txt")}
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert (code, out) == (4, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"polycert: param-invalid: {message}")
 
 
 def test_verify_raw_needs_input(capsys):

@@ -24,6 +24,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -118,6 +119,21 @@ def _write_text(text: str, out: str | None) -> None:
             fh.write(text)
     except OSError as exc:
         raise ParameterError(f"cannot write output: {exc}")
+
+
+def _check_writable(out: str | None) -> None:
+    """Fail before the work, not after it, when the file ``out`` cannot be
+    written; a file that did not exist is not left behind."""
+    if not out:
+        return
+    existed = os.path.exists(out)
+    try:
+        with open(out, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise ParameterError(f"cannot write output: {exc}")
+    if not existed:
+        os.remove(out)
 
 
 def _params_text(args) -> str:
@@ -262,6 +278,7 @@ def _cmd_sweep(args) -> int:
         for n in range(args.n_min, args.n_max + 1):
             for ks in _all_exponents(d, n, args.k_min):
                 tasks.append((d, n, ks, args.strategy, limits, args.ip))
+    _check_writable(args.out)
     results = []
     if jobs == 1:
         for task in tasks:
@@ -350,6 +367,7 @@ def _cmd_export(args) -> int:
 def _cmd_hasse(args) -> int:
     presentation, declared, _ = build_presentation(args)
     limits = _limits(args)
+    _check_writable(args.out)
     rg = realize(presentation, limits, args.strategy)
     if rg.order > args.max_order:
         raise LimitExceededError(

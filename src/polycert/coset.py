@@ -28,9 +28,11 @@ parents, so a coset slot costs 4 bytes per column plus 4. The arrays double
 in capacity when full, so they hold at most twice as many slots as cosets
 were ever defined. Dead cosets produced by coincidences are compacted away
 whenever they outnumber live ones 3 to 1: compaction renumbers the columns
-in place, and the final standardization reads them, both with numpy
-gathers over views of the arrays. The finished table is handed out as one
-read-only int32 matrix, with a row per coset and the same columns.
+in place with numpy gathers over views of the arrays. The finished table is
+handed out as one read-only int32 matrix, with a row per coset and the same
+columns, numbered by ``_standardize``. That one routine also numbers the
+regular tables that ``regular_table`` builds from an action found another
+way, so every route to a table gives the same bytes.
 
 Every returned table is re-verified post hoc (every relator traces to a
 closed cycle from every live coset, and every subgroup generator fixes
@@ -585,48 +587,69 @@ class _Engine:
 
     def finalize(self) -> CosetTable:
         self._compact(0)
+        n = self.n
         self.stats.cosets_created = self.created
-        self.stats.live_count = self.n
+        self.stats.live_count = n
         return CosetTable(
             presentation=self.presentation,
             subgroup_generators=(),  # caller fills in
-            matrix=self._standardize(),
+            matrix=_standardize(np.stack(
+                [np.frombuffer(col, dtype=np.intc, count=n) for col in self.t], axis=1)),
             columns=self.cols,
             stats=self.stats,
         )
 
-    def _standardize(self) -> np.ndarray:
-        """Canonical renumbering: first-visit order scanning rows by column.
 
-        Makes the final numbering independent of enumeration history, so both
-        strategies produce byte-identical tables for the same input. Returns
-        the table as a read-only int32 matrix of shape (cosets, columns).
-        """
-        n = self.n
-        t = self.t
-        new_of = [-1] * n
-        old_of = [0] * n
-        new_of[0] = 0
-        nxt = 1
-        cur = 0
-        while cur < nxt:
-            a = old_of[cur]
-            for col in t:
-                v = col[a]
-                if v >= 0 and new_of[v] < 0:
-                    new_of[v] = nxt
-                    old_of[nxt] = v
-                    nxt += 1
-            cur += 1
-        if nxt != n:
-            raise TableNotClosedError("coset graph is not connected; table corrupt")
-        new_id = np.array(new_of + [-1], dtype=np.intc)
-        old = np.array(old_of, dtype=np.intc)
-        std = np.empty((n, len(t)), dtype=np.intc)
-        for c, col in enumerate(t):
-            std[:, c] = new_id[np.frombuffer(col, dtype=np.intc, count=n)[old]]
-        std.setflags(write=False)
-        return std
+def _standardize(table: np.ndarray) -> np.ndarray:
+    """Canonical renumbering of a closed table: first-visit order scanning rows by column.
+
+    ``table`` has a row per coset and a column per generator-and-sign, with
+    row 0 the subgroup. The numbering depends only on the action and that
+    base row, not on how the rows were found, so both strategies and every
+    route to a table give byte-identical tables for the same input. Returns
+    the table as a read-only int32 matrix of shape (cosets, columns).
+    """
+    n = len(table)
+    cols = table.T.tolist()
+    new_of = [-1] * n
+    old_of = [0] * n
+    new_of[0] = 0
+    nxt = 1
+    cur = 0
+    while cur < nxt:
+        a = old_of[cur]
+        for col in cols:
+            v = col[a]
+            if v >= 0 and new_of[v] < 0:
+                new_of[v] = nxt
+                old_of[nxt] = v
+                nxt += 1
+        cur += 1
+    if nxt != n:
+        raise TableNotClosedError("coset graph is not connected; table corrupt")
+    # the trailing -1 maps an undefined entry to -1
+    new_id = np.array(new_of + [-1], dtype=np.intc)
+    std = new_id[table[old_of]]
+    std.setflags(write=False)
+    return std
+
+
+def regular_table(presentation: Presentation, images: np.ndarray,
+                  parts: Sequence[CosetTable]) -> CosetTable:
+    """The table over the trivial subgroup of a regular action of the group.
+
+    ``images`` has a row per point and a column per generator-and-sign of
+    ``presentation``, and its point 0 stands for the identity. The table is
+    standardized from that point and validated like any enumerated one. Its
+    stats sum those of ``parts``, the enumerations that built the action,
+    and its live count is the order.
+    """
+    counts = {name: sum(getattr(t.stats, name) for t in parts)
+              for name in ("cosets_created", "compactions", "lookaheads", "deductions")}
+    stats = EnumerationStats(strategy=parts[0].stats.strategy, live_count=len(images), **counts)
+    table = CosetTable(presentation, (), _standardize(images), _ColumnMap(presentation), stats)
+    table.validate()
+    return table
 
 
 def enumerate_cosets(presentation: Presentation,

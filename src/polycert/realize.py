@@ -1,10 +1,36 @@
 """Concrete realizations of finitely presented groups via their regular action.
 
-A ``RealizedGroup`` runs one coset enumeration over the trivial subgroup, so
-group elements are coset ids (0 is the identity) and each generator is a
+A ``RealizedGroup`` holds the regular coset table of its group, so group
+elements are coset ids (0 is the identity) and each generator is a
 right-multiplication array over the elements: the read-only image array of
 its permutation from ``CosetTable.to_permutations``. Everything else is
 derived from that single table without further enumerations.
+
+The table is built as the orbit of one point when the presentation allows
+it: the rank d is at least 3, every generator is a declared involution, and
+some relator in r0 and r1 alone is non-trivial in <r0, r1 | r0^2, r1^2>, so
+that those relators present a finite dihedral group H_abs. Let H = <r0, r1>,
+G_0 = <r1, ..., r_{d-1}> and G_1 = <r0, r2, ..., r_{d-1}>. Four small
+enumerations give N = [G:H] with a transversal (the first entry of each
+coset in row-major order of the standardized table over H), |H_abs|, and the
+coset actions of G on G_0 and G_1. A completed enumeration proves an index
+(Holt, Eick and O'Brien, *Handbook of Computational Group Theory*, ch. 5),
+and H is a quotient of H_abs, so |G| <= B = N |H_abs|. The orbit O of the
+point (H, G_0, G_1) in the product of the three coset actions is the
+H-orbit of that point carried along the transversal: N disjoint blocks,
+one per coset of H, found with one numpy gather per level of the
+transversal tree. |O| = [G : H n G_0 n G_1] <= |G|, so |O| = B proves that
+G acts regularly on O. The points are numbered with one sort, the image
+columns read with ``searchsorted``, and the table standardized and
+validated like an enumerated one; standardization is canonical, so it is
+the enumerated table byte for byte. In a string C-group H n G_0 = <r1> and
+<r1> n G_1 = 1 (McMullen and Schulte, *Abstract Regular Polytopes*, 2E), so
+|O| < B means that the group is not a string C-group or that H is smaller
+than H_abs. Then, and whenever the route does not apply, the table
+comes from one enumeration over the trivial subgroup. The limits and the
+strategy apply to every enumeration, and the first one to hit a limit
+raises. The coset limit also bounds B, the rows of the regular table, as it
+bounds the rows that plain enumeration defines.
 
 For a generator subset S, the orbits of right multiplication by S are the
 left cosets w<S>, and the orbit of the identity is <S> itself. The library's
@@ -15,7 +41,8 @@ and the order of an intersection of two parabolics is the size of the
 conjunction of their masks, exact for any presentation. ``quotient`` turns the same partition
 into a coset map for the face lattice, built afresh on each call.
 
-``stats`` counts the table-building passes: one enumeration, plus
+``stats`` counts the table-building passes: ``enumerations`` (4 on the
+orbit route, 5 when it falls back, 1 when it does not apply), plus
 ``quotient_actions`` for every partition built.
 """
 
@@ -27,10 +54,114 @@ from typing import Iterable
 
 import numpy as np
 
-from .coset import EnumerationLimits, enumerate_cosets
-from .errors import InvalidGeneratorError
+from .coset import CosetTable, EnumerationLimits, enumerate_cosets, regular_table
+from .errors import InvalidGeneratorError, LimitExceededError, TableNotClosedError
 from .perms import orbit_labels
-from .words import Presentation, Word
+from .words import Presentation, Word, generator
+
+
+def _bounds_pair(w: Word) -> bool:
+    """Whether ``w`` uses only r0 and r1 and is non-trivial in
+    <r0, r1 | r0^2, r1^2>: its letters, signs dropped, do not cancel in
+    adjacent equal pairs. Its normal closure then has finite index there."""
+    if w.max_generator() > 1:
+        return False
+    stack: list[int] = []
+    for g, _ in w:
+        if stack and stack[-1] == g:
+            stack.pop()
+        else:
+            stack.append(g)
+    return bool(stack)
+
+
+def _pair_orbit(t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
+    """The <r0, r1>-orbit of the point (0, 0) in the product of two coset
+    actions, as a (points, 2) array of coset pairs."""
+    moves = [(t0[:, g].tolist(), t1[:, g].tolist()) for g in (0, 1)]
+    points = [(0, 0)]
+    seen = {(0, 0)}
+    for a, b in points:  # the list grows while it is walked: a breadth-first search
+        for ma, mb in moves:
+            q = (ma[a], mb[b])
+            if q not in seen:
+                seen.add(q)
+                points.append(q)
+    return np.array(points, dtype=np.intc)
+
+
+def _orbit_table(p: Presentation, limits: EnumerationLimits, strategy: str,
+                 stats: Counter) -> CosetTable | None:
+    """The regular table as the orbit of one point, or None when |O| < B.
+
+    The module docstring states the construction and why it is a proof.
+    """
+    d = p.generator_count
+    parts: list[CosetTable] = []
+
+    def enumerate_(presentation: Presentation, subgroup: list[Word]) -> np.ndarray:
+        stats["enumerations"] += 1
+        parts.append(enumerate_cosets(presentation, subgroup, limits, strategy))
+        return parts[-1].matrix
+
+    th = enumerate_(p, [generator(0), generator(1)])
+    h_abs = enumerate_(Presentation(2, [r for r in p.relators if r.max_generator() <= 1]), [])
+    bound = len(th) * len(h_abs)
+    t0 = enumerate_(p, [generator(i) for i in range(1, d)])
+    t1 = enumerate_(p, [generator(i) for i in range(d) if i != 1])
+    block = _pair_orbit(t0, t1)
+    n, n0, n1 = len(th), len(t0), len(t1)
+    if n * len(block) != bound:
+        return None
+    if bound > limits.max_cosets:
+        created = sum(t.stats.cosets_created for t in parts)
+        raise LimitExceededError(
+            f"coset limit {limits.max_cosets} exceeded (the regular table has {bound} "
+            f"cosets; {created} cosets created in {len(parts)} enumerations)",
+            cosets_created=created)
+    if n * n0 * n1 > np.iinfo(np.int64).max:
+        return None  # the point keys below would overflow
+    # Coset beta of H is first entered, in row-major order of the
+    # standardized table, from a smaller coset parent[beta - 1] by generator
+    # gen[beta - 1]; parents never decrease, so each level of that tree is
+    # one range of cosets, and block beta is block parent moved by gen.
+    parent, gen = np.divmod(np.unique(th, return_index=True)[1][1:], d)
+    a = np.empty((n, len(block)), dtype=np.intc)
+    b = np.empty_like(a)
+    a[0], b[0] = block.T
+    lo = 1
+    while lo < n:
+        hi = 1 + int(np.searchsorted(parent, lo))
+        par, g = parent[lo - 1:hi - 1], gen[lo - 1:hi - 1, None]
+        a[lo:hi] = t0[a[par], g]
+        b[lo:hi] = t1[b[par], g]
+        lo = hi
+    beta = np.repeat(np.arange(n, dtype=np.int64), len(block))
+    keys = (beta * n0 + a.ravel()) * n1 + b.ravel()
+    order = np.argsort(keys)
+    keys, beta, a, b = keys[order], beta[order], a.ravel()[order], b.ravel()[order]
+    images = np.empty((len(keys), d), dtype=np.intc)
+    for g in range(d):
+        image = (th[beta, g].astype(np.int64) * n0 + t0[a, g]) * n1 + t1[b, g]
+        pos = np.minimum(np.searchsorted(keys, image), len(keys) - 1)
+        if not np.array_equal(keys[pos], image):
+            raise TableNotClosedError(f"the orbit of the base point is not closed under r{g}")
+        images[:, g] = pos
+    return regular_table(p, images, parts)
+
+
+def _regular_table(p: Presentation, limits: EnumerationLimits, strategy: str,
+                   stats: Counter) -> CosetTable:
+    """The orbit route's table where it applies and closes, else one enumeration."""
+    d = p.generator_count
+    table = None
+    if (d >= 3 and p.involutory_generators() == frozenset(range(d))
+            and any(_bounds_pair(r) for r in p.relators)):
+        table = _orbit_table(p, limits, strategy, stats)
+    if table is None:
+        stats["enumerations"] += 1
+        table = enumerate_cosets(p, (), limits, strategy)
+    return table
 
 
 class Quotient:
@@ -58,10 +189,11 @@ class RealizedGroup:
                  limits: EnumerationLimits | None = None,
                  strategy: str = "hlt"):
         self.presentation = presentation
-        self.table = enumerate_cosets(presentation, (), limits, strategy)
+        self.stats: Counter = Counter()
+        self.table = _regular_table(presentation, limits or EnumerationLimits(), strategy,
+                                    self.stats)
         self.order = self.table.live_count
         self.right = [perm.images for perm in self.table.to_permutations()]
-        self.stats: Counter = Counter(enumerations=1)
         self._masks: dict[frozenset[int], np.ndarray] = {}
         self._element_orders: dict[Word, int] = {}
 

@@ -37,3 +37,8 @@ def test_audit_battery_reports_no_problems(workloads):
     outcome = workloads.audit_outcome(("tight", k, tight_quotient_presentation(k)))
     assert workloads.check_audit(outcome) == []
     assert outcome["order"] == 1024
+
+
+def test_limit_op_reports_no_problems(workloads):
+    # exit 5 with one ``polycert: limit-exceeded:`` line, at the 100k coset limit
+    assert workloads.limit_op("hlt") == []

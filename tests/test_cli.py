@@ -205,6 +205,31 @@ def test_file_errors_are_param_invalid(capsys, tmp_path, argv, message):
     assert err.startswith(f"polycert: param-invalid: {message}")
 
 
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--d-min", "3", "--d-max", "3", "--n-min", "10", "--n-max", "10"),
+    ("hasse", "--family", "tight", "--k", "4,4"),
+], ids=["sweep", "hasse"])
+def test_unwritable_out_fails_before_the_work(capsys, monkeypatch, tmp_path, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work started before --out was checked")
+
+    monkeypatch.setattr(cli, "certify", no_work)
+    monkeypatch.setattr(cli, "realize", no_work)
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "missing" / "a.txt"))
+    assert (code, out) == (4, "")
+    assert err.splitlines() == [
+        f"polycert: param-invalid: cannot write output: [Errno 2] No such file or "
+        f"directory: '{tmp_path / 'missing' / 'a.txt'}'"]
+
+
+def test_out_check_leaves_no_file_behind(capsys, tmp_path):
+    out = tmp_path / "hasse.dot"
+    code, _, _ = run(capsys, "hasse", "--family", "raw", "--generators", "3",
+                     "--relators", HIDDEN_CENTER_RELATORS, "--out", str(out))
+    assert code == 3
+    assert not out.exists()
+
+
 def test_verify_raw_needs_input(capsys):
     code, _, err = run(capsys, "verify", "--family", "raw")
     assert code == 4

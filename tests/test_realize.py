@@ -10,12 +10,26 @@ import itertools
 import numpy as np
 import pytest
 
-from polycert.coset import EnumerationLimits
-from polycert.errors import InvalidGeneratorError
-from polycert.families import family_a, family_k, tight_quotient_presentation
+from polycert.coset import EnumerationLimits, enumerate_cosets
+from polycert.errors import InvalidGeneratorError, LimitExceededError
+from polycert.families import (
+    coxeter_string_presentation,
+    family_a,
+    family_g,
+    family_k,
+    tight_quotient_presentation,
+)
 from polycert.perms import PermutationGroup, orbit_labels
 from polycert.realize import RealizedGroup, realize
-from polycert.words import Presentation, Word, commutator, generator, pair, power
+from polycert.words import (
+    Presentation,
+    Word,
+    commutator,
+    generator,
+    pair,
+    power,
+    presentation_from_text,
+)
 
 ORACLE_PRESENTATIONS = [
     tight_quotient_presentation((4, 4)),
@@ -35,6 +49,15 @@ ORACLE_PRESENTATIONS = [
     Presentation(2, (power(generator(0), 4), power(generator(1), 2),
                      commutator(generator(0), generator(1)))),
 ]
+
+# Enumerations behind each oracle table: 4 on the orbit route, 5 where it
+# falls back (the two groups where <r0, r1> swallows or meets the rest), 1
+# where it does not apply (rank 2).
+ORACLE_ENUMERATIONS = [4, 4, 4, 1, 5, 5, 1]
+
+# Order 8, with r2 = (r0 r1)^2 central: <r0, r1> n <r1, r2> n <r0, r2> has
+# order 2, so the group fails the intersection property.
+HIDDEN_CENTRE = ORACLE_PRESENTATIONS[5]
 
 
 def span_elements(rg, subset):
@@ -86,15 +109,15 @@ def test_intersection_orders_tight44(tight44):
 
 
 def test_parabolic_orders_match_direct_span():
-    for p in ORACLE_PRESENTATIONS:
+    for p, enumerations in zip(ORACLE_PRESENTATIONS, ORACLE_ENUMERATIONS):
         rg = RealizedGroup(p)
         for subset in all_subsets(rg.rank):
             assert rg.parabolic_order(subset) == len(span_elements(rg, subset))
-        assert rg.stats["enumerations"] == 1
+        assert rg.stats["enumerations"] == enumerations
 
 
 def test_intersection_orders_match_element_sets():
-    for p in ORACLE_PRESENTATIONS:
+    for p, enumerations in zip(ORACLE_PRESENTATIONS, ORACLE_ENUMERATIONS):
         rg = RealizedGroup(p)
         subsets = all_subsets(rg.rank)
         spans = {s: span_elements(rg, s) for s in subsets}
@@ -102,7 +125,7 @@ def test_intersection_orders_match_element_sets():
             for sb in subsets:
                 expected = len(spans[sa] & spans[sb])
                 assert rg.intersection_order(sa, sb) == expected
-        assert rg.stats["enumerations"] == 1
+        assert rg.stats["enumerations"] == enumerations
 
 
 def test_quotient_partition_consistency():
@@ -127,7 +150,9 @@ def test_realize_returns_shared_instances():
     assert realize(p, EnumerationLimits(), "hlt") is a
     f = realize(p, strategy="felsch")
     assert f is not a
-    assert f.table.table == a.table.table
+    felsch = enumerate_cosets(p, (), None, "felsch")
+    assert np.array_equal(felsch.matrix, a.table.matrix)
+    assert np.array_equal(felsch.matrix, f.table.matrix)
 
 
 def test_element_of_and_element_order(tight44):
@@ -147,7 +172,9 @@ def test_strategies_realize_identically():
     h = RealizedGroup(p, strategy="hlt")
     f = RealizedGroup(p, strategy="felsch")
     assert h.order == f.order == 256
-    assert h.table.table == f.table.table
+    felsch = enumerate_cosets(p, (), None, "felsch")
+    assert np.array_equal(felsch.matrix, h.table.matrix)
+    assert np.array_equal(felsch.matrix, f.table.matrix)
 
 
 def test_regular_permutation_group():
@@ -165,3 +192,52 @@ def test_bad_generator_subsets(tight44):
         rg.intersection_order((0,), (-1,))
     with pytest.raises(InvalidGeneratorError):
         rg.quotient((7,))
+
+
+@pytest.mark.parametrize("p", [
+    tight_quotient_presentation((4, 4, 4)),
+    tight_quotient_presentation((8, 8, 8)),
+    family_g(3, 12, (2, 9)),
+    family_g(4, 12, (3, 3, 3)),
+    family_g(5, 12, (2, 2, 2, 3)),
+], ids=["tight444", "tight888", "G3", "G4", "G5"])
+def test_orbit_route_gives_the_enumerated_table(p):
+    rg = RealizedGroup(p)
+    plain = enumerate_cosets(p)
+    assert rg.stats["enumerations"] == 4
+    assert np.array_equal(rg.table.matrix, plain.matrix)
+    assert rg.table.stats.live_count == rg.order == plain.live_count
+    assert 0 < rg.table.stats.cosets_created < plain.stats.cosets_created
+
+
+def test_failing_intersection_property_falls_back():
+    # |O| = 4 < B = 8: the route must not accept the orbit as the group
+    rg = RealizedGroup(HIDDEN_CENTRE)
+    plain = enumerate_cosets(HIDDEN_CENTRE)
+    assert rg.stats["enumerations"] == 5
+    assert rg.order == plain.live_count == 8
+    assert np.array_equal(rg.table.matrix, plain.matrix)
+
+
+def test_no_bounding_relator_takes_the_plain_path():
+    # S3 with r2 = r0: (r0 r1)^3 holds but no relator in r0 and r1 alone says
+    # so, so <r0, r1 | r0^2, r1^2> is infinite and the route must not start
+    p = presentation_from_text(
+        "gens 3\nrel r0 r0\nrel r1 r1\nrel r2 r2\nrel r0 r2\nrel r1 r2 r1 r2 r1 r2\n")
+    rg = RealizedGroup(p, EnumerationLimits(max_cosets=50))
+    assert rg.order == 6
+    assert rg.stats["enumerations"] == 1
+
+
+def test_orbit_route_limits_report_progress():
+    # the infinite Coxeter group {4,4,4}: the enumeration over <r0, r1> never closes
+    with pytest.raises(LimitExceededError) as info:
+        RealizedGroup(coxeter_string_presentation((4, 4, 4)), EnumerationLimits(20_000))
+    assert info.value.cosets_created == 20_000
+    assert 0 < info.value.live_cosets <= 20_000
+    assert info.value.table_bytes > 0
+    assert "coset limit 20000 exceeded" in str(info.value)
+    # every enumeration fits in 10 cosets, but the regular table has 32 rows
+    with pytest.raises(LimitExceededError) as info:
+        RealizedGroup(tight_quotient_presentation((4, 4)), EnumerationLimits(10))
+    assert "the regular table has 32 cosets" in str(info.value)

@@ -237,9 +237,9 @@ def test_quotient_criterion_facet_side():
 
 
 def test_certification_enumeration_budget():
-    """A fresh certification runs exactly one coset enumeration; everything
-    else is partitions of the one table, at most one per generator subset
-    that ``certify`` reads."""
+    """A fresh certification builds one regular table, from the four
+    enumerations of the orbit route; everything else is partitions of that
+    table, at most one per generator subset that ``certify`` reads."""
     cases = [
         family_h(11, 4, 4),
         family_g(4, 10, (2, 2, 2)),
@@ -256,5 +256,5 @@ def test_certification_enumeration_budget():
         cert = certify(p)
         rg = realize(p)
         assert cert.passed
-        assert rg.stats["enumerations"] == 1
+        assert rg.stats["enumerations"] == 4
         assert rg.stats["quotient_actions"] <= len(read)

@@ -7,30 +7,40 @@ its permutation from ``CosetTable.to_permutations``. Everything else is
 derived from that single table without further enumerations.
 
 The table is built as the orbit of one point when the presentation allows
-it: the rank d is at least 3, every generator is a declared involution, and
-some relator in r0 and r1 alone is non-trivial in <r0, r1 | r0^2, r1^2>, so
-that those relators present a finite dihedral group H_abs. Let H = <r0, r1>,
-G_0 = <r1, ..., r_{d-1}> and G_1 = <r0, r2, ..., r_{d-1}>. Four small
-enumerations give N = [G:H] with a transversal (the first entry of each
-coset in row-major order of the standardized table over H), |H_abs|, and the
-coset actions of G on G_0 and G_1. A completed enumeration proves an index
-(Holt, Eick and O'Brien, *Handbook of Computational Group Theory*, ch. 5),
-and H is a quotient of H_abs, so |G| <= B = N |H_abs|. The orbit O of the
-point (H, G_0, G_1) in the product of the three coset actions is the
-H-orbit of that point carried along the transversal: N disjoint blocks,
-one per coset of H, found with one numpy gather per level of the
-transversal tree. |O| = [G : H n G_0 n G_1] <= |G|, so |O| = B proves that
-G acts regularly on O. The points are numbered with one sort, the image
-columns read with ``searchsorted``, and the table standardized and
-validated like an enumerated one; standardization is canonical, so it is
-the enumerated table byte for byte. In a string C-group H n G_0 = <r1> and
-<r1> n G_1 = 1 (McMullen and Schulte, *Abstract Regular Polytopes*, 2E), so
-|O| < B means that the group is not a string C-group or that H is smaller
-than H_abs. Then, and whenever the route does not apply, the table
-comes from one enumeration over the trivial subgroup. The limits and the
-strategy apply to every enumeration, and the first one to hit a limit
-raises. The coset limit also bounds B, the rows of the regular table, as it
-bounds the rows that plain enumeration defines.
+it: the rank d is at least 3, every generator is a declared involution,
+some relator in r0 and r1 alone is a rotation, and some character moves r1.
+Let H = <r0, r1> and G_0 = <r1, ..., r_{d-1}>. Each relator in r0 and r1
+alone reduces in the infinite dihedral group <r0, r1 | r0^2, r1^2> to a
+reflection or to a rotation (r0 r1)^(+-j); if m is the gcd of the rotation
+exponents, H is a quotient of the dihedral group of order 2m. Each relator
+also gives the parities of its letter counts, a vector over GF(2); a sigma
+over GF(2) with sigma_1 = 1 and an even weight on every such vector, found
+by elimination, is a character G -> C2 that sends r1 to -1, and its kernel
+K has index 2 and does not contain r1. Two enumerations, in this order, give
+N = [G:H] with a transversal (the first entry of each coset in row-major
+order of the standardized table over H) and the coset action of G on G_0;
+the action on the two cosets of K is x -> x + sigma_g. A completed
+enumeration proves an index (Holt, Eick and O'Brien, *Handbook of
+Computational Group Theory*, ch. 5), so |G| = N |H| <= B = 2mN. The orbit O
+of the point (H, G_0, K) in the product of the three coset actions is the
+H-orbit of that point carried along the transversal: N disjoint blocks, one
+per coset of H, found with one numpy gather per level of the transversal
+tree. |O| = [G : H n G_0 n K] <= |G|, so |O| = B proves that G acts
+regularly on O. The points are numbered with one sort, the image columns
+read with ``searchsorted``, and the table standardized and validated like
+an enumerated one; standardization is canonical, so it is the enumerated
+table byte for byte. The proof needs sigma only through ``validate()``:
+the validated table is an action of G, transitive on B >= |G| points, so it
+is regular. A sigma that is no character can only raise, and a bound above
+|G| can only fall back; a bound below |G| is the one error that would give
+a wrong table, and the 2m above is a proof that it cannot happen. In a string
+C-group H n G_0 = <r1> (McMullen and Schulte, *Abstract Regular Polytopes*,
+2E), and <r1> n K = 1, so |O| < B means that the group is not a string
+C-group or that H is smaller than 2m. Then, and whenever the route does not
+apply, the table comes from one enumeration over the trivial subgroup. The
+limits and the strategy apply to every enumeration, and the first one to
+hit a limit raises. The coset limit also bounds B, the rows of the regular
+table, as it bounds the rows that plain enumeration defines.
 
 For a generator subset S, the orbits of right multiplication by S are the
 left cosets w<S>, and the orbit of the identity is <S> itself. The library's
@@ -41,8 +51,8 @@ and the order of an intersection of two parabolics is the size of the
 conjunction of their masks, exact for any presentation. ``quotient`` turns the same partition
 into a coset map for the face lattice, built afresh on each call.
 
-``stats`` counts the table-building passes: ``enumerations`` (4 on the
-orbit route, 5 when it falls back, 1 when it does not apply), plus
+``stats`` counts the table-building passes: ``enumerations`` (2 on the
+orbit route, 3 when it falls back, 1 when it does not apply), plus
 ``quotient_actions`` for every partition built.
 """
 
@@ -50,6 +60,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from math import gcd
 from typing import Iterable
 
 import numpy as np
@@ -60,19 +71,54 @@ from .perms import orbit_labels
 from .words import Presentation, Word, generator
 
 
-def _bounds_pair(w: Word) -> bool:
-    """Whether ``w`` uses only r0 and r1 and is non-trivial in
-    <r0, r1 | r0^2, r1^2>: its letters, signs dropped, do not cancel in
-    adjacent equal pairs. Its normal closure then has finite index there."""
-    if w.max_generator() > 1:
-        return False
-    stack: list[int] = []
-    for g, _ in w:
-        if stack and stack[-1] == g:
-            stack.pop()
-        else:
-            stack.append(g)
-    return bool(stack)
+def _rotation_bound(p: Presentation) -> int:
+    """2m, where m is the gcd of the exponents j of the relators in r0 and r1
+    alone that reduce to a rotation (r0 r1)^(+-j) of the infinite dihedral
+    group <r0, r1 | r0^2, r1^2>; 0 when no relator does. <r0, r1 | those
+    relators> is then a quotient of the dihedral group of order 2m."""
+    m = 0
+    for r in p.relators:
+        if r.max_generator() > 1:
+            continue
+        stack: list[int] = []  # the reduced form: letters, signs dropped, alternate
+        for g, _ in r:
+            if stack and stack[-1] == g:
+                stack.pop()
+            else:
+                stack.append(g)
+        if len(stack) % 2 == 0:  # odd reduced forms are reflections
+            m = gcd(m, len(stack) // 2)
+    return 2 * m
+
+
+def _character(p: Presentation) -> int | None:
+    """A homomorphism sigma: G -> C2 with sigma(r1) = -1, as the bit mask of
+    the generators it sends to -1, or None when there is none.
+
+    sigma must have an even weight on every relator's letter-count parities
+    over GF(2), so it exists exactly when e_1 is not in their span.
+    """
+    rows: dict[int, int] = {}  # pivot bit -> row, in reduced echelon form
+    for r in p.relators:
+        v = 0
+        for g, _ in r:
+            v ^= 1 << g
+        for pivot, row in rows.items():
+            if v >> pivot & 1:
+                v ^= row
+        if v:
+            pivot = v.bit_length() - 1
+            rows = {q: row ^ v if row >> pivot & 1 else row for q, row in rows.items()}
+            rows[pivot] = v
+    # sigma is 1 on one free column c and 0 on the others; each row then
+    # fixes sigma on its pivot. Bit 1 is free, or the pivot of a row whose
+    # other bits are free and below it.
+    c = 1
+    if 1 in rows:
+        if rows[1] == 1 << 1:
+            return None
+        c = 0
+    return 1 << c | sum((row >> c & 1) << q for q, row in rows.items())
 
 
 def _pair_orbit(t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
@@ -90,25 +136,26 @@ def _pair_orbit(t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
     return np.array(points, dtype=np.intc)
 
 
-def _orbit_table(p: Presentation, limits: EnumerationLimits, strategy: str,
-                 stats: Counter) -> CosetTable | None:
+def _orbit_table(p: Presentation, bound_h: int, sigma: int, limits: EnumerationLimits,
+                 strategy: str, stats: Counter) -> CosetTable | None:
     """The regular table as the orbit of one point, or None when |O| < B.
 
-    The module docstring states the construction and why it is a proof.
+    ``bound_h`` bounds |<r0, r1>| and ``sigma`` is the character whose
+    kernel is K. The module docstring states the construction and why it is
+    a proof.
     """
     d = p.generator_count
     parts: list[CosetTable] = []
 
-    def enumerate_(presentation: Presentation, subgroup: list[Word]) -> np.ndarray:
+    def enumerate_(subgroup: list[Word]) -> np.ndarray:
         stats["enumerations"] += 1
-        parts.append(enumerate_cosets(presentation, subgroup, limits, strategy))
+        parts.append(enumerate_cosets(p, subgroup, limits, strategy))
         return parts[-1].matrix
 
-    th = enumerate_(p, [generator(0), generator(1)])
-    h_abs = enumerate_(Presentation(2, [r for r in p.relators if r.max_generator() <= 1]), [])
-    bound = len(th) * len(h_abs)
-    t0 = enumerate_(p, [generator(i) for i in range(1, d)])
-    t1 = enumerate_(p, [generator(i) for i in range(d) if i != 1])
+    th = enumerate_([generator(0), generator(1)])
+    bound = len(th) * bound_h
+    t0 = enumerate_([generator(i) for i in range(1, d)])
+    t1 = np.array([[x ^ (sigma >> g & 1) for g in range(d)] for x in (0, 1)], dtype=np.intc)
     block = _pair_orbit(t0, t1)
     n, n0, n1 = len(th), len(t0), len(t1)
     if n * len(block) != bound:
@@ -155,9 +202,10 @@ def _regular_table(p: Presentation, limits: EnumerationLimits, strategy: str,
     """The orbit route's table where it applies and closes, else one enumeration."""
     d = p.generator_count
     table = None
-    if (d >= 3 and p.involutory_generators() == frozenset(range(d))
-            and any(_bounds_pair(r) for r in p.relators)):
-        table = _orbit_table(p, limits, strategy, stats)
+    if d >= 3 and p.involutory_generators() == frozenset(range(d)):
+        bound_h, sigma = _rotation_bound(p), _character(p)
+        if bound_h and sigma is not None:
+            table = _orbit_table(p, bound_h, sigma, limits, strategy, stats)
     if table is None:
         stats["enumerations"] += 1
         table = enumerate_cosets(p, (), limits, strategy)

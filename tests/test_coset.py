@@ -17,6 +17,7 @@ from polycert import (
     LimitExceededError,
     PermutationGroup,
     Presentation,
+    RealizedGroup,
     TableNotClosedError,
     commutator,
     coxeter_string_presentation,
@@ -456,3 +457,33 @@ def test_random_presentations_agree_across_enumerators(case):
         n = th.live_count
         assert PermutationGroup(th.to_permutations()).order() == n
         assert sympy_order(p) == n
+
+
+@st.composite
+def involutory_presentations(draw):
+    """Rank 3-4 with every generator a declared involution, most pairs of
+    generators with a power of their product, and a few other short powers.
+    Many of these groups are infinite; among the finite ones, some take the
+    orbit route, some fall back from it and some take the plain path."""
+    n = draw(st.integers(3, 4))
+    relators = [power(generator(g), 2) for g in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.integers(0, 3)):
+                relators.append(power(pair(i, j), draw(st.integers(1, 6))))
+    for _ in range(draw(st.integers(0, 2))):
+        w = word(draw(st.lists(st.tuples(st.integers(0, n - 1), st.just(1)),
+                               min_size=1, max_size=4)))
+        relators.append(power(w, draw(st.integers(1, 4))))
+    return Presentation(n, [r for r in relators if len(r)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(involutory_presentations())
+def test_random_realized_tables_equal_plain_enumeration(p):
+    try:
+        plain = enumerate_cosets(p, (), EnumerationLimits(max_cosets=2000))
+    except LimitExceededError:
+        assume(False)
+    rg = RealizedGroup(p, EnumerationLimits(max_cosets=1 << 16))
+    assert np.array_equal(rg.table.matrix, plain.matrix)

@@ -5,13 +5,14 @@ walk of the subgroup's element set, a Python stack search that shares no code
 with the numpy partition under test.
 """
 
+import importlib
 import itertools
 
 import numpy as np
 import pytest
 
 from polycert.coset import EnumerationLimits, enumerate_cosets
-from polycert.errors import InvalidGeneratorError, LimitExceededError
+from polycert.errors import InvalidGeneratorError, LimitExceededError, TableNotClosedError
 from polycert.families import (
     coxeter_string_presentation,
     family_a,
@@ -20,7 +21,7 @@ from polycert.families import (
     tight_quotient_presentation,
 )
 from polycert.perms import PermutationGroup, orbit_labels
-from polycert.realize import RealizedGroup, realize
+from polycert.realize import RealizedGroup, _character, _rotation_bound, realize
 from polycert.words import (
     Presentation,
     Word,
@@ -50,10 +51,11 @@ ORACLE_PRESENTATIONS = [
                      commutator(generator(0), generator(1)))),
 ]
 
-# Enumerations behind each oracle table: 4 on the orbit route, 5 where it
-# falls back (the two groups where <r0, r1> swallows or meets the rest), 1
-# where it does not apply (rank 2).
-ORACLE_ENUMERATIONS = [4, 4, 4, 1, 5, 5, 1]
+# Enumerations behind each oracle table: 2 on the orbit route, 3 where it
+# falls back (the hidden centre, where <r0, r1> meets <r1, r2> in more than
+# <r1>), 1 where it does not apply (rank 2). Where r0 = r1, <r0, r1> n <r1, r2>
+# = <r1> meets the kernel of the character in the identity, so the route holds.
+ORACLE_ENUMERATIONS = [2, 2, 2, 1, 2, 3, 1]
 
 # Order 8, with r2 = (r0 r1)^2 central: <r0, r1> n <r1, r2> n <r0, r2> has
 # order 2, so the group fails the intersection property.
@@ -194,29 +196,60 @@ def test_bad_generator_subsets(tight44):
         rg.quotient((7,))
 
 
-@pytest.mark.parametrize("p", [
-    tight_quotient_presentation((4, 4, 4)),
-    tight_quotient_presentation((8, 8, 8)),
-    family_g(3, 12, (2, 9)),
-    family_g(4, 12, (3, 3, 3)),
-    family_g(5, 12, (2, 2, 2, 3)),
-], ids=["tight444", "tight888", "G3", "G4", "G5"])
-def test_orbit_route_gives_the_enumerated_table(p):
+@pytest.mark.parametrize("p, sigma", [
+    (tight_quotient_presentation((4, 4, 4)), 0b10),
+    (tight_quotient_presentation((8, 8, 8)), 0b10),
+    (family_g(3, 12, (2, 9)), 0b10),
+    (family_g(4, 12, (3, 3, 3)), 0b10),
+    (family_g(5, 12, (2, 2, 2, 3)), 0b10),
+    # (r0 r1)^3 and (r1 r2)^3 have odd letter counts, so e_1 is no
+    # character; the sign character, -1 on every generator, is
+    (coxeter_string_presentation((3, 3)), 0b111),
+], ids=["tight444", "tight888", "G3", "G4", "G5", "coxeter33"])
+def test_orbit_route_gives_the_enumerated_table(p, sigma):
+    assert _character(p) == sigma
     rg = RealizedGroup(p)
     plain = enumerate_cosets(p)
-    assert rg.stats["enumerations"] == 4
+    assert rg.stats["enumerations"] == 2
     assert np.array_equal(rg.table.matrix, plain.matrix)
     assert rg.table.stats.live_count == rg.order == plain.live_count
     assert 0 < rg.table.stats.cosets_created < plain.stats.cosets_created
+
+
+def test_a_wrong_character_is_caught_by_validate(monkeypatch):
+    # sigma = e_1 is no character of Coxeter {3,3}: the orbit still has
+    # B = 24 points and closes, but (r0 r1)^3 moves it, so validate() raises
+    realize_module = importlib.import_module("polycert.realize")  # the package exports realize()
+    monkeypatch.setattr(realize_module, "_character", lambda p: 0b10)
+    with pytest.raises(TableNotClosedError, match="does not close"):
+        RealizedGroup(coxeter_string_presentation((3, 3)))
 
 
 def test_failing_intersection_property_falls_back():
     # |O| = 4 < B = 8: the route must not accept the orbit as the group
     rg = RealizedGroup(HIDDEN_CENTRE)
     plain = enumerate_cosets(HIDDEN_CENTRE)
-    assert rg.stats["enumerations"] == 5
+    assert rg.stats["enumerations"] == 3
     assert rg.order == plain.live_count == 8
     assert np.array_equal(rg.table.matrix, plain.matrix)
+
+
+@pytest.mark.parametrize("text, sigma, bound, order", [
+    # the dihedral group of order 8 on r0 and r2, with r1 = (r0 r2)^2 its
+    # centre: that relator's parity vector is e_1, so every character fixes r1
+    ("rel r0 r2 r0 r2 r0 r2 r0 r2\nrel r1 r0 r2 r0 r2\nrel r0 r1 r0 r1\n", None, 4, 8),
+    # (r0 r1)^2 r0 reduces to a reflection, which bounds no rotation: r0 = 1
+    # and <r1, r2> is S3, but the route has no bound on <r0, r1>
+    ("rel r0 r1 r0 r1 r0\nrel r1 r2 r1 r2 r1 r2\nrel r0 r2 r0 r2\n", 0b110, 0, 6),
+], ids=["no-character", "reflections"])
+def test_no_character_or_no_rotation_takes_the_plain_path(text, sigma, bound, order):
+    p = presentation_from_text("gens 3\nrel r0 r0\nrel r1 r1\nrel r2 r2\n" + text)
+    assert _character(p) == sigma
+    assert _rotation_bound(p) == bound
+    rg = RealizedGroup(p)
+    assert rg.stats["enumerations"] == 1
+    assert rg.order == order
+    assert np.array_equal(rg.table.matrix, enumerate_cosets(p).matrix)
 
 
 def test_no_bounding_relator_takes_the_plain_path():

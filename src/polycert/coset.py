@@ -24,7 +24,8 @@ Conventions:
 While it runs, the engine keeps the table column-major (Holt, Eick and
 O'Brien, *Handbook of Computational Group Theory*, 5.1-5.2): one int32
 ``array`` per column indexed by coset id, and one more for the union-find
-parents, so a coset slot costs 4 bytes per column plus 4. The arrays double
+parents, so a coset slot costs 4 bytes per column plus 4 (and HLT's marks,
+below: one byte for up to eight marked relators). The arrays double
 in capacity when full, so they hold at most twice as many slots as cosets
 were ever defined. Dead cosets produced by coincidences are compacted away
 whenever they outnumber live ones 3 to 1: compaction renumbers the columns
@@ -34,9 +35,23 @@ columns, numbered by ``_standardize``. That one routine also numbers the
 regular tables that ``regular_table`` builds from an action found another
 way, so every route to a table gives the same bytes.
 
+HLT (with its lookahead, as in Holt, Eick and O'Brien, ch. 5) skips the
+scans that it knows would change nothing. Once a fill scan has closed a
+relator w at a coset, HLT walks that cycle once and marks every coset on it
+from which w reads as itself: the offsets that are multiples of the length
+of w's root, and the offsets from which the cycle, read backwards, spells w
+(``_closed_offsets``). A scan of w from a marked coset would trace a closed
+cycle and return with nothing changed, so HLT and its lookahead skip it, and
+a run defines, merges and counts exactly what it would without the marks. A
+power relator u^k is thus scanned from about one coset in k, or one in 2k
+when it also reads as itself backwards, as (r0 r1)^k does. The lookahead
+starts at the HLT pointer, since every live coset below it has had each
+relator closed.
+
 Every returned table is re-verified post hoc (every relator traces to a
 closed cycle from every live coset, and every subgroup generator fixes
-coset 0).
+coset 0). ``validate`` checks a relator u^k through the map of its root u,
+raised to the k-th power by repeated squaring.
 """
 
 from __future__ import annotations
@@ -191,7 +206,11 @@ class CosetTable:
 
         Confirms every entry is defined and back-linked, every relator traces
         to a closed cycle from every live coset, and every subgroup generator
-        word fixes coset 0.
+        word fixes coset 0. A relator u^k, with u its root, is traced as the
+        k-th power of u's map of the cosets, by repeated squaring: |u| + about
+        2 log k gathers instead of k|u|, with the same result at every coset,
+        so a failure names the same first open coset as a letter-by-letter
+        trace.
         """
         t = self.matrix
         n = len(t)
@@ -209,9 +228,20 @@ class CosetTable:
                     f"entry ({i}, col {c}) = {t[i, c]} undefined or out of range")
             raise TableNotClosedError(f"entry ({i}, col {c}) lacks a consistent back link")
         for r in self.presentation.relators:
+            seq = self.columns.seq(r)
             cur = ids
-            for c in self.columns.seq(r):
-                cur = t[cur, c]
+            if seq:
+                root = _root_length(seq)
+                step = ids
+                for c in seq[:root]:
+                    step = t[step, c]
+                k = len(seq) // root
+                while k:
+                    if k & 1:
+                        cur = step[cur]
+                    k >>= 1
+                    if k:
+                        step = step[step]
             open_at = np.flatnonzero(cur != ids)
             if open_at.size:
                 raise TableNotClosedError(
@@ -222,6 +252,31 @@ class CosetTable:
                     f"subgroup generator {word_to_text(w)!r} moves coset 0")
 
 
+def _root_length(seq: Sequence[int]) -> int:
+    """Length of the shortest u with ``seq`` = u^k: the first return of ``seq`` in ``seq + seq``."""
+    text = "".join(map(chr, seq))
+    return (text + text).find(text, 1)
+
+
+def _closed_offsets(seq: Sequence[int], inv: Sequence[int]) -> tuple[int, ...]:
+    """The offsets m of a closed cycle of ``seq`` from which ``seq`` reads as itself.
+
+    Reading the cycle forwards from offset m gives ``seq`` rotated by m, so
+    every multiple of the root length qualifies. Reading it backwards gives
+    a rotation of the inverse word; ``seq`` is its rotation by q exactly at
+    the matches q of ``seq`` in the doubled inverse word, which then recur
+    every root length, and the backward reading from m = -q is ``seq``.
+    """
+    n = len(seq)
+    root = _root_length(seq)
+    back = "".join(chr(inv[c]) for c in reversed(seq))
+    offsets = set(range(0, n, root))
+    first = (back + back).find("".join(map(chr, seq)))
+    if first >= 0:
+        offsets.update((n - q) % n for q in range(first, n, root))
+    return tuple(sorted(offsets))
+
+
 class _Engine:
     """Shared state and primitive moves for both enumeration strategies.
 
@@ -230,6 +285,15 @@ class _Engine:
     them are int32 arrays of one common capacity, of which ids below ``n``
     are in use; the arrays are only ever resized or rewritten in place, so
     the per-relator tuples of columns built in ``__init__`` stay valid.
+
+    An HLT engine also keeps ``marks``, one unsigned word per coset slot
+    with one bit per marked relator (one byte for up to eight). A set bit
+    at a live coset means that its relator closes there. That stays true
+    as entries are defined or deduced, since both only fill undefined
+    slots; through a coincidence, since the quotient keeps every defined entry,
+    mapped to the surviving cosets; and through compaction, which moves the
+    marks with their rows and clears the freed slots. A Felsch engine
+    scans each cycle once per deduction and keeps no marks.
     """
 
     def __init__(self, presentation: Presentation, subgroup_generators: Sequence[Word],
@@ -247,23 +311,39 @@ class _Engine:
         # defined, so HLT defines c instead of scanning it, and the
         # lookahead and deduction scans, which could only find it closed or
         # open by two letters, skip it.
-        self.hlt_steps: list[tuple[int, _Relator]] = []
-        self.rels: list[_Relator] = []
+        #
+        # Every other relator is a step (-1, rel, bit, walk). A relator that
+        # reads as itself from more than one offset of its cycles gets its
+        # own bit of ``marks`` (the first 64 such relators do), and ``walk``
+        # holds its forward columns cut at those offsets; any other relator
+        # has bit 0 and is always scanned.
+        self.steps: list[tuple[int, _Relator, int, tuple[tuple[array, ...], ...]]] = []
+        symmetric = 0
         for r in presentation.relators:
             if len(r) == 0:
                 continue
             rel = self._relator(self.cols.seq(r))
             seq = rel[0]
             if len(seq) == 2 and seq[0] == seq[1] == inv[seq[0]]:
-                self.hlt_steps.append((seq[0], rel))
-            else:
-                self.hlt_steps.append((-1, rel))
-                self.rels.append(rel)
+                self.steps.append((seq[0], rel, 0, ()))
+                continue
+            offsets = _closed_offsets(seq, inv)
+            bit = 0
+            if len(offsets) > 1 and symmetric < 64:
+                bit = 1 << symmetric
+                symmetric += 1
+            fwd = rel[1]
+            walk = tuple(fwd[a:b] for a, b in zip(offsets, offsets[1:]))
+            self.steps.append((-1, rel, bit, walk))
         self.subs = [self._relator(self.cols.seq(w)) for w in subgroup_generators if len(w) > 0]
         self.created = 1
         self.dead = 0
         self.dedstack: list[tuple[int, int]] = []
         self.felsch = strategy == "felsch"
+        self.marks: array | None = None
+        if not self.felsch:
+            code = next(code for code in "BHIQ" if 8 * array(code).itemsize >= symmetric)
+            self.marks = array(code, [0])
         self.stats = EnumerationStats(strategy=strategy)
 
     def _relator(self, seq: tuple[int, ...]) -> _Relator:
@@ -291,6 +371,8 @@ class _Engine:
         for col in self.t:
             col.extend(undefined)
         self.p.frombytes(np.arange(cap, 2 * cap, dtype=np.intc).tobytes())
+        if self.marks is not None:
+            self.marks.frombytes(bytes(cap * self.marks.itemsize))
 
     def _limit_error(self, message: str, **counts) -> LimitExceededError:
         """``message``, with how far the run got: cosets created and live, table bytes."""
@@ -456,6 +538,10 @@ class _Engine:
             v = np.frombuffer(col, dtype=np.intc)
             v[:live_count] = new_id[v[:n][live]]
             v[live_count:n] = -1
+        if self.marks is not None:
+            m = np.frombuffer(self.marks, dtype=self.marks.typecode)
+            m[:live_count] = m[:n][live]
+            m[live_count:n] = 0
         p[:n] = ids
         self.n = live_count
         self.dead = 0
@@ -467,15 +553,24 @@ class _Engine:
             return self._compact(boundary)
         return boundary
 
-    def _lookahead(self) -> None:
-        """Scan all relators at all live cosets without defining anything."""
+    def _lookahead(self, start: int) -> None:
+        """Scan all relators at the live cosets from ``start`` on, defining nothing.
+
+        HLT passes its pointer: each live coset below it has had every
+        relator closed by a fill scan, and a closed cycle stays closed, so a
+        scan there could change nothing. It also skips the relators marked
+        closed at a coset. Felsch keeps no such record and passes 0.
+        """
         self.stats.lookaheads += 1
         p = self.p
+        marks = self.marks
+        steps = self.steps
         scan = self._scan
-        for alpha in range(self.n):
+        for alpha in range(start, self.n):
             if p[alpha] == alpha:
-                for rel in self.rels:
-                    if scan(alpha, rel, False) and p[alpha] != alpha:
+                m = marks[alpha] if marks is not None else 0
+                for c, rel, bit, _ in steps:
+                    if c < 0 and not m & bit and scan(alpha, rel, False) and p[alpha] != alpha:
                         break
 
     # -- strategies -----------------------------------------------------------
@@ -485,27 +580,40 @@ class _Engine:
             self._scan(0, rel, fill=True)
         p = self.p
         t = self.t
-        steps = self.hlt_steps
+        marks = self.marks
+        steps = self.steps
         scan = self._scan
         define = self._define
         alpha = 0
         lookahead_at = FIRST_LOOKAHEAD
         while alpha < self.n:
             if p[alpha] == alpha:
-                for c, rel in steps:
+                m = marks[alpha]
+                for c, rel, bit, walk in steps:
                     if c >= 0:
                         if t[c][alpha] < 0:
                             define(alpha, c)
                         continue
+                    if m & bit:
+                        continue
                     if scan(alpha, rel, True) and p[alpha] != alpha:
                         break
+                    if bit:
+                        # the relator now closes at alpha, also after a
+                        # coincidence that alpha survived: walk its cycle
+                        # once and mark where it reads as itself
+                        f = alpha
+                        for cols in walk:
+                            for col in cols:
+                                f = col[f]
+                            marks[f] |= bit
                 else:
                     for c, col in enumerate(t):
                         if col[alpha] < 0:
                             define(alpha, c)
             alpha += 1
             if self.created >= lookahead_at:
-                self._lookahead()
+                self._lookahead(alpha)
                 alpha = self._compact(alpha)
                 lookahead_at = max(lookahead_at * 2, self.created + FIRST_LOOKAHEAD)
             else:
@@ -515,7 +623,9 @@ class _Engine:
         """Cyclic conjugates of all relators and inverses, grouped by lead column."""
         inv = self.cols.inv
         groups: list[set[tuple[int, ...]]] = [set() for _ in range(self.cols.ncols)]
-        for seq, _, _ in self.rels:
+        for lead, (seq, _, _), _, _ in self.steps:
+            if lead >= 0:
+                continue
             variants = {seq, tuple(inv[c] for c in reversed(seq))}
             for base in variants:
                 for k in range(len(base)):
@@ -550,7 +660,7 @@ class _Engine:
             if len(stack) > MAX_DEDUCTION_STACK:
                 # too much pending work: fall back to one full lookahead pass
                 stack.clear()
-                self._lookahead()
+                self._lookahead(0)
                 continue
             alpha, c = stack.pop()
             stats.deductions += 1

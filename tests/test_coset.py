@@ -5,6 +5,7 @@ words, entirely independent of the table-based engine it checks.
 """
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -256,6 +257,93 @@ def test_enumeration_counters_are_pinned():
             assert got == counts, (p, strategy)
 
 
+def test_hlt_skips_the_cycles_it_has_closed(monkeypatch):
+    counts = Counter()  # _Engine._scan calls by the length of the word scanned
+    scan = coset_mod._Engine._scan
+
+    def counting(self, alpha, rel, fill):
+        counts[len(rel[0])] += 1
+        return scan(self, alpha, rel, fill)
+
+    monkeypatch.setattr(coset_mod._Engine, "_scan", counting)
+    # (r0 r1)^512 over <r1, r2>: one scan closes the one cycle through all
+    # 512 cosets and marks every coset on it, since (r0 r1)^512 reads as
+    # itself from each of them, forwards or backwards (it was scanned from
+    # all 512 before the marks)
+    t = enumerate_cosets(family_g(3, 12, (9, 2)), (generator(1), generator(2)))
+    assert t.live_count == 512
+    assert counts[1024] == 1
+    # an infinite group at the coset limit, with one lookahead on the way:
+    # the marks and the lookahead's start at the HLT pointer skip more than
+    # half the scans, and how far the run got reads exactly as without them
+    counts.clear()
+    lookaheads = []
+    lookahead = coset_mod._Engine._lookahead
+    monkeypatch.setattr(coset_mod._Engine, "_lookahead",
+                        lambda self, start: lookaheads.append(start) or lookahead(self, start))
+    with pytest.raises(LimitExceededError) as info:
+        enumerate_cosets(coxeter_string_presentation((4, 4, 4)),
+                         (generator(0), generator(1)), EnumerationLimits(max_cosets=40_000))
+    err = info.value
+    assert len(lookaheads) == 1 and lookaheads[0] > 0
+    assert sum(counts.values()) < 261_536 // 2  # 261,536 before the marks
+    assert str(err) == ("coset limit 40000 exceeded (40000 cosets created, 40000 live, "
+                        "1048576 table bytes; the table is not closed)")
+    assert (err.cosets_created, err.live_cosets, err.table_bytes) == (40_000, 40_000, 1_048_576)
+
+
+def test_marks_stay_true_through_coincidences_and_compaction(monkeypatch):
+    # compaction after every coincidence: every mark left on a live coset
+    # still names a relator that closes there, and no freed slot keeps one
+    monkeypatch.setattr(coset_mod, "COMPACTION_DEAD_LIVE_RATIO", 0)
+    for p in (tight_quotient_presentation((8, 8, 8)), family_a(3, 2, (2, 2))):
+        engine = coset_mod._Engine(p, (), EnumerationLimits(), "hlt")
+        engine.run_hlt()
+        stats = engine.finalize().stats
+        assert stats.cosets_created > stats.live_count and stats.compactions > 1
+        n = engine.n
+        marks = np.frombuffer(engine.marks, dtype=engine.marks.typecode)
+        assert not marks[n:].any()
+        marked = 0
+        for _, (_, fwd, _), bit, _ in engine.steps:
+            for alpha in np.flatnonzero(marks[:n] & bit).tolist():
+                f = alpha
+                for col in fwd:
+                    f = col[f]
+                assert f == alpha, (p, bit, alpha)
+                marked += 1
+        assert marked > n
+
+
+def test_a_wrong_mark_can_only_raise(monkeypatch):
+    # r1 r0 r1 reads as itself only from offset 0 of its cycles; a helper
+    # that claims every offset makes HLT skip scans that would not close,
+    # and the post-hoc check refuses the table it leaves
+    p = Presentation(2, (power(generator(0), 2), power(generator(1), 2),
+                         word([(1, 1), (0, 1), (1, 1)])))
+    assert enumerate_cosets(p).live_count == 2
+    assert coset_mod._closed_offsets((1, 0, 1), (0, 1)) == (0,)
+    monkeypatch.setattr(coset_mod, "_closed_offsets",
+                        lambda seq, inv: tuple(range(len(seq))))
+    with pytest.raises(TableNotClosedError, match="'r1 r0 r1' does not close"):
+        enumerate_cosets(p)
+
+
+def test_closed_offsets():
+    # involution columns 0, 1 and a column pair 2, 3 for r2 and r2^-1
+    inv = (0, 1, 3, 2)
+    # (r0 r1)^3 reads as itself forwards from even offsets, backwards from odd
+    assert coset_mod._closed_offsets((0, 1) * 3, inv) == tuple(range(6))
+    # r2^3 reads as itself forwards only
+    assert coset_mod._closed_offsets((2, 2, 2), inv) == (0, 1, 2)
+    # [r0, r2] = r0 r2 r0 r2^-1 reads backwards as itself from offset 1
+    assert coset_mod._closed_offsets((0, 2, 0, 3), inv) == (0, 1)
+    # (r0 r1 r0 r2)^2 has root length 4 and no backward symmetry
+    assert coset_mod._closed_offsets((0, 1, 0, 2) * 2, inv) == (0, 4)
+    assert coset_mod._root_length((0, 1) * 512) == 2
+    assert coset_mod._root_length((0, 1, 2)) == 3
+
+
 def test_limits_validation():
     with pytest.raises(ValueError):
         EnumerationLimits(max_cosets=0)
@@ -333,6 +421,22 @@ def test_validate_catches_corruption():
         corrupt(t)
         with pytest.raises(TableNotClosedError, match=message):
             t.validate()
+
+    # (r0 r1)^4 is checked as the 4th power of the map of r0 r1; on a
+    # square (where r0 r1 is a 4-cycle) beside a triangle (a 3-cycle),
+    # relabelled so that the triangle is not at the start, the first open
+    # coset must be the one a letter-by-letter trace finds
+    square_and_triangle = [[1, 0], [0, 2], [3, 1], [2, 3], [5, 4], [4, 6], [6, 5]]
+    relabel = np.array([0, 3, 1, 5, 2, 6, 4])
+    matrix = np.empty((7, 2), dtype=np.intc)
+    matrix[relabel] = relabel[square_and_triangle]
+    t = enumerate_cosets(dihedral(4))
+    t.matrix = matrix
+    relator = power(pair(0, 1), 4)
+    first_open = next(x for x in range(7) if t.trace(x, relator) != x)
+    assert first_open == 2
+    with pytest.raises(TableNotClosedError, match=f"does not close at coset {first_open}$"):
+        t.validate()
 
 
 def test_lookahead_is_exercised(monkeypatch):

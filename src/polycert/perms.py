@@ -1,8 +1,7 @@
 """Finite permutations and permutation groups with verified stabilizer chains.
 
 Composition convention: ``a * b`` applies ``a`` first, then ``b``, so
-``(a * b).apply(x) == b.apply(a.apply(x))``. Words evaluated over
-permutations (see :mod:`polycert.words`) therefore act left to right.
+``(a * b).apply(x) == b.apply(a.apply(x))``.
 
 ``PermutationGroup`` keeps a base and strong generating set built by a
 deterministic Schreier-Sims pass (Holt, Eick and O'Brien, *Handbook of
@@ -56,7 +55,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from math import lcm
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -101,9 +99,6 @@ class Permutation:
             raise CapacityError(f"degree {n} out of supported range")
         return cls._raw(np.arange(n, dtype=np.int32))
 
-    def identity_like(self) -> "Permutation":
-        return Permutation.identity(self.degree)
-
     @property
     def degree(self) -> int:
         return int(self.images.shape[0])
@@ -123,60 +118,9 @@ class Permutation:
         inv[self.images] = np.arange(self.degree, dtype=np.int32)
         return Permutation._raw(inv)
 
-    def __invert__(self) -> "Permutation":
-        return self.inverse()
-
-    def __pow__(self, e: int) -> "Permutation":
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = Permutation.identity(self.degree)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     @property
     def is_identity(self) -> bool:
         return bool(np.array_equal(self.images, np.arange(self.degree, dtype=np.int32)))
-
-    def order(self) -> int:
-        imgs = self.images
-        n = self.degree
-        seen = np.zeros(n, dtype=bool)
-        result = 1
-        for start in range(n):
-            if seen[start]:
-                continue
-            length = 0
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = int(imgs[j])
-                length += 1
-            result = lcm(result, length)
-        return result
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Nontrivial cycles, each starting at its smallest point, sorted."""
-        imgs = self.images
-        n = self.degree
-        seen = [False] * n
-        out = []
-        for start in range(n):
-            if seen[start] or int(imgs[start]) == start:
-                seen[start] = True
-                continue
-            cyc = []
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                cyc.append(j)
-                j = int(imgs[j])
-            out.append(tuple(cyc))
-        return out
 
     def key(self) -> bytes:
         return self.images.tobytes()
@@ -190,14 +134,10 @@ class Permutation:
         return hash(self.images.tobytes())
 
     def __repr__(self) -> str:
-        cycs = self.cycles()
-        if not cycs:
-            return f"Permutation(identity, degree={self.degree})"
-        shown = " ".join(
-            "(" + " ".join(map(str, c)) + ")" for c in cycs[:6])
-        if len(cycs) > 6:
-            shown += " ..."
-        return f"Permutation({shown}, degree={self.degree})"
+        shown = ", ".join(map(str, self.images[:8].tolist()))
+        if self.degree > 8:
+            shown += ", ..."
+        return f"Permutation([{shown}], degree={self.degree})"
 
 
 def _bfs(images: Sequence[np.ndarray], pred: np.ndarray, label: np.ndarray,

@@ -36,6 +36,16 @@ def _require_certificate(realized: RealizedGroup, certificate: SggiCertificate) 
             "refusing to build polytope structure from a failed certificate")
 
 
+def _require_exhaustive(realized: RealizedGroup, certificate: SggiCertificate,
+                        max_order: int, check: str) -> None:
+    """The guard of a check that walks every flag: a certificate, and an
+    order no larger than ``max_order``."""
+    _require_certificate(realized, certificate)
+    if realized.order > max_order:
+        raise LimitExceededError(
+            f"{check} is exhaustive; order {realized.order} exceeds the guard {max_order}")
+
+
 def _faces(realized: RealizedGroup) -> list[Quotient]:
     """The faces of ranks -1 to d as partitions of the flags: the i-faces are
     the cosets of <r_j : j != i>, and the least and greatest faces are both
@@ -153,11 +163,7 @@ def check_section_connectivity(realized: RealizedGroup, certificate: SggiCertifi
     order / |<r_k : k not in {i, j}>| of them. Exhaustive over flags, so
     guarded by ``max_order``.
     """
-    _require_certificate(realized, certificate)
-    if realized.order > max_order:
-        raise LimitExceededError(
-            f"section connectivity is exhaustive; order {realized.order} "
-            f"exceeds the guard {max_order}")
+    _require_exhaustive(realized, certificate, max_order, "section connectivity")
     d = realized.rank
     # A single i-face needs no check: its flags are one orbit of
     # <r_k : k != i> by the definition of the face.
@@ -181,11 +187,7 @@ def check_diamond(realized: RealizedGroup, certificate: SggiCertificate,
 
     Failures are reported as (i, lower face, upper face, count), at most ten.
     """
-    _require_certificate(realized, certificate)
-    if realized.order > max_order:
-        raise LimitExceededError(
-            f"diamond check is exhaustive; order {realized.order} "
-            f"exceeds the guard {max_order}")
+    _require_exhaustive(realized, certificate, max_order, "diamond check")
     faces = _faces(realized)
     failures: list[tuple[int, int, int, int]] = []
     for i in range(realized.rank):

@@ -24,11 +24,13 @@ enumeration proves an index (Holt, Eick and O'Brien, *Handbook of
 Computational Group Theory*, ch. 5), so |G| = N |H| <= B = 2mN. The orbit O
 of the point (H, G_0, K) in the product of the three coset actions is the
 H-orbit of that point carried along the transversal: N disjoint blocks, one
-per coset of H, found with one numpy gather per level of the transversal
-tree. |O| = [G : H n G_0 n K] <= |G|, so |O| = B proves that G acts
-regularly on O. The points are numbered with one sort, the image columns
-read with ``searchsorted``, and the table standardized and validated like
-an enumerated one; standardization is canonical, so it is the enumerated
+per coset of H. The first block is the H-orbit of (G_0, K) in the product of
+the two small actions, labelled by ``perms.orbit_labels``; the others follow
+with one numpy gather per level of the transversal tree.
+|O| = [G : H n G_0 n K] <= |G|, so |O| = B proves that G acts regularly on
+O. The points are numbered with one sort, the image columns read with
+``searchsorted``, and the table standardized and validated like an
+enumerated one; standardization is canonical, so it is the enumerated
 table byte for byte. The proof needs sigma only through ``validate()``:
 the validated table is an action of G, transitive on B >= |G| points, so it
 is regular. A sigma that is no character can only raise, and a bound above
@@ -121,21 +123,6 @@ def _character(p: Presentation) -> int | None:
     return 1 << c | sum((row >> c & 1) << q for q, row in rows.items())
 
 
-def _pair_orbit(t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
-    """The <r0, r1>-orbit of the point (0, 0) in the product of two coset
-    actions, as a (points, 2) array of coset pairs."""
-    moves = [(t0[:, g].tolist(), t1[:, g].tolist()) for g in (0, 1)]
-    points = [(0, 0)]
-    seen = {(0, 0)}
-    for a, b in points:  # the list grows while it is walked: a breadth-first search
-        for ma, mb in moves:
-            q = (ma[a], mb[b])
-            if q not in seen:
-                seen.add(q)
-                points.append(q)
-    return np.array(points, dtype=np.intc)
-
-
 def _orbit_table(p: Presentation, bound_h: int, sigma: int, limits: EnumerationLimits,
                  strategy: str, stats: Counter) -> CosetTable | None:
     """The regular table as the orbit of one point, or None when |O| < B.
@@ -156,8 +143,12 @@ def _orbit_table(p: Presentation, bound_h: int, sigma: int, limits: EnumerationL
     bound = len(th) * bound_h
     t0 = enumerate_([generator(i) for i in range(1, d)])
     t1 = np.array([[x ^ (sigma >> g & 1) for g in range(d)] for x in (0, 1)], dtype=np.intc)
-    block = _pair_orbit(t0, t1)
     n, n0, n1 = len(th), len(t0), len(t1)
+    # Block 0 is the <r0, r1>-orbit of the point (0, 0) in the product of
+    # the actions on G_0 and K, point (a, b) numbered a n1 + b. The order of
+    # the points in a block is irrelevant: they are numbered by one sort.
+    labels = orbit_labels([(t0[:, g, None] * n1 + t1[:, g]).ravel() for g in (0, 1)], n0 * n1)
+    block = np.flatnonzero(labels == 0)
     if n * len(block) != bound:
         return None
     if bound > limits.max_cosets:
@@ -166,8 +157,6 @@ def _orbit_table(p: Presentation, bound_h: int, sigma: int, limits: EnumerationL
             f"coset limit {limits.max_cosets} exceeded (the regular table has {bound} "
             f"cosets; {created} cosets created in {len(parts)} enumerations)",
             cosets_created=created)
-    if n * n0 * n1 > np.iinfo(np.int64).max:
-        return None  # the point keys below would overflow
     # Coset beta of H is first entered, in row-major order of the
     # standardized table, from a smaller coset parent[beta - 1] by generator
     # gen[beta - 1]; parents never decrease, so each level of that tree is
@@ -175,7 +164,7 @@ def _orbit_table(p: Presentation, bound_h: int, sigma: int, limits: EnumerationL
     parent, gen = np.divmod(np.unique(th, return_index=True)[1][1:], d)
     a = np.empty((n, len(block)), dtype=np.intc)
     b = np.empty_like(a)
-    a[0], b[0] = block.T
+    a[0], b[0] = np.divmod(block, n1)
     lo = 1
     while lo < n:
         hi = 1 + int(np.searchsorted(parent, lo))

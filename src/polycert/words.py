@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import InvalidGeneratorError, InvalidWordError
 
@@ -131,31 +131,6 @@ def commutator(a: Word, b: Word) -> Word:
 def conjugate(w: Word, by: Word) -> Word:
     """``by^-1 w by``, freely reduced."""
     return Word(by.inverse().letters + w.letters + by.letters)
-
-
-def evaluate(w: Word, images: Sequence):
-    """Fold ``w`` over ``images`` left to right (the first letter acts first).
-
-    ``images[i]`` stands for generator ``i`` and must support ``*`` (apply
-    left factor first) and ``.inverse()``; ``polycert.perms.Permutation``
-    does. The empty word evaluates to ``images[0].identity_like()`` when
-    available, so at least one image is required.
-    """
-    result = None
-    for gen, sign in w.letters:
-        try:
-            img = images[gen]
-        except IndexError:
-            raise InvalidGeneratorError(
-                f"word uses generator {gen} but only {len(images)} images given")
-        if sign < 0:
-            img = img.inverse()
-        result = img if result is None else result * img
-    if result is None:
-        if not images:
-            raise InvalidGeneratorError("cannot evaluate the empty word with no images")
-        result = images[0].identity_like()
-    return result
 
 
 _TOKEN_RE = re.compile(r"^r(\d+)(\^-1)?$")

@@ -16,6 +16,7 @@ from polycert import (
     EnumerationLimits,
     InvalidGeneratorError,
     LimitExceededError,
+    Permutation,
     PermutationGroup,
     Presentation,
     RealizedGroup,
@@ -58,7 +59,7 @@ def closure_order(perms, cap=1 << 13):
     engine claims (for groups small enough to hold in memory).
     """
     gens = list(perms)
-    identity = gens[0].identity_like()
+    identity = Permutation.identity(gens[0].degree)
     seen = {identity.key(): identity}
     frontier = [identity]
     while frontier:
@@ -107,7 +108,7 @@ def test_table_shape_and_permutations():
     a, b = perms
     assert (a * a).is_identity
     assert (b * b).is_identity
-    assert (a * b).order() == 4
+    assert PermutationGroup([a * b]).order() == 4
 
 
 def test_subgroup_enumeration():

@@ -200,12 +200,15 @@ def test_bad_generator_subsets(tight44):
     (tight_quotient_presentation((4, 4, 4)), 0b10),
     (tight_quotient_presentation((8, 8, 8)), 0b10),
     (family_g(3, 12, (2, 9)), 0b10),
+    # 2m = 1024 and 512 cosets of G_0: the largest <r0, r1>-orbit block on
+    # the sweep grid, where G3 above has 8 points
+    (family_g(3, 12, (9, 2)), 0b10),
     (family_g(4, 12, (3, 3, 3)), 0b10),
     (family_g(5, 12, (2, 2, 2, 3)), 0b10),
     # (r0 r1)^3 and (r1 r2)^3 have odd letter counts, so e_1 is no
     # character; the sign character, -1 on every generator, is
     (coxeter_string_presentation((3, 3)), 0b111),
-], ids=["tight444", "tight888", "G3", "G4", "G5", "coxeter33"])
+], ids=["tight444", "tight888", "G3", "G3-wide-block", "G4", "G5", "coxeter33"])
 def test_orbit_route_gives_the_enumerated_table(p, sigma):
     assert _character(p) == sigma
     rg = RealizedGroup(p)

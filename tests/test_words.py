@@ -6,12 +6,10 @@ from hypothesis import given, strategies as st
 from polycert import (
     InvalidGeneratorError,
     InvalidWordError,
-    Permutation,
     Presentation,
     Word,
     commutator,
     conjugate,
-    evaluate,
     generator,
     pair,
     power,
@@ -109,19 +107,6 @@ def test_inverse_cancels(w):
 @given(words)
 def test_text_round_trip(w):
     assert word_from_text(word_to_text(w)) == w
-
-
-def test_evaluate_with_permutations():
-    a = Permutation([1, 0, 2])
-    b = Permutation([0, 2, 1])
-    w = pair(0, 1)
-    assert evaluate(w, [a, b]) == a * b
-    assert evaluate(Word(), [a, b]).is_identity
-    assert evaluate(Word([(0, -1)]), [a, b]) == a.inverse()
-    with pytest.raises(InvalidGeneratorError):
-        evaluate(generator(5), [a, b])
-    with pytest.raises(InvalidGeneratorError):
-        evaluate(Word(), [])
 
 
 def test_presentation_validation():

@@ -195,6 +195,7 @@ def _cmd_verify(args) -> int:
     limits = _limits(args)
     mode = "full" if args.full_ip else "recursive"
     spec = SggiSpec(presentation, declared)
+    _check_writable(args.out)
     cert = certify(spec, mode=mode, limits=limits, strategy=args.strategy)
     f_vector = None
     if cert.passed:
@@ -310,6 +311,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_paper_tables(args) -> int:
     limits = _limits(args)
+    _check_writable(args.out)
     lines = []
     all_ok = True
     lines.append("section parameter tuples (rank, total): count, all orders verified")

@@ -64,4 +64,5 @@ class HomomorphismError(PolycertError):
 
 
 class FormatError(PolycertError):
-    """An unsupported serialization or export format name."""
+    """An unsupported serialization or export format name, or certificate or
+    atlas text that is malformed or whose digest does not match."""

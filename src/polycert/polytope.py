@@ -49,7 +49,9 @@ def _require_exhaustive(realized: RealizedGroup, certificate: SggiCertificate,
 def _faces(realized: RealizedGroup) -> list[Quotient]:
     """The faces of ranks -1 to d as partitions of the flags: the i-faces are
     the cosets of <r_j : j != i>, and the least and greatest faces are both
-    the single coset of the whole group."""
+    the single coset of the whole group. The realization partitions each
+    subset once, so every check that calls this, and ``certify`` before
+    them, reads the same d + 1 partitions."""
     d = realized.rank
     whole = realized.quotient(range(d))
     return [whole, *(realized.quotient(j for j in range(d) if j != i)

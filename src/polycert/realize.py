@@ -46,16 +46,16 @@ table, as it bounds the rows that plain enumeration defines.
 
 For a generator subset S, the orbits of right multiplication by S are the
 left cosets w<S>, and the orbit of the identity is <S> itself. The library's
-one orbit routine, ``perms.orbit_labels``, computes that partition. The
-element set of <S> is kept as a boolean mask over the element ids, the one
-cache per subset. The order of a parabolic subgroup is the size of its mask,
-and the order of an intersection of two parabolics is the size of the
-conjunction of their masks, exact for any presentation. ``quotient`` turns the same partition
-into a coset map for the face lattice, built afresh on each call.
+one orbit routine, ``perms.orbit_labels``, labels each element with the
+smallest element of its coset. The group keeps those labels, read-only, from
+the first time S is read: the one cache per subset. <S> is label 0, so a
+parabolic order counts label 0 and an intersection order counts the elements
+labelled 0 for both subsets, exact for any presentation. ``quotient``
+numbers the cosets from the same labels for the face lattice.
 
 ``stats`` counts the table-building passes: ``enumerations`` (2 on the
 orbit route, 3 when it falls back, 1 when it does not apply), plus
-``quotient_actions`` for every partition built.
+``quotient_actions``, the subsets partitioned.
 """
 
 from __future__ import annotations
@@ -231,7 +231,7 @@ class RealizedGroup:
                                     self.stats)
         self.order = self.table.live_count
         self.right = [perm.images for perm in self.table.to_permutations()]
-        self._masks: dict[frozenset[int], np.ndarray] = {}
+        self._partitions: dict[frozenset[int], np.ndarray] = {}
         self._element_orders: dict[Word, int] = {}
 
     @property
@@ -267,35 +267,34 @@ class RealizedGroup:
 
     # -- parabolic subgroups -----------------------------------------------------
 
-    def _orbit_labels(self, fs: frozenset[int]) -> np.ndarray:
-        """The smallest element of each left coset w<fs>: the orbits of right
-        multiplication by the generators in ``fs``."""
-        self.stats["quotient_actions"] += 1
-        return orbit_labels([self.right[g] for g in sorted(fs)], self.order)
-
-    def _mask(self, fs: frozenset[int]) -> np.ndarray:
-        """The elements of <fs>: the orbit of the identity, whose label is 0."""
-        mask = self._masks.get(fs)
-        if mask is None:
-            mask = self._orbit_labels(fs) == 0
-            mask.setflags(write=False)
-            self._masks[fs] = mask
-        return mask
+    def _labels(self, subset: Iterable[int]) -> np.ndarray:
+        """The smallest element of each left coset w<subset>, read-only: the
+        orbits of right multiplication by the generators in ``subset``, whose
+        label 0 marks <subset> itself. Computed once per subset."""
+        fs = self._check_subset(subset)
+        labels = self._partitions.get(fs)
+        if labels is None:
+            self.stats["quotient_actions"] += 1
+            labels = orbit_labels([self.right[g] for g in sorted(fs)], self.order)
+            labels.setflags(write=False)
+            self._partitions[fs] = labels
+        return labels
 
     def quotient(self, subset: Iterable[int]) -> Quotient:
-        return Quotient(self._orbit_labels(self._check_subset(subset)))
+        """The left cosets w<subset>, numbered from the kept labels."""
+        return Quotient(self._labels(subset))
 
     def parabolic_order(self, subset: Iterable[int]) -> int:
         """Order of the subgroup spanned by a subset of the generators."""
-        return int(np.count_nonzero(self._mask(self._check_subset(subset))))
+        return int(np.count_nonzero(self._labels(subset) == 0))
 
     def intersection_order(self, left: Iterable[int], right: Iterable[int]) -> int:
         """Order of the intersection of two parabolic subgroups."""
-        both = self._mask(self._check_subset(left)) & self._mask(self._check_subset(right))
+        both = (self._labels(left) == 0) & (self._labels(right) == 0)
         return int(np.count_nonzero(both))
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=2)
 def _realize_cached(presentation: Presentation, limits: EnumerationLimits,
                     strategy: str) -> RealizedGroup:
     return RealizedGroup(presentation, limits, strategy)
@@ -307,7 +306,10 @@ def realize(presentation: Presentation,
     """Shared-realization cache; same presentation, same object.
 
     Arguments are normalized first, so the default limits spelled as None
-    and spelled out explicitly share one cache entry.
+    and spelled out explicitly share one cache entry. The memo keeps the two
+    latest realizations: the calls that share one (``certify`` in both
+    intersection modes, then the polytope checks) follow each other, and an
+    older entry would only hold its table and partitions in memory.
     """
     if limits is None:
         limits = EnumerationLimits()

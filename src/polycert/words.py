@@ -2,8 +2,8 @@
 
 A word is an immutable sequence of letters ``(generator_index, sign)`` with
 ``sign`` one of ``+1``/``-1``. Words are freely reduced on construction
-(adjacent ``x x^-1`` pairs cancel); reduction modulo involution relations is a
-separate, opt-in operation because presentations are kept faithful to how
+(adjacent ``x x^-1`` pairs cancel) and no further: ``r0 r0`` stays as written
+even when r0 is an involution, so presentations are kept faithful to how
 their relators were written.
 
 Text form

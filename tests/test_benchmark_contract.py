@@ -13,15 +13,19 @@ import pytest
 
 from polycert.families import family_g, tight_quotient_presentation
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load("workloads")
 
 
 def test_atlas_op_reports_no_problems(workloads):
@@ -42,3 +46,22 @@ def test_audit_battery_reports_no_problems(workloads):
 def test_limit_op_reports_no_problems(workloads):
     # exit 5 with one ``polycert: limit-exceeded:`` line, at the 100k coset limit
     assert workloads.limit_op("hlt") == []
+
+
+def test_traced_ops_report_no_problems(workloads):
+    # ``--trace 1`` wraps library methods by name and reads ``stats`` keys
+    tr = load("spans").Tracer()
+    workloads.install_spans(tr)
+    try:
+        params = (3, 10, (4, 4))
+        entry = ("G", params, family_g(*params))
+        _, problems = workloads.atlas_op(entry, tr, workloads.probe("atlas", entry, {}))
+        assert problems == []
+        k = (4, 4, 4)
+        entry = ("tight", k, tight_quotient_presentation(k))
+        outcome = workloads.audit_outcome(entry, tr, workloads.probe("audit", entry, {}))
+        assert workloads.check_audit(outcome) == []
+    finally:
+        tr.unwrap_all()
+    assert {"realize.parabolic", "realize.intersection", "verify.ip_recursive",
+            "verify.ip_full"} <= set(tr.self_times())

@@ -206,10 +206,14 @@ def test_file_errors_are_param_invalid(capsys, tmp_path, argv, message):
 
 
 @pytest.mark.parametrize("argv", [
+    ("verify", "--family", "tight", "--k", "4,4"),
     ("sweep", "--d-min", "3", "--d-max", "3", "--n-min", "10", "--n-max", "10"),
+    ("paper-tables",),
     ("hasse", "--family", "tight", "--k", "4,4"),
-], ids=["sweep", "hasse"])
+], ids=["verify", "sweep", "paper-tables", "hasse"])
 def test_unwritable_out_fails_before_the_work(capsys, monkeypatch, tmp_path, argv):
+    # every command that writes a file checks --out before it certifies or
+    # realizes anything
     def no_work(*args, **kwargs):
         raise AssertionError("the work started before --out was checked")
 
@@ -220,6 +224,7 @@ def test_unwritable_out_fails_before_the_work(capsys, monkeypatch, tmp_path, arg
     assert err.splitlines() == [
         f"polycert: param-invalid: cannot write output: [Errno 2] No such file or "
         f"directory: '{tmp_path / 'missing' / 'a.txt'}'"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_out_check_leaves_no_file_behind(capsys, tmp_path):

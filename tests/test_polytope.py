@@ -25,7 +25,8 @@ from polycert.polytope import (
     export_hasse,
     flag_graph,
 )
-from polycert.realize import realize
+from polycert.perms import orbit_labels
+from polycert.realize import Quotient, RealizedGroup, _realize_cached, realize
 from polycert.verify import certify
 from polycert.words import Presentation, generator, pair, power
 
@@ -150,6 +151,36 @@ def test_section_pair_count_catches_hidden_centre(monkeypatch):
     # the same centre leaves one 1-face under each incident (1-face, 2-face)
     # pair, where a diamond needs two
     assert check_diamond(rg, cert) == (False, ((2, 0, 0, 1), (2, 1, 0, 1)))
+
+
+def test_each_subset_is_partitioned_once(monkeypatch):
+    # certify in both modes and the three polytope calls read one partition
+    # per generator subset, computed the first time it is read
+    p = tight_quotient_presentation((4, 4, 4))
+    read = set()
+    check_subset = RealizedGroup._check_subset
+
+    def recording(self, subset):
+        fs = check_subset(self, subset)
+        read.add(fs)
+        return fs
+
+    monkeypatch.setattr(RealizedGroup, "_check_subset", recording)
+    _realize_cached.cache_clear()
+    rec, full = certify(p), certify(p, mode="full")
+    assert rec.passed and full.passed
+    rg = realize(p)
+    counts = []
+    for _ in range(2):
+        build_lattice(rg, rec)
+        check_diamond(rg, rec)
+        check_section_connectivity(rg, rec)
+        counts.append(rg.stats["quotient_actions"])
+    assert counts == [len(read)] * 2
+    for s in read:
+        fresh = Quotient(orbit_labels([rg.right[g] for g in sorted(s)], rg.order))
+        assert np.array_equal(rg.quotient(s).phi, fresh.phi)
+    assert rg.stats["quotient_actions"] == len(read)
 
 
 def test_flag_connectivity_detects_two_components():

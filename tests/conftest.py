@@ -3,6 +3,11 @@ import pytest
 from polycert import SggiSpec, certify, realize, tight_quotient_presentation
 
 
+def pytest_addoption(parser):
+    parser.addoption("--write-golden", action="store_true",
+                     help="rewrite tests/golden.json from this run's outputs, then check it")
+
+
 @pytest.fixture(scope="session")
 def tight44():
     """The order-32 tight group of type {4,4}, realized once for the session."""

@@ -7,15 +7,19 @@ registry that the cross-cutting criteria (order agreement, certificate
 bounds, commutator identities, polytope structure) sweep in full.
 """
 
+import hashlib
 import itertools
+import json
 import time
 from collections import namedtuple
 from dataclasses import dataclass
 from math import prod
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from polycert import certificates as certs
 from polycert.cli import main as cli_main
 from polycert.coset import enumerate_cosets
 from polycert.families import (
@@ -562,3 +566,74 @@ def test_criterion_9_polytope_structure(registry):
            f"section connectivity, flag count; "
            f"square-type f-vector (4, 8, 4)")
     assert ok, "; ".join(problems[:5])
+
+
+GOLDEN = Path(__file__).with_name("golden.json")
+GOLDEN_RUNS = {
+    "verify tight 4,4": ("verify", "--family", "tight", "--k", "4,4"),
+    "verify tight 8,8,8": ("verify", "--family", "tight", "--k", "8,8,8"),
+    "verify G 4,10,2,2,3 full-ip": ("verify", "--family", "G", "--d", "4", "--n", "10",
+                                    "--k", "2,2,3", "--full-ip"),
+    "hasse tight 4,4,4 edges": ("hasse", "--family", "tight", "--k", "4,4,4",
+                                "--format", "edges"),
+    "hasse tight 4,4,4 dot": ("hasse", "--family", "tight", "--k", "4,4,4", "--format", "dot"),
+    "hasse G 3,10,4,4 edges": ("hasse", "--family", "G", "--d", "3", "--n", "10",
+                               "--k", "4,4", "--format", "edges"),
+    "hasse G 3,10,4,4 dot": ("hasse", "--family", "G", "--d", "3", "--n", "10",
+                             "--k", "4,4", "--format", "dot"),
+}
+
+
+def digest(data: str | bytes) -> str:
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+def default_grid_atlas(rows) -> str:
+    """The atlas ``polycert sweep`` writes for the default grid, from the
+    sweep fixture's recursive certificates, with every ``seconds`` cell
+    written as ``-``."""
+    atlas_rows = []
+    for row in rows:
+        cert = row.recursive
+        f_vector = (tuple(cert.order // o for _, o in cert.parabolic_orders)
+                    if cert.passed else None)
+        doc = certs.build_certificate_document(
+            cert, family="G", params=f"d={row.d};n={row.n};k={','.join(map(str, row.ks))}",
+            f_vector=f_vector)
+        atlas_rows.append(certs.row_from_document(doc))
+    atlas_rows.sort(key=lambda r: (r.family, r.rank, r.params))
+    return certs.format_atlas(atlas_rows)
+
+
+def test_outputs_match_golden_digests(registry, sweep_results, tables_run, tmp_path,
+                                      capsys, request):
+    """Every deterministic output, hashed: each registry group's standardized
+    table, the default-grid atlas, ``paper-tables``, and the ``verify`` and
+    ``hasse`` runs of ``GOLDEN_RUNS``. A change to any of them names the
+    keys that moved. Rewrite the file, after an intended change, with
+    ``python -m pytest tests/test_acceptance.py -k golden --write-golden``.
+    """
+    found = {f"table {entry.key}": digest(entry.realized.table.matrix.tobytes())
+             for entry in registry}
+    assert len(found) == len(registry) == 322
+    found["atlas default grid"] = digest(default_grid_atlas(sweep_results[0]))
+    found["paper-tables"] = digest(tables_run[1])
+    capsys.readouterr()
+    for name, argv in GOLDEN_RUNS.items():
+        out = tmp_path / "out"
+        if argv[0] == "verify":
+            argv = (*argv, "--out", str(out))
+        code = cli_main(list(argv))
+        found[f"{name} exit"] = str(code)
+        found[f"{name} stdout"] = digest(capsys.readouterr().out)
+        if out.exists():
+            found[f"{name} --out"] = digest(out.read_bytes())
+            out.unlink()
+    if request.config.getoption("--write-golden"):
+        GOLDEN.write_text(json.dumps(found, indent=1, sort_keys=True) + "\n")
+    golden = json.loads(GOLDEN.read_text())
+    changed = sorted(k for k in golden.keys() & found.keys() if golden[k] != found[k])
+    missing = sorted(golden.keys() - found.keys())
+    extra = sorted(found.keys() - golden.keys())
+    assert not (changed or missing or extra), (
+        f"changed {changed}; missing {missing}; new {extra}")

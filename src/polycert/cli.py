@@ -37,7 +37,6 @@ from .coset import DEFAULT_MAX_COSETS, EnumerationLimits
 from .errors import (
     CapacityError,
     FormatError,
-    HomomorphismError,
     InvalidGeneratorError,
     InvalidWordError,
     LimitExceededError,
@@ -456,7 +455,7 @@ def main(argv=None) -> int:
     except (LimitExceededError, CapacityError) as exc:
         print(f"polycert: limit-exceeded: {exc}", file=sys.stderr)
         return EXIT_LIMIT_EXCEEDED
-    except (TableNotClosedError, HomomorphismError, UncertifiedInputError) as exc:
+    except (TableNotClosedError, UncertifiedInputError) as exc:
         print(f"polycert: check-failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 

@@ -143,9 +143,6 @@ class _ColumnMap:
         self.bwd = bwd
         self.inv = inv
 
-    def col(self, gen: int, sign: int) -> int:
-        return self.fwd[gen] if sign > 0 else self.bwd[gen]
-
     def seq(self, w: Word) -> tuple[int, ...]:
         fwd = self.fwd
         bwd = self.bwd
@@ -177,21 +174,16 @@ class CosetTable:
     def live_count(self) -> int:
         return self.matrix.shape[0]
 
-    def lookup(self, coset: int, gen: int, sign: int = 1) -> int:
-        """Image of ``coset`` under one generator letter."""
-        target = int(self.matrix[coset, self.columns.col(gen, sign)])
-        if target < 0:
-            raise TableNotClosedError(
-                f"entry for coset {coset}, generator r{gen}"
-                f"{'' if sign > 0 else '^-1'} is undefined")
-        return target
-
     def trace(self, coset: int, w: Word) -> int:
-        """Image of ``coset`` under a whole word (letters applied in order)."""
-        cur = coset
-        for g, s in w:
-            cur = self.lookup(cur, g, s)
-        return cur
+        """Image of ``coset`` under a whole word (letters applied in order).
+
+        Reads the matrix unchecked: on a validated table every entry is a
+        coset, and ``validate`` itself traces only after its range check.
+        """
+        t = self.matrix
+        for c in self.columns.seq(w):
+            coset = t[coset, c]
+        return int(coset)
 
     def to_permutations(self):
         """One permutation of the live cosets per generator.

@@ -52,17 +52,6 @@ class UncertifiedInputError(PolycertError):
     """A construction that requires a passing certificate got none."""
 
 
-class HomomorphismError(PolycertError):
-    """A generator mapping does not extend to a homomorphism.
-
-    Carries the first offending relator so callers can report it.
-    """
-
-    def __init__(self, message: str, relator=None):
-        super().__init__(message)
-        self.relator = relator
-
-
 class FormatError(PolycertError):
     """An unsupported serialization or export format name, or certificate or
     atlas text that is malformed or whose digest does not match."""

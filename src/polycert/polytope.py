@@ -5,11 +5,15 @@ greatest faces (ranks -1 and d) are the one coset of the whole group; flags
 are the group elements themselves, two flags sharing their rank-i face
 exactly when the rank-i quotient map sends them to the same coset. Moving to the
 i-adjacent flag is right multiplication by r_i, which is a fixed-point-free
-involution on flags whenever the generators are genuine involutions.
+involution on flags whenever the generators are genuine involutions. The
+flag graph is therefore the realization's own arrays: ``flag_graph`` returns
+``RealizedGroup.right``, row i the i-adjacency.
 
 Everything here refuses uncertified input: a face lattice only means what it
-claims when the group is a verified string C-group, so ``build_lattice`` and
-``flag_graph`` demand a passing certificate for the same presentation.
+claims when the group is a verified string C-group, so ``build_lattice``,
+``flag_graph`` and the exhaustive checks demand a passing certificate for
+the same presentation. The exhaustive checks also refuse groups above one
+order guard, ``DEFAULT_EXHAUSTIVE_MAX_ORDER`` unless the caller names another.
 """
 
 from __future__ import annotations
@@ -23,8 +27,7 @@ from .perms import orbit_labels
 from .realize import Quotient, RealizedGroup
 from .verify import SggiCertificate
 
-DEFAULT_DIAMOND_MAX_ORDER = 1 << 10
-DEFAULT_SECTION_MAX_ORDER = 1 << 8
+DEFAULT_EXHAUSTIVE_MAX_ORDER = 1 << 10
 
 
 def _require_certificate(realized: RealizedGroup, certificate: SggiCertificate) -> None:
@@ -120,40 +123,32 @@ def build_lattice(realized: RealizedGroup, certificate: SggiCertificate) -> Face
     )
 
 
-@dataclass(frozen=True)
-class FlagGraph:
-    """Flags (group elements) with one adjacency involution per rank."""
-
-    n_flags: int
-    moves: tuple[np.ndarray, ...]
-
-    def adjacent(self, flag: int, i: int) -> int:
-        return int(self.moves[i][flag])
-
-
-def flag_graph(realized: RealizedGroup, certificate: SggiCertificate) -> FlagGraph:
+def flag_graph(realized: RealizedGroup, certificate: SggiCertificate) -> np.ndarray:
+    """The flag adjacencies of a certified group: row i maps each flag to its
+    i-adjacent flag, and is ``realized.right[i]``."""
     _require_certificate(realized, certificate)
-    return FlagGraph(n_flags=realized.order, moves=tuple(realized.right))
+    return realized.right
 
 
-def check_flag_matchings(graph: FlagGraph) -> tuple[bool, tuple[int, ...]]:
-    """Each adjacency must be a fixed-point-free involution (a perfect
-    matching on flags); returns (ok, ranks that fail)."""
-    idx = np.arange(graph.n_flags, dtype=np.int32)
+def check_flag_matchings(moves: np.ndarray) -> tuple[bool, tuple[int, ...]]:
+    """Each adjacency in ``moves`` (one row per rank, as ``flag_graph``
+    returns them) must be a fixed-point-free involution (a perfect matching
+    on flags); returns (ok, ranks that fail)."""
+    idx = np.arange(len(moves[0]), dtype=np.int32)
     bad = []
-    for i, arr in enumerate(graph.moves):
+    for i, arr in enumerate(moves):
         if np.any(arr == idx) or not np.array_equal(arr[arr], idx):
             bad.append(i)
     return (not bad, tuple(bad))
 
 
-def check_flag_connectivity(graph: FlagGraph) -> bool:
-    """Is every flag reachable from flag 0 by adjacency moves?"""
-    return not orbit_labels(graph.moves, graph.n_flags).any()
+def check_flag_connectivity(moves: np.ndarray) -> bool:
+    """Is every flag reachable from flag 0 by the adjacencies in ``moves``?"""
+    return not orbit_labels(moves, len(moves[0])).any()
 
 
 def check_section_connectivity(realized: RealizedGroup, certificate: SggiCertificate,
-                               max_order: int = DEFAULT_SECTION_MAX_ORDER) -> bool:
+                               max_order: int = DEFAULT_EXHAUSTIVE_MAX_ORDER) -> bool:
     """For every incident pair of an i-face and a j-face (i < j), the flags
     containing both must be connected by moves that fix both (adjacency at
     every rank but i and j).
@@ -182,7 +177,7 @@ def check_section_connectivity(realized: RealizedGroup, certificate: SggiCertifi
 
 
 def check_diamond(realized: RealizedGroup, certificate: SggiCertificate,
-                  max_order: int = DEFAULT_DIAMOND_MAX_ORDER
+                  max_order: int = DEFAULT_EXHAUSTIVE_MAX_ORDER
                   ) -> tuple[bool, tuple[tuple[int, int, int, int], ...]]:
     """Every incident (rank i-1, rank i+1) face pair must sandwich exactly
     two rank-i faces. Exhaustive over flags, so guarded by ``max_order``.

@@ -2,9 +2,11 @@
 
 A ``RealizedGroup`` holds the regular coset table of its group, so group
 elements are coset ids (0 is the identity) and each generator is a
-right-multiplication array over the elements: the read-only image array of
-its permutation from ``CosetTable.to_permutations``. Everything else is
-derived from that single table without further enumerations.
+right-multiplication array over the elements: row g of ``right``, one
+read-only, contiguous copy of the table's generator columns. ``validate()``
+has proved each column a permutation through its back links, so no second
+check or ``Permutation`` object is built. Everything else is derived from
+that single table without further enumerations.
 
 The table is built as the orbit of one point when the presentation allows
 it: the rank d is at least 3, every generator is a declared involution,
@@ -230,9 +232,10 @@ class RealizedGroup:
         self.table = _regular_table(presentation, limits or EnumerationLimits(), strategy,
                                     self.stats)
         self.order = self.table.live_count
-        self.right = [perm.images for perm in self.table.to_permutations()]
+        right = np.ascontiguousarray(self.table.matrix[:, self.table.columns.fwd].T)
+        right.setflags(write=False)
+        self.right = right
         self._partitions: dict[frozenset[int], np.ndarray] = {}
-        self._element_orders: dict[Word, int] = {}
 
     @property
     def rank(self) -> int:
@@ -254,15 +257,11 @@ class RealizedGroup:
 
     def element_order(self, w: Word) -> int:
         """Multiplicative order of the element a word represents."""
-        cached = self._element_orders.get(w)
-        if cached is not None:
-            return cached
         cur = self.table.trace(0, w)
         n = 1
         while cur != 0:
             cur = self.table.trace(cur, w)
             n += 1
-        self._element_orders[w] = n
         return n
 
     # -- parabolic subgroups -----------------------------------------------------

@@ -18,12 +18,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import prod
-from typing import Sequence
 
 from .coset import EnumerationLimits
-from .errors import HomomorphismError, ParameterError
+from .errors import ParameterError
 from .realize import RealizedGroup, realize
-from .words import Presentation, Word, commutator, generator, pair, word_to_text
+from .words import Presentation, commutator, generator, pair
 
 
 @dataclass(frozen=True)
@@ -241,34 +240,4 @@ def certify(spec: SggiSpec | Presentation,
         minimal=minimal,
         warnings=tuple(warnings),
     )
-
-
-def check_homomorphism(source: Presentation,
-                       target: Presentation,
-                       images: Sequence[Word],
-                       limits: EnumerationLimits | None = None) -> None:
-    """Confirm r_i -> images[i] extends to a homomorphism source -> target.
-
-    Every source relator, rewritten through the images, must evaluate to the
-    identity of the target; the first that does not raises
-    ``HomomorphismError`` carrying the offending relator.
-    """
-    if len(images) != source.generator_count:
-        raise ParameterError(
-            f"need {source.generator_count} images, got {len(images)}")
-    for im in images:
-        if not isinstance(im, Word):
-            raise ParameterError(f"image {im!r} is not a Word")
-        if im.max_generator() >= target.generator_count:
-            raise ParameterError(
-                f"image {word_to_text(im)!r} uses generators beyond the target's rank")
-    rt = realize(target, limits)
-    for rel in source.relators:
-        substituted = Word()
-        for g, s in rel:
-            substituted = substituted * (images[g] if s > 0 else images[g].inverse())
-        if rt.element_of(substituted) != 0:
-            raise HomomorphismError(
-                f"relator {word_to_text(rel)!r} does not vanish under the "
-                f"generator mapping", relator=rel)
 

@@ -101,11 +101,6 @@ class Word:
         return f"Word({word_to_text(self)!r})"
 
 
-def word(letters: Iterable[Letter]) -> Word:
-    """Convenience constructor (identical to ``Word(letters)``)."""
-    return Word(letters)
-
-
 def generator(i: int) -> Word:
     """The one-letter word ``r<i>``."""
     return Word([(i, 1)])
@@ -126,11 +121,6 @@ def power(w: Word, e: int) -> Word:
 def commutator(a: Word, b: Word) -> Word:
     """``a^-1 b^-1 a b``, freely reduced."""
     return Word(a.inverse().letters + b.inverse().letters + a.letters + b.letters)
-
-
-def conjugate(w: Word, by: Word) -> Word:
-    """``by^-1 w by``, freely reduced."""
-    return Word(by.inverse().letters + w.letters + by.letters)
 
 
 _TOKEN_RE = re.compile(r"^r(\d+)(\^-1)?$")

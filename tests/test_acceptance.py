@@ -21,9 +21,11 @@ import pytest
 
 from polycert import certificates as certs
 from polycert.cli import main as cli_main
-from polycert.coset import enumerate_cosets
+from polycert.coset import EnumerationLimits, enumerate_cosets
+from polycert.errors import ParameterError
 from polycert.families import (
     a_parameter_tuples,
+    coxeter_string_presentation,
     family_a,
     family_g,
     family_h,
@@ -42,8 +44,8 @@ from polycert.polytope import (
     flag_graph,
 )
 from polycert.realize import RealizedGroup, realize
-from polycert.verify import SggiSpec, certify, check_homomorphism
-from polycert.words import Word, commutator, conjugate, generator, pair, power
+from polycert.verify import SggiSpec, certify
+from polycert.words import Presentation, Word, commutator, generator, pair, power, word_to_text
 
 SWEEP_RANKS = (3, 4, 5)
 SWEEP_TOTALS = (10, 11, 12)
@@ -318,6 +320,46 @@ def cyclic_ids(rg: RealizedGroup, w: Word) -> set[int]:
     return ids
 
 
+def conjugate(w: Word, by: Word) -> Word:
+    """``by^-1 w by``, freely reduced."""
+    return by.inverse() * w * by
+
+
+class NotAHomomorphism(AssertionError):
+    """A generator mapping that does not extend to a homomorphism; carries
+    the first source relator that does not vanish."""
+
+    def __init__(self, relator: Word):
+        super().__init__(f"relator {word_to_text(relator)!r} does not vanish "
+                         f"under the generator mapping")
+        self.relator = relator
+
+
+def check_homomorphism(source: Presentation, target: Presentation, images,
+                       limits: EnumerationLimits | None = None) -> None:
+    """Confirm that r_i -> images[i] extends to a homomorphism source -> target.
+
+    Every source relator, rewritten through the images, must evaluate to the
+    identity of the target; the first that does not raises
+    ``NotAHomomorphism``.
+    """
+    if len(images) != source.generator_count:
+        raise ParameterError(f"need {source.generator_count} images, got {len(images)}")
+    for im in images:
+        if not isinstance(im, Word):
+            raise ParameterError(f"image {im!r} is not a Word")
+        if im.max_generator() >= target.generator_count:
+            raise ParameterError(
+                f"image {word_to_text(im)!r} uses generators beyond the target's rank")
+    rt = realize(target, limits)
+    for rel in source.relators:
+        substituted = Word()
+        for g, s in rel:
+            substituted = substituted * (images[g] if s > 0 else images[g].inverse())
+        if rt.element_of(substituted) != 0:
+            raise NotAHomomorphism(rel)
+
+
 def test_criterion_5_subgroup_and_quotient_identities(proof_cases):
     problems = []
     for case in proof_cases:
@@ -377,6 +419,58 @@ def test_criterion_5_subgroup_and_quotient_identities(proof_cases):
            f"{len(proof_cases)} cases: five orders each, normality, "
            f"trivial meet, two generator mappings")
     assert ok, "; ".join(problems[:5])
+
+
+def test_homomorphism_onto_facet_quotient():
+    g = family_g(4, 10, (2, 2, 2))
+    k = family_k(4, (2, 2, 2))
+    identity = [generator(i) for i in range(4)]
+    check_homomorphism(g, k, identity)
+    with pytest.raises(NotAHomomorphism) as exc:
+        check_homomorphism(k, g, identity)
+    assert exc.value.relator in k.relators
+
+
+def test_homomorphism_image_validation():
+    g = family_h(10, 2, 2)
+    with pytest.raises(ParameterError):
+        check_homomorphism(g, g, [generator(0), generator(1)])
+    with pytest.raises(ParameterError):
+        check_homomorphism(g, g, [generator(0), generator(1), "r2"])
+    with pytest.raises(ParameterError):
+        check_homomorphism(g, g, [generator(0), generator(1), generator(7)])
+
+
+def test_vertex_collapse_mapping():
+    m = family_m(4, 10, (2, 2, 2))
+    a = family_a(3, 1, (2, 2))
+    # r0 -> identity, r_i -> r_(i-1): the vertex-collapsed group maps onto
+    # the rank-3 vertex-figure scheme
+    images = [Word(), generator(0), generator(1), generator(2)]
+    check_homomorphism(m, a, images)
+
+
+def test_quotient_criterion_facet_side():
+    """The quotient criterion (McMullen and Schulte, 2E) runs from the image
+    to the cover: a group mapping onto a string C-group, one-to-one on the
+    facet subgroup, is itself one. certify agrees on G(4,10,(2,2,2)) over
+    K(4,(2,2,2)). The converse fails: Coxeter {4,2} maps onto the
+    hidden-centre group (dihedral of order 8 with r2 identified with the
+    central (r0 r1)^2), one-to-one on the facet subgroup, and that image is
+    not a string C-group."""
+    hidden_centre = Presentation(3, (
+        power(generator(0), 2), power(generator(1), 2), power(generator(2), 2),
+        power(pair(0, 1), 4), generator(2) * power(pair(0, 1), 2),
+        power(pair(0, 2), 2), power(pair(1, 2), 2)))
+    pairs = [(family_g(4, 10, (2, 2, 2)), family_k(4, (2, 2, 2)), True),
+             (coxeter_string_presentation((4, 2)), hidden_centre, False)]
+    for cover, image, image_passes in pairs:
+        d = cover.generator_count
+        check_homomorphism(cover, image, [generator(i) for i in range(d)])
+        facet = tuple(range(d - 1))
+        assert realize(cover).parabolic_order(facet) == realize(image).parabolic_order(facet)
+        assert certify(cover).passed
+        assert certify(image).passed == image_passes
 
 
 def closure_size(realized: RealizedGroup) -> int:
@@ -540,8 +634,8 @@ def test_criterion_9_polytope_structure(registry):
         built += 1
         rg = entry.realized
         graph = flag_graph(rg, cert)
-        if graph.n_flags != cert.order:
-            problems.append(f"{entry.key}: flag count {graph.n_flags}")
+        if graph.shape != (rg.rank, cert.order):
+            problems.append(f"{entry.key}: flag graph shape {graph.shape}")
         ok_match, bad = check_flag_matchings(graph)
         if not ok_match:
             problems.append(f"{entry.key}: adjacency not a matching at {bad}")

@@ -21,6 +21,7 @@ from polycert import (
     Presentation,
     RealizedGroup,
     TableNotClosedError,
+    Word,
     commutator,
     coxeter_string_presentation,
     enumerate_cosets,
@@ -31,7 +32,6 @@ from polycert import (
     pair,
     power,
     tight_quotient_presentation,
-    word,
 )
 
 
@@ -321,7 +321,7 @@ def test_a_wrong_mark_can_only_raise(monkeypatch):
     # that claims every offset makes HLT skip scans that would not close,
     # and the post-hoc check refuses the table it leaves
     p = Presentation(2, (power(generator(0), 2), power(generator(1), 2),
-                         word([(1, 1), (0, 1), (1, 1)])))
+                         Word([(1, 1), (0, 1), (1, 1)])))
     assert enumerate_cosets(p).live_count == 2
     assert coset_mod._closed_offsets((1, 0, 1), (0, 1)) == (0,)
     monkeypatch.setattr(coset_mod, "_closed_offsets",
@@ -368,16 +368,6 @@ def test_bad_inputs():
         enumerate_cosets(p, subgroup_generators=[generator(5)])
     with pytest.raises(InvalidGeneratorError):
         enumerate_cosets(p, subgroup_generators=["r0"])
-
-
-def test_unclosed_table_refuses_lookup():
-    p = dihedral(4)
-    t = enumerate_cosets(p)
-    corrupt = t.matrix.copy()
-    corrupt[1, 0] = -1
-    t.matrix = corrupt
-    with pytest.raises(TableNotClosedError):
-        t.trace(0, pair(0, 0))
 
 
 def test_validate_catches_corruption():
@@ -517,12 +507,12 @@ def small_presentations(draw):
         else:
             relators.append(power(generator(g), draw(st.integers(3, 6))))
     for _ in range(draw(st.integers(1, 4))):
-        w = word(draw(st.lists(letters, min_size=1, max_size=3)))
+        w = Word(draw(st.lists(letters, min_size=1, max_size=3)))
         relators.append(power(w, draw(st.integers(1, 4))))
     relators = [r for r in relators if len(r)]
     subgroup = []
     if draw(st.booleans()):
-        w = word(draw(st.lists(letters, min_size=1, max_size=3)))
+        w = Word(draw(st.lists(letters, min_size=1, max_size=3)))
         subgroup = [w] if len(w) else []
     return Presentation(n, relators), subgroup
 
@@ -577,7 +567,7 @@ def involutory_presentations(draw):
             if draw(st.integers(0, 3)):
                 relators.append(power(pair(i, j), draw(st.integers(1, 6))))
     for _ in range(draw(st.integers(0, 2))):
-        w = word(draw(st.lists(st.tuples(st.integers(0, n - 1), st.just(1)),
+        w = Word(draw(st.lists(st.tuples(st.integers(0, n - 1), st.just(1)),
                                min_size=1, max_size=4)))
         relators.append(power(w, draw(st.integers(1, 4))))
     return Presentation(n, [r for r in relators if len(r)])

@@ -16,7 +16,6 @@ from polycert import polytope
 from polycert.errors import FormatError, LimitExceededError, UncertifiedInputError
 from polycert.families import coxeter_string_presentation, tight_quotient_presentation
 from polycert.polytope import (
-    FlagGraph,
     build_lattice,
     check_diamond,
     check_flag_connectivity,
@@ -25,7 +24,7 @@ from polycert.polytope import (
     export_hasse,
     flag_graph,
 )
-from polycert.perms import orbit_labels
+from polycert.perms import Permutation, orbit_labels
 from polycert.realize import Quotient, RealizedGroup, _realize_cached, realize
 from polycert.verify import certify
 from polycert.words import Presentation, generator, pair, power
@@ -124,13 +123,32 @@ def test_node_addressing(tight44):
 def test_flag_graph_structure(tight44):
     _, rg, cert = tight44
     g = flag_graph(rg, cert)
-    assert g.n_flags == 32
+    assert g is rg.right
+    assert g.shape == (3, 32)
+    assert g.flags.c_contiguous and not g.flags.writeable
     ok, bad = check_flag_matchings(g)
     assert ok and bad == ()
     assert check_flag_connectivity(g)
     for i in range(3):
-        assert g.adjacent(0, i) == int(rg.right[i][0])
-        assert g.adjacent(g.adjacent(7, i), i) == 7
+        assert g[i][g[i][7]] == 7
+
+
+def test_certify_and_polytope_checks_build_no_permutation(monkeypatch):
+    # the realization reads its generator rows off the validated table, so
+    # certifying and every polytope check run without a Permutation object
+    def refuse(*args):
+        raise AssertionError("a Permutation was built")
+
+    monkeypatch.setattr(Permutation, "__init__", refuse)
+    monkeypatch.setattr(Permutation, "_raw", staticmethod(refuse))
+    _realize_cached.cache_clear()
+    p = tight_quotient_presentation((4, 4))
+    cert = certify(p)
+    rg = realize(p)
+    graph = flag_graph(rg, cert)
+    assert cert.passed and check_flag_matchings(graph)[0] and check_flag_connectivity(graph)
+    assert check_diamond(rg, cert)[0] and check_section_connectivity(rg, cert)
+    assert build_lattice(rg, cert).f_vector == (4, 8, 4)
 
 
 def test_section_connectivity_and_diamond(tight44):
@@ -185,10 +203,10 @@ def test_each_subset_is_partitioned_once(monkeypatch):
 
 def test_flag_connectivity_detects_two_components():
     # one rank, flags {0, 1} and {2, 3} swapped in pairs: two components
-    graph = FlagGraph(4, (np.array([1, 0, 3, 2], dtype=np.int32),))
+    graph = np.array([[1, 0, 3, 2]], dtype=np.int32)
     assert check_flag_matchings(graph) == (True, ())
     assert check_flag_connectivity(graph) is False
-    joined = FlagGraph(4, graph.moves + (np.array([3, 2, 1, 0], dtype=np.int32),))
+    joined = np.array([[1, 0, 3, 2], [3, 2, 1, 0]], dtype=np.int32)
     assert check_flag_connectivity(joined) is True
 
 

@@ -9,28 +9,20 @@ can reject it.
 
 import pytest
 
-from polycert.errors import HomomorphismError, ParameterError
-from polycert.families import (
-    coxeter_string_presentation,
-    family_a,
-    family_g,
-    family_h,
-    family_k,
-    family_m,
-)
+from polycert.errors import ParameterError
+from polycert.families import family_a, family_g, family_h
 from polycert.realize import RealizedGroup, _realize_cached, realize
 from polycert.verify import (
     IntersectionEvidence,
     SggiSpec,
     certify,
-    check_homomorphism,
     check_intersection_property_full,
     check_intersection_property_recursive,
     check_involutions,
     check_string_property,
     schlafli_type,
 )
-from polycert.words import Presentation, Word, generator, pair, power
+from polycert.words import Presentation, generator, pair, power
 
 
 def hidden_center_presentation():
@@ -187,53 +179,6 @@ def test_spec_validation():
         SggiSpec(good, declared_type=(4,))
     with pytest.raises(ValueError):
         certify(good, mode="sideways")
-
-
-def test_homomorphism_onto_facet_quotient():
-    g = family_g(4, 10, (2, 2, 2))
-    k = family_k(4, (2, 2, 2))
-    identity = [generator(i) for i in range(4)]
-    check_homomorphism(g, k, identity)
-    with pytest.raises(HomomorphismError) as exc:
-        check_homomorphism(k, g, identity)
-    assert exc.value.relator in k.relators
-
-
-def test_homomorphism_image_validation():
-    g = family_h(10, 2, 2)
-    with pytest.raises(ParameterError):
-        check_homomorphism(g, g, [generator(0), generator(1)])
-    with pytest.raises(ParameterError):
-        check_homomorphism(g, g, [generator(0), generator(1), "r2"])
-    with pytest.raises(ParameterError):
-        check_homomorphism(g, g, [generator(0), generator(1), generator(7)])
-
-
-def test_vertex_collapse_mapping():
-    m = family_m(4, 10, (2, 2, 2))
-    a = family_a(3, 1, (2, 2))
-    # r0 -> identity, r_i -> r_(i-1): the vertex-collapsed group maps onto
-    # the rank-3 vertex-figure scheme
-    images = [Word(), generator(0), generator(1), generator(2)]
-    check_homomorphism(m, a, images)
-
-
-def test_quotient_criterion_facet_side():
-    """The quotient criterion (McMullen and Schulte, 2E) runs from the image
-    to the cover: a group mapping onto a string C-group, one-to-one on the
-    facet subgroup, is itself one. certify agrees on G(4,10,(2,2,2)) over
-    K(4,(2,2,2)). The converse fails: Coxeter {4,2} maps onto the
-    hidden-centre group, one-to-one on the facet subgroup, and that image is
-    not a string C-group."""
-    pairs = [(family_g(4, 10, (2, 2, 2)), family_k(4, (2, 2, 2)), True),
-             (coxeter_string_presentation((4, 2)), hidden_center_presentation(), False)]
-    for cover, image, image_passes in pairs:
-        d = cover.generator_count
-        check_homomorphism(cover, image, [generator(i) for i in range(d)])
-        facet = tuple(range(d - 1))
-        assert realize(cover).parabolic_order(facet) == realize(image).parabolic_order(facet)
-        assert certify(cover).passed
-        assert certify(image).passed == image_passes
 
 
 def test_certification_enumeration_budget():

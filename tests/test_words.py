@@ -9,7 +9,6 @@ from polycert import (
     Presentation,
     Word,
     commutator,
-    conjugate,
     generator,
     pair,
     power,
@@ -66,8 +65,6 @@ def test_power_and_commutator_shapes():
         power(ab, -1)
     c = commutator(generator(0), generator(1))
     assert c.letters == ((0, -1), (1, -1), (0, 1), (1, 1))
-    conj = conjugate(generator(0), generator(1))
-    assert conj.letters == ((1, -1), (0, 1), (1, 1))
 
 
 def test_text_round_trip_examples():

@@ -271,6 +271,8 @@ def _cmd_sweep(args) -> int:
         raise ParameterError("--jobs must be at least 1")
     if args.d_min > args.d_max or args.n_min > args.n_max:
         raise ParameterError("empty sweep range")
+    if args.k_min < 2:
+        raise ParameterError("--k-min must be at least 2")
     tasks = []
     for d in range(args.d_min, args.d_max + 1):
         if d < 3:
@@ -368,12 +370,15 @@ def _cmd_export(args) -> int:
 def _cmd_hasse(args) -> int:
     presentation, declared, _ = build_presentation(args)
     limits = _limits(args)
+    if args.max_order < 1:
+        raise ParameterError("--max-order must be at least 1")
+    spec = SggiSpec(presentation, declared)
     _check_writable(args.out)
     rg = realize(presentation, limits, args.strategy)
     if rg.order > args.max_order:
         raise LimitExceededError(
             f"group order {rg.order} exceeds --max-order {args.max_order}")
-    cert = certify(SggiSpec(presentation, declared), limits=limits, strategy=args.strategy)
+    cert = certify(spec, limits=limits, strategy=args.strategy)
     if not cert.passed:
         print("polycert: check-failed: group is not a certified string C-group",
               file=sys.stderr)

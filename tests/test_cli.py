@@ -227,6 +227,26 @@ def test_unwritable_out_fails_before_the_work(capsys, monkeypatch, tmp_path, arg
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("hasse", "--family", "raw", "--generators", "2", "--relators", "r0 r0 r0; r1 r1",
+      "--max-cosets", "200000"), "generators [0] have no square relator"),
+    (("hasse", "--family", "tight", "--k", "4,4", "--max-order", "0"),
+     "--max-order must be at least 1"),
+    (("sweep", "--d-min", "3", "--d-max", "3", "--n-min", "10", "--n-max", "10",
+      "--k-min", "0"), "--k-min must be at least 2"),
+], ids=["hasse-spec", "hasse-max-order", "sweep-k-min"])
+def test_invalid_parameters_fail_before_the_work(capsys, monkeypatch, argv, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work started before the parameters were checked")
+
+    monkeypatch.setattr(cli, "certify", no_work)
+    monkeypatch.setattr(cli, "realize", no_work)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"polycert: param-invalid: {message}")
+
+
 def test_out_check_leaves_no_file_behind(capsys, tmp_path):
     out = tmp_path / "hasse.dot"
     code, _, _ = run(capsys, "hasse", "--family", "raw", "--generators", "3",

@@ -21,7 +21,7 @@ import pytest
 
 from polycert import certificates as certs
 from polycert.cli import main as cli_main
-from polycert.coset import EnumerationLimits, enumerate_cosets
+from polycert.coset import enumerate_cosets
 from polycert.errors import ParameterError
 from polycert.families import (
     a_parameter_tuples,
@@ -335,8 +335,7 @@ class NotAHomomorphism(AssertionError):
         self.relator = relator
 
 
-def check_homomorphism(source: Presentation, target: Presentation, images,
-                       limits: EnumerationLimits | None = None) -> None:
+def check_homomorphism(source: Presentation, target: Presentation, images) -> None:
     """Confirm that r_i -> images[i] extends to a homomorphism source -> target.
 
     Every source relator, rewritten through the images, must evaluate to the
@@ -351,7 +350,7 @@ def check_homomorphism(source: Presentation, target: Presentation, images,
         if im.max_generator() >= target.generator_count:
             raise ParameterError(
                 f"image {word_to_text(im)!r} uses generators beyond the target's rank")
-    rt = realize(target, limits)
+    rt = realize(target)
     for rel in source.relators:
         substituted = Word()
         for g, s in rel:

@@ -440,19 +440,6 @@ class _Engine:
         kill ``alpha``.
         """
         seq, fwd, bwd = rel
-        if fill:
-            # a first forward pass without bookkeeping: most HLT scans close
-            # in it, and one that stops is walked again below
-            f = alpha
-            for col in fwd:
-                f = col[f]
-                if f < 0:
-                    break
-            else:
-                if f == alpha:
-                    return False
-                self._coincidence(f, alpha)
-                return True
         f = alpha
         i = 0
         for col in fwd:

@@ -12,8 +12,8 @@ flag graph is therefore the realization's own arrays: ``flag_graph`` returns
 Everything here refuses uncertified input: a face lattice only means what it
 claims when the group is a verified string C-group, so ``build_lattice``,
 ``flag_graph`` and the exhaustive checks demand a passing certificate for
-the same presentation. The exhaustive checks also refuse groups above one
-order guard, ``DEFAULT_EXHAUSTIVE_MAX_ORDER`` unless the caller names another.
+the same presentation. The exhaustive checks also refuse a group whose order
+exceeds ``max_order``, a guard that every caller names.
 """
 
 from __future__ import annotations
@@ -26,9 +26,6 @@ from .errors import FormatError, LimitExceededError, UncertifiedInputError
 from .perms import orbit_labels
 from .realize import Quotient, RealizedGroup
 from .verify import SggiCertificate
-
-DEFAULT_EXHAUSTIVE_MAX_ORDER = 1 << 10
-
 
 def _require_certificate(realized: RealizedGroup, certificate: SggiCertificate) -> None:
     if certificate.presentation != realized.presentation:
@@ -148,7 +145,7 @@ def check_flag_connectivity(moves: np.ndarray) -> bool:
 
 
 def check_section_connectivity(realized: RealizedGroup, certificate: SggiCertificate,
-                               max_order: int = DEFAULT_EXHAUSTIVE_MAX_ORDER) -> bool:
+                               *, max_order: int) -> bool:
     """For every incident pair of an i-face and a j-face (i < j), the flags
     containing both must be connected by moves that fix both (adjacency at
     every rank but i and j).
@@ -176,8 +173,7 @@ def check_section_connectivity(realized: RealizedGroup, certificate: SggiCertifi
     return True
 
 
-def check_diamond(realized: RealizedGroup, certificate: SggiCertificate,
-                  max_order: int = DEFAULT_EXHAUSTIVE_MAX_ORDER
+def check_diamond(realized: RealizedGroup, certificate: SggiCertificate, *, max_order: int
                   ) -> tuple[bool, tuple[tuple[int, int, int, int], ...]]:
     """Every incident (rank i-1, rank i+1) face pair must sandwich exactly
     two rank-i faces. Exhaustive over flags, so guarded by ``max_order``.

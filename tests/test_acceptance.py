@@ -640,7 +640,7 @@ def test_criterion_9_polytope_structure(registry):
             problems.append(f"{entry.key}: adjacency not a matching at {bad}")
         if not check_flag_connectivity(graph):
             problems.append(f"{entry.key}: flag graph not connected")
-        ok_diamond, failures = check_diamond(rg, cert)
+        ok_diamond, failures = check_diamond(rg, cert, max_order=POLYTOPE_ORDER_CAP)
         if not ok_diamond:
             problems.append(f"{entry.key}: diamond fails {failures[:2]}")
         if not check_section_connectivity(rg, cert, max_order=POLYTOPE_ORDER_CAP):

@@ -147,14 +147,15 @@ def test_certify_and_polytope_checks_build_no_permutation(monkeypatch):
     rg = realize(p)
     graph = flag_graph(rg, cert)
     assert cert.passed and check_flag_matchings(graph)[0] and check_flag_connectivity(graph)
-    assert check_diamond(rg, cert)[0] and check_section_connectivity(rg, cert)
+    assert check_diamond(rg, cert, max_order=rg.order)[0]
+    assert check_section_connectivity(rg, cert, max_order=rg.order)
     assert build_lattice(rg, cert).f_vector == (4, 8, 4)
 
 
 def test_section_connectivity_and_diamond(tight44):
     _, rg, cert = tight44
-    assert check_section_connectivity(rg, cert)
-    ok, failures = check_diamond(rg, cert)
+    assert check_section_connectivity(rg, cert, max_order=rg.order)
+    ok, failures = check_diamond(rg, cert, max_order=rg.order)
     assert ok and failures == ()
 
 
@@ -165,10 +166,10 @@ def test_section_pair_count_catches_hidden_centre(monkeypatch):
     rg, cert = realize(p), certify(p)
     assert not cert.passed
     monkeypatch.setattr(polytope, "_require_certificate", lambda *args: None)
-    assert check_section_connectivity(rg, cert) is False
+    assert check_section_connectivity(rg, cert, max_order=rg.order) is False
     # the same centre leaves one 1-face under each incident (1-face, 2-face)
     # pair, where a diamond needs two
-    assert check_diamond(rg, cert) == (False, ((2, 0, 0, 1), (2, 1, 0, 1)))
+    assert check_diamond(rg, cert, max_order=rg.order) == (False, ((2, 0, 0, 1), (2, 1, 0, 1)))
 
 
 def test_each_subset_is_partitioned_once(monkeypatch):
@@ -191,8 +192,8 @@ def test_each_subset_is_partitioned_once(monkeypatch):
     counts = []
     for _ in range(2):
         build_lattice(rg, rec)
-        check_diamond(rg, rec)
-        check_section_connectivity(rg, rec)
+        check_diamond(rg, rec, max_order=rg.order)
+        check_section_connectivity(rg, rec, max_order=rg.order)
         counts.append(rg.stats["quotient_actions"])
     assert counts == [len(read)] * 2
     for s in read:
@@ -216,8 +217,8 @@ def test_polyhedra_pass_flag_checks():
         g = flag_graph(rg, cert)
         assert check_flag_matchings(g)[0]
         assert check_flag_connectivity(g)
-        assert check_section_connectivity(rg, cert)
-        assert check_diamond(rg, cert)[0]
+        assert check_section_connectivity(rg, cert, max_order=rg.order)
+        assert check_diamond(rg, cert, max_order=rg.order)[0]
 
 
 def test_refuses_uncertified_input(tight44):
@@ -233,9 +234,9 @@ def test_refuses_uncertified_input(tight44):
     with pytest.raises(UncertifiedInputError):
         build_lattice(rg_good, cert_bad)
     with pytest.raises(UncertifiedInputError):
-        check_diamond(rg_bad, cert_bad)
+        check_diamond(rg_bad, cert_bad, max_order=rg_bad.order)
     with pytest.raises(UncertifiedInputError):
-        check_section_connectivity(rg_good, cert_bad)
+        check_section_connectivity(rg_good, cert_bad, max_order=rg_good.order)
 
 
 def test_exhaustive_check_guards(tight44):

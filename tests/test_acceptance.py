@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polycert import certificates as certs
+from polycert import cli
 from polycert.cli import main as cli_main
 from polycert.coset import enumerate_cosets
 from polycert.errors import ParameterError
@@ -681,25 +681,26 @@ def digest(data: str | bytes) -> str:
     return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
 
 
-def default_grid_atlas(rows) -> str:
-    """The atlas ``polycert sweep`` writes for the default grid, from the
-    sweep fixture's recursive certificates, with every ``seconds`` cell
+def sweep_atlas(rows, out: Path, monkeypatch) -> str:
+    """The atlas ``polycert sweep`` writes for the default grid, certified
+    by the sweep fixture's certificates, with every ``seconds`` cell
     written as ``-``."""
-    atlas_rows = []
-    for row in rows:
-        cert = row.recursive
-        f_vector = (tuple(cert.order // o for _, o in cert.parabolic_orders)
-                    if cert.passed else None)
-        doc = certs.build_certificate_document(
-            cert, family="G", params=f"d={row.d};n={row.n};k={','.join(map(str, row.ks))}",
-            f_vector=f_vector)
-        atlas_rows.append(certs.row_from_document(doc))
-    atlas_rows.sort(key=lambda r: (r.family, r.rank, r.params))
-    return certs.format_atlas(atlas_rows)
+    by_presentation = {row.presentation: row for row in rows}
+
+    def fixture_certificate(spec, mode, limits, strategy):
+        return getattr(by_presentation[spec.presentation], mode)
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "certify", fixture_certificate)
+        m.setattr(cli.time, "perf_counter", lambda: 0.0)
+        assert cli_main(["sweep", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text.count("\t0.000\n") == len(rows)
+    return text.replace("\t0.000\n", "\t-\n")
 
 
 def test_outputs_match_golden_digests(registry, sweep_results, tables_run, tmp_path,
-                                      capsys, request):
+                                      capsys, monkeypatch, request):
     """Every deterministic output, hashed: each registry group's standardized
     table, the default-grid atlas, ``paper-tables``, and the ``verify`` and
     ``hasse`` runs of ``GOLDEN_RUNS``. A change to any of them names the
@@ -709,7 +710,8 @@ def test_outputs_match_golden_digests(registry, sweep_results, tables_run, tmp_p
     found = {f"table {entry.key}": digest(entry.realized.table.matrix.tobytes())
              for entry in registry}
     assert len(found) == len(registry) == 322
-    found["atlas default grid"] = digest(default_grid_atlas(sweep_results[0]))
+    found["atlas default grid"] = digest(sweep_atlas(sweep_results[0], tmp_path / "atlas.tsv",
+                                                      monkeypatch))
     found["paper-tables"] = digest(tables_run[1])
     capsys.readouterr()
     for name, argv in GOLDEN_RUNS.items():

@@ -27,8 +27,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from math import prod
 
 from . import certificates as certs
@@ -286,6 +284,9 @@ def _cmd_sweep(args) -> int:
         for task in tasks:
             results.append(_sweep_one(task))
     else:
+        # imported here, so no other command pays for loading a process pool
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             try:
                 results = list(pool.map(_sweep_one, tasks))

@@ -6,6 +6,12 @@ A word is an immutable sequence of letters ``(generator_index, sign)`` with
 even when r0 is an involution, so presentations are kept faithful to how
 their relators were written.
 
+Letters are shared: every word holds the one tuple kept for each distinct
+``(gen, sign)``, so a long relator costs a pointer per letter, not a tuple.
+``Word(...)`` checks every letter it is given; the word algebra (``*``,
+``inverse``, :func:`power`, :func:`commutator`) only recombines letters of
+words already checked, so it free-reduces them without checking them again.
+
 Text form
 ---------
 
@@ -31,14 +37,24 @@ from .errors import InvalidGeneratorError, InvalidWordError
 
 Letter = tuple[int, int]
 
+# The one tuple kept for each letter: at most two per generator ever used.
+# Tuples are immutable and equal keys are equal letters, so sharing them
+# changes no result, only the memory a word takes.
+_LETTERS: dict[Letter, Letter] = {}
+
+
+def _letter(gen: int, sign: int) -> Letter:
+    key = (gen, sign)
+    return _LETTERS.setdefault(key, key)
+
 
 def _free_reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     stack: list[Letter] = []
-    for gen, sign in letters:
-        if stack and stack[-1][0] == gen and stack[-1][1] == -sign:
+    for letter in letters:
+        if stack and stack[-1][0] == letter[0] and stack[-1][1] == -letter[1]:
             stack.pop()
         else:
-            stack.append((gen, sign))
+            stack.append(letter)
     return tuple(stack)
 
 
@@ -56,10 +72,17 @@ class Word:
                 raise InvalidWordError(f"letter {letter!r} is not a (gen, sign) pair")
             if not isinstance(gen, int) or isinstance(gen, bool) or gen < 0:
                 raise InvalidWordError(f"generator index {gen!r} must be a nonnegative int")
-            if sign not in (1, -1):
+            if type(sign) is not int or sign not in (1, -1):
                 raise InvalidWordError(f"sign {sign!r} must be +1 or -1")
-            checked.append((gen, sign))
+            checked.append(_letter(int(gen), sign))
         object.__setattr__(self, "letters", _free_reduce(checked))
+
+    @classmethod
+    def _of_checked(cls, letters: Iterable[Letter]) -> "Word":
+        """The word of shared letters taken from words already checked."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "letters", _free_reduce(letters))
+        return w
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
@@ -85,13 +108,13 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
             return NotImplemented
-        return Word(self.letters + other.letters)
+        return Word._of_checked(self.letters + other.letters)
 
     def __invert__(self) -> "Word":
         return self.inverse()
 
     def inverse(self) -> "Word":
-        return Word(tuple((g, -s) for g, s in reversed(self.letters)))
+        return Word._of_checked([_letter(g, -s) for g, s in reversed(self.letters)])
 
     def max_generator(self) -> int:
         """Largest generator index used, or -1 for the empty word."""
@@ -115,12 +138,13 @@ def power(w: Word, e: int) -> Word:
     """``w`` concatenated ``e`` times (``e >= 0``), freely reduced."""
     if e < 0:
         raise InvalidWordError("power exponent must be nonnegative")
-    return Word(w.letters * e)
+    return Word._of_checked(w.letters * e)
 
 
 def commutator(a: Word, b: Word) -> Word:
     """``a^-1 b^-1 a b``, freely reduced."""
-    return Word(a.inverse().letters + b.inverse().letters + a.letters + b.letters)
+    return Word._of_checked(a.inverse().letters + b.inverse().letters
+                            + a.letters + b.letters)
 
 
 _TOKEN_RE = re.compile(r"^r(\d+)(\^-1)?$")

@@ -34,7 +34,7 @@ from polycert.families import (
     family_m,
     tight_quotient_presentation,
 )
-from polycert.perms import Permutation, PermutationGroup
+from polycert.perms import Permutation, PermutationGroup, orbit_labels
 from polycert.polytope import (
     build_lattice,
     check_diamond,
@@ -472,30 +472,78 @@ def test_quotient_criterion_facet_side():
         assert certify(image).passed == image_passes
 
 
-def closure_size(realized: RealizedGroup) -> int:
-    """Size of the group generated by the permutations of the regular table.
+def regular_by_centralizer(arrays) -> bool:
+    """Whether the permutations ``arrays`` of range(n) generate a transitive
+    group G acting regularly, so that |G| = n; checked in O(d^2 n).
 
-    Products are deduplicated by their image of 0; any collision is verified
-    on the full arrays, so a non-faithful table cannot slip through.
+    The check: a breadth-first tree from point 0 must reach every point (G is
+    transitive). For each generator g, build L_g along the tree, with
+    L_g(0) = 0^g and L_g(y^h) = L_g(y)^h on the tree edges, and require
+    L_g R_h = R_h L_g on all points, for every generator h. Then the group
+    that the L_g generate must be transitive: ``orbit_labels`` all 0.
+
+    Why this is the same verdict as "G is regular" (Dixon and Mortimer,
+    *Permutation Groups*, section 4.2: a transitive group is regular exactly
+    when its centralizer is transitive):
+
+    - If the check passes, each L_g commutes with G. Its image is closed
+      under G and G is transitive, so L_g is onto, hence a permutation in
+      the centralizer C of G; and C, holding the L_g, is transitive. Let
+      x in G fix 0. Any point is 0^c for some c in C, and
+      (0^c)^x = 0^(xc) = (0^x)^c = 0^c, so x = 1. G is transitive with
+      trivial point stabilizers: regular, |G| = n. (The L_g are handed to
+      ``orbit_labels`` only after this, when each is known to be a
+      permutation.)
+    - If G is regular, each point y is 0^(x_y) for exactly one x_y in G.
+      Put l_g(y) = 0^(g x_y), left multiplication by g. Since
+      x_(y^h) = x_y h, l_g(y^h) = l_g(y)^h, and l_g(0) = 0^g, so l_g meets
+      the tree's recursion, which determines L_g: L_g = l_g commutes with
+      every R_h. Products of the l_g multiply on the left, so 0 reaches
+      0^w for every word w in the generators: all of G's orbit, every
+      point. The check passes.
     """
-    arrays = [q.images for q in realized.table.to_permutations()]
-    ident = np.arange(realized.order, dtype=arrays[0].dtype)
-    store = {0: ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for f in frontier:
-            for arr in arrays:
-                product = arr[f]
-                key = int(product[0])
-                known = store.get(key)
-                if known is None:
-                    store[key] = product
-                    nxt.append(product)
-                elif not np.array_equal(product, known):
-                    raise AssertionError("regular table is not a group action")
-        frontier = nxt
-    return len(store)
+    n = len(arrays[0])
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    edges = []  # (h, tree parents, their children y^h), in breadth-first order
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        reached = []
+        for h, arr in enumerate(arrays):
+            images = arr[frontier]
+            fresh = ~seen[images]
+            children, first = np.unique(images[fresh], return_index=True)
+            seen[children] = True
+            edges.append((h, frontier[fresh][first], children))
+            reached.append(children)
+        frontier = np.concatenate(reached)
+    if not seen.all():
+        return False
+    lefts = []
+    for g in range(len(arrays)):
+        left = np.empty(n, dtype=np.int64)
+        left[0] = arrays[g][0]
+        for h, parents, children in edges:
+            left[children] = arrays[h][left[parents]]
+        if not all(np.array_equal(left[arr], arr[left]) for arr in arrays):
+            return False
+        lefts.append(left)
+    return bool((orbit_labels(lefts, n) == 0).all())
+
+
+def test_regular_by_centralizer_rejects_mutants():
+    rg = RealizedGroup(tight_quotient_presentation((4, 4)))
+    arrays = [q.images for q in rg.table.to_permutations()]
+    assert regular_by_centralizer(arrays)
+    # two entries of one column swapped: still permutations, no longer the group
+    swapped = [a.copy() for a in arrays]
+    swapped[1][[0, 5]] = swapped[1][[5, 0]]
+    assert not regular_by_centralizer(swapped)
+    # the transitive action on the cosets of <r0>, handed in as a regular table
+    cosets = enumerate_cosets(rg.presentation, [generator(0)])
+    action = [q.images for q in cosets.to_permutations()]
+    assert len(action[0]) == rg.order // 2
+    assert not regular_by_centralizer(action)
 
 
 def test_criterion_6_three_way_order_agreement(registry):
@@ -507,18 +555,19 @@ def test_criterion_6_three_way_order_agreement(registry):
             problems.append(f"{entry.key}: order {rg.order} above the cap")
             continue
         checked += 1
-        chain = PermutationGroup(rg.table.to_permutations(), degree=rg.order)
+        perms = rg.table.to_permutations()
+        chain = PermutationGroup(perms, degree=rg.order)
         if chain.order() != rg.order:
             problems.append(f"{entry.key}: chain order {chain.order()}")
-        if closure_size(rg) != rg.order:
-            problems.append(f"{entry.key}: closure size differs")
+        if not regular_by_centralizer([q.images for q in perms]):
+            problems.append(f"{entry.key}: centralizer not transitive")
         # a different algorithm: Felsch over the trivial subgroup, not the orbit route
         felsch = enumerate_cosets(entry.presentation, (), None, "felsch")
         if not np.array_equal(felsch.matrix, rg.table.matrix):
             problems.append(f"{entry.key}: plain Felsch disagrees")
     ok = not problems
     report(6, "three-way order agreement", ok,
-           f"{checked} groups: stabilizer chain == table index == closure, "
+           f"{checked} groups: stabilizer chain == table index, regular by centralizer, "
            f"plain Felsch byte-identical")
     assert ok, "; ".join(problems[:5])
 

@@ -7,6 +7,8 @@ part of the scripting contract, so they are asserted literally.
 import ast
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -314,6 +316,17 @@ def test_sweep_dead_worker_is_a_limit(capsys, monkeypatch):
     assert out == ""
     assert err.splitlines() == [
         "polycert: limit-exceeded: a sweep worker died (out of memory?)"]
+
+
+def test_import_loads_no_process_pool():
+    # only `sweep --jobs` above 1 starts a pool, so only it loads one
+    code = ("import sys, polycert, polycert.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(polycert.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_sweep_rejects_bad_ranges(capsys):

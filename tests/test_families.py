@@ -6,6 +6,7 @@ words in the same order every time. The expected lists here are written out
 by hand from the documented scheme.
 """
 
+import itertools
 import warnings
 
 import pytest
@@ -224,3 +225,15 @@ def test_vertex_figure_parameter_tuples():
         a_parameter_tuples(True, 5)
     with pytest.raises(ParameterError):
         a_parameter_tuples(3, None)
+
+
+def test_default_grid_letters_are_shared():
+    # the 251 default sweep presentations hold one tuple per distinct letter
+    presentations = [family_g(d, n, ks)
+                     for d in (3, 4, 5) for n in (10, 11, 12)
+                     for ks in itertools.product(range(2, n), repeat=d - 1)
+                     if sum(ks) <= n - 1]
+    assert len(presentations) == 251
+    letters = [x for p in presentations for r in p.relators for x in r.letters]
+    assert len(letters) == 46560
+    assert len({id(x) for x in letters}) == len(set(letters)) == 10

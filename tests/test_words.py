@@ -53,6 +53,9 @@ def test_word_rejects_garbage():
         Word([(True, 1)])
     with pytest.raises(InvalidWordError):
         Word([7])
+    for sign in (True, 1.0, -1.0):
+        with pytest.raises(InvalidWordError, match="must be \\+1 or -1"):
+            Word([(0, sign)])
     with pytest.raises(AttributeError):
         generator(0).letters = ()
 
@@ -99,6 +102,28 @@ def test_concatenation_reduces(u, v):
 def test_inverse_cancels(w):
     assert w * w.inverse() == Word()
     assert w.inverse().inverse() == w
+
+
+@given(words, words, st.integers(min_value=0, max_value=8))
+def test_word_algebra_equals_checked_construction(a, b, e):
+    # the algebra skips the letter checks; its words equal checked ones
+    def inverse_letters(w):
+        return [(g, -s) for g, s in reversed(w.letters)]
+
+    assert a * b == Word(list(a.letters) + list(b.letters))
+    assert ~a == Word(inverse_letters(a))
+    assert power(a, e) == Word(list(a.letters) * e)
+    assert commutator(a, b) == Word(inverse_letters(a) + inverse_letters(b)
+                                    + list(a.letters) + list(b.letters))
+
+
+def test_letters_are_shared():
+    # one tuple per distinct letter, however the word was built
+    w = generator(0) * pair(1, 0) * ~pair(2, 1)
+    built = [w, word_from_text(word_to_text(w)), Word([tuple(x) for x in w.letters]),
+             commutator(w, pair(3, 0)), power(w, 3)]
+    letters = [x for u in built for x in u.letters]
+    assert len({id(x) for x in letters}) == len(set(letters)) == 8
 
 
 @given(words)

@@ -1,0 +1,167 @@
+"""The mutation gate: each listed fault in the library must fail its tests.
+
+    python3 mutants/run.py            # every mutant
+    python3 mutants/run.py NAME ...   # the named ones
+
+Run it from anywhere; it uses the standard library only, and pytest as the
+test suite does. For each mutant it copies the checkout (without ``.git``)
+to a temporary directory, replaces one exact text in one file, and runs the
+mutant's test selection there. The mutant is killed when that selection
+fails. Before any mutant, the selections run once on an unedited copy and
+must pass, so a kill is the edit's doing. A mutant whose text is not found
+exactly once is stale: the code it was written against has moved.
+
+The report has one line per mutant and ends with the survivors; the exit
+code is 0 only when every mutant is killed. A new check or oracle adds its
+own mutant here.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis")
+# A mutant can make an oracle slow (a wrong table may generate a huge group),
+# so every test run is stopped after this long; a timeout is no kill.
+TIMEOUT_S = 600
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the checkout
+    old: str  # must occur exactly once in the file
+    new: str
+    tests: tuple[str, ...]  # pytest node ids or files; at least one must fail
+
+
+MUTANTS = (
+    Mutant("standardize-column-order", "src/polycert/coset.py",
+           "        for col in cols:\n            v = col[a]\n",
+           "        for col in reversed(cols):\n            v = col[a]\n",
+           ("tests/test_acceptance.py::test_outputs_match_golden_digests",)),
+    Mutant("generator-column-swap", "src/polycert/realize.py",
+           "        right.setflags(write=False)\n",
+           "        right[1, [0, 5]] = right[1, [5, 0]]\n        right.setflags(write=False)\n",
+           ("tests/test_realize.py",)),
+    Mutant("coset-action-as-regular-table", "src/polycert/realize.py",
+           "    if table is None:\n        stats[\"enumerations\"] += 1\n"
+           "        table = enumerate_cosets(p, (), limits, strategy)\n",
+           "    stats[\"enumerations\"] += 1\n"
+           "    table = enumerate_cosets(p, (generator(0),), limits, strategy)\n",
+           ("tests/test_acceptance.py::test_regular_by_centralizer_rejects_mutants",)),
+    Mutant("diamond-count-above-two", "src/polycert/polytope.py",
+           "bad = np.flatnonzero(counts != 2)", "bad = np.flatnonzero(counts > 2)",
+           ("tests/test_polytope.py::test_section_pair_count_catches_hidden_centre",)),
+    Mutant("pair-code-without-n", "src/polycert/polytope.py",
+           "np.unique(a.astype(np.int64) * len(a) + b,",
+           "np.unique(a.astype(np.int64) + b,",
+           ("tests/test_polytope.py",)),
+    Mutant("orbit-without-size-check", "src/polycert/realize.py",
+           "    if n * len(block) != bound:\n        return None\n",
+           "    if False:\n        return None\n",
+           ("tests/test_realize.py",)),
+    Mutant("bound-from-n-alone", "src/polycert/realize.py",
+           "    bound = len(th) * bound_h\n", "    bound = len(th)\n",
+           ("tests/test_realize.py",)),
+    Mutant("bound-from-the-orbit-block", "src/polycert/realize.py",
+           "    if n * len(block) != bound:\n",
+           "    bound = n * len(block)\n    if n * len(block) != bound:\n",
+           ("tests/test_realize.py",)),
+    Mutant("character-without-elimination", "src/polycert/realize.py",
+           "    rows: dict[int, int] = {}  # pivot bit -> row, in reduced echelon form\n",
+           "    return 1 << 1\n"
+           "    rows: dict[int, int] = {}  # pivot bit -> row, in reduced echelon form\n",
+           ("tests/test_realize.py",)),
+    Mutant("block-from-every-point", "src/polycert/realize.py",
+           "block = np.flatnonzero(labels == 0)", "block = np.flatnonzero(labels >= 0)",
+           ("tests/test_realize.py",)),
+    Mutant("block-under-r0-alone", "src/polycert/realize.py",
+           "for g in (0, 1)], n0 * n1)", "for g in (0,)], n0 * n1)",
+           ("tests/test_realize.py",)),
+    Mutant("regular-table-without-validate", "src/polycert/coset.py",
+           "    table.validate()\n    return table\n", "    return table\n",
+           ("tests/test_realize.py", "tests/test_coset.py")),
+    Mutant("enumeration-without-validate", "src/polycert/coset.py",
+           "    result.validate()\n    return result\n", "    return result\n",
+           ("tests/test_coset.py", "tests/test_realize.py")),
+    Mutant("felsch-without-inverse-words", "src/polycert/coset.py",
+           "variants = {seq, tuple(inv[c] for c in reversed(seq))}", "variants = {seq}",
+           ("tests/test_coset.py",)),
+    Mutant("closed-offsets-every-offset", "src/polycert/coset.py",
+           "    return tuple(sorted(offsets))\n", "    return tuple(range(n))\n",
+           ("tests/test_coset.py",)),
+    Mutant("compaction-keeps-freed-marks", "src/polycert/coset.py",
+           "            m[live_count:n] = 0\n", "",
+           ("tests/test_coset.py",)),
+    Mutant("schreier-sims-batch-always-succeeds", "src/polycert/perms.py",
+           "        orbit = self.orbit\n        pos = np.full(",
+           "        return True\n        orbit = self.orbit\n        pos = np.full(",
+           ("tests/test_perms.py",)),
+    Mutant("hasse-without-polytope-checks", "src/polycert/cli.py",
+           "    for name, ok in verdicts:\n", "    for name, ok in ():\n",
+           ("tests/test_cli.py",)),
+)
+
+
+def run_tests(checkout: Path, tests: tuple[str, ...]) -> int | str:
+    """pytest's exit code for ``tests`` in ``checkout`` (0 passed, 1 failed),
+    or "timeout" when the run outlasts ``TIMEOUT_S``."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    try:
+        return subprocess.run(cmd, cwd=checkout, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=TIMEOUT_S).returncode
+    except subprocess.TimeoutExpired:
+        return "timeout"
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    mutants = [m for m in MUTANTS if not names or m.name in names]
+    with tempfile.TemporaryDirectory(prefix="polycert-mutants-") as tmp:
+        base = Path(tmp) / "base"
+        shutil.copytree(ROOT, base, ignore=IGNORED)
+        selections = tuple(dict.fromkeys(t for m in mutants for t in m.tests))
+        code = run_tests(base, selections)
+        if code != 0:
+            print(f"the unedited checkout fails the selections (pytest exit {code})")
+            return 1
+        survivors = []
+        for m in mutants:
+            copy = Path(tmp) / m.name
+            shutil.copytree(base, copy)
+            target = copy / m.path
+            text = target.read_text()
+            if text.count(m.old) != 1:
+                verdict = "STALE (the old text is not found exactly once)"
+                survivors.append(m.name)
+            else:
+                target.write_text(text.replace(m.old, m.new))
+                started = time.perf_counter()
+                code = run_tests(copy, m.tests)
+                seconds = time.perf_counter() - started
+                if code == 1:
+                    verdict = f"killed ({seconds:.1f} s)"
+                else:
+                    verdict = f"SURVIVED (pytest {code}, {seconds:.1f} s)"
+                    survivors.append(m.name)
+            shutil.rmtree(copy)
+            print(f"{m.name}: {verdict}", flush=True)
+    print(f"{len(mutants) - len(survivors)} of {len(mutants)} killed; "
+          f"survivors: {', '.join(survivors) or 'none'}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

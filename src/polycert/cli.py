@@ -52,7 +52,7 @@ from .polytope import (
     flag_graph,
 )
 from .realize import realize
-from .verify import SggiSpec, certify
+from .verify import SggiCertificate, SggiSpec, certify
 from .words import Presentation, presentation_from_text, word_from_text
 
 EXIT_OK = 0
@@ -187,6 +187,18 @@ def _add_engine_flags(sub) -> None:
     sub.add_argument("--out", help="write the primary output to this file")
 
 
+def _document(cert: SggiCertificate, family: str, params: str,
+              unsafe_params: bool = False) -> certs.CertificateDocument:
+    """The certificate document of ``cert``. A passing group's f-vector is
+    read off its corank-1 parabolic orders: the i-faces are the cosets of
+    the i-th one."""
+    f_vector = None
+    if cert.passed:
+        f_vector = tuple(cert.order // o for _, o in cert.parabolic_orders)
+    return certs.build_certificate_document(
+        cert, family=family, params=params, unsafe_params=unsafe_params, f_vector=f_vector)
+
+
 def _cmd_verify(args) -> int:
     presentation, declared, params_text = build_presentation(args)
     limits = _limits(args)
@@ -194,12 +206,7 @@ def _cmd_verify(args) -> int:
     spec = SggiSpec(presentation, declared)
     _check_writable(args.out)
     cert = certify(spec, mode=mode, limits=limits, strategy=args.strategy)
-    f_vector = None
-    if cert.passed:
-        f_vector = tuple(cert.order // o for _, o in cert.parabolic_orders)
-    doc = certs.build_certificate_document(
-        cert, family=args.family, params=params_text,
-        unsafe_params=args.unsafe_params, f_vector=f_vector)
+    doc = _document(cert, args.family, params_text, args.unsafe_params)
     if args.out:
         _write_text(certs.certificate_to_json(doc), args.out)
     log2 = certs.order_log2(cert.order)
@@ -249,13 +256,8 @@ def _sweep_one(task) -> dict:
         if len(set(verdicts)) > 1:
             raise TableNotClosedError(
                 "recursive and full intersection checks disagree")
-        f_vector = None
-        if cert.passed:
-            f_vector = tuple(cert.order // o for _, o in cert.parabolic_orders)
-        doc = certs.build_certificate_document(
-            cert, family="G", params=result["params"], f_vector=f_vector)
         result["row"] = certs.row_from_document(
-            doc, seconds=time.perf_counter() - started)
+            _document(cert, "G", result["params"]), seconds=time.perf_counter() - started)
     except (ParameterError, LimitExceededError, CapacityError,
             TableNotClosedError) as exc:
         result["skip"] = f"{type(exc).__name__}: {exc}"

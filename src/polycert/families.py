@@ -19,7 +19,6 @@ even type (order twice the product of the type entries).
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterator, Sequence
 
 from .errors import ParameterError
@@ -161,9 +160,6 @@ def family_k(d: int, k: Sequence[int]) -> Presentation:
     by [(r_{d-3} r_{d-2})^2, r_{d-1}] instead of a slack-dependent tail.
     """
     ks = _check_rank(d, k)
-    if d == 3:
-        warnings.warn("the rank-3 facet-side quotient is degenerate-prone; "
-                      "intended for rank >= 4", stacklevel=2)
     rels = _coxeter_relators(d, [1 << e for e in ks]) + _mixing_commutators(d)
     rels.append(_last_section_commutator(d))
     return Presentation(d, tuple(rels))
@@ -173,10 +169,7 @@ def family_l(d: int, k: Sequence[int]) -> Presentation:
     """The rank-(d-1) section of the facet-side quotient: drop the last
     generator and exponent; order 2**(1 + sum(k[:-1]))."""
     ks = _check_rank(d, k, minimum=4)
-    with warnings.catch_warnings():
-        # Dropping to rank 3 is the whole point here, not an accident.
-        warnings.simplefilter("ignore")
-        return family_k(d - 1, ks[:-1])
+    return family_k(d - 1, ks[:-1])
 
 
 def family_m(d: int, n: int, k: Sequence[int], unsafe: bool = False) -> Presentation:

@@ -2,11 +2,14 @@
 
 Faces of rank i are the cosets w<all generators but r_i>, and the least and
 greatest faces (ranks -1 and d) are the one coset of the whole group; flags
-are the group elements themselves, two flags sharing their rank-i face
-exactly when the rank-i quotient map sends them to the same coset. Moving to the
-i-adjacent flag is right multiplication by r_i, which is a fixed-point-free
-involution on flags whenever the generators are genuine involutions. The
-flag graph is therefore the realization's own arrays: ``flag_graph`` returns
+are the group elements themselves, and each flag's rank-i face is read as
+its label in ``RealizedGroup.cosets``, the smallest flag of that coset, so
+two flags share their rank-i face exactly when their labels agree. An
+incidence between faces of two ranks is a pair of labels that some flag
+carries, coded as one int64 a n + b over n flags. Moving to the i-adjacent
+flag is right multiplication by r_i, which is a fixed-point-free involution
+on flags whenever the generators are genuine involutions. The flag graph is
+therefore the realization's own arrays: ``flag_graph`` returns
 ``RealizedGroup.right``, row i the i-adjacency.
 
 Everything here refuses uncertified input: a face lattice only means what it
@@ -24,7 +27,7 @@ import numpy as np
 
 from .errors import FormatError, LimitExceededError, UncertifiedInputError
 from .perms import orbit_labels
-from .realize import Quotient, RealizedGroup
+from .realize import RealizedGroup
 from .verify import SggiCertificate
 
 def _require_certificate(realized: RealizedGroup, certificate: SggiCertificate) -> None:
@@ -46,16 +49,30 @@ def _require_exhaustive(realized: RealizedGroup, certificate: SggiCertificate,
             f"{check} is exhaustive; order {realized.order} exceeds the guard {max_order}")
 
 
-def _faces(realized: RealizedGroup) -> list[Quotient]:
-    """The faces of ranks -1 to d as partitions of the flags: the i-faces are
-    the cosets of <r_j : j != i>, and the least and greatest faces are both
-    the single coset of the whole group. The realization partitions each
-    subset once, so every check that calls this, and ``certify`` before
-    them, reads the same d + 1 partitions."""
+def _faces(realized: RealizedGroup) -> list[np.ndarray]:
+    """The faces of ranks -1 to d as coset labels of the flags: the i-faces
+    are the cosets of <r_j : j != i>, and the least and greatest faces are
+    both the single coset of the whole group. The realization partitions
+    each subset once, so every check that calls this, and ``certify`` before
+    them, reads the same d + 1 label arrays."""
     d = realized.rank
-    whole = realized.quotient(range(d))
-    return [whole, *(realized.quotient(j for j in range(d) if j != i)
+    whole = realized.cosets(range(d))
+    return [whole, *(realized.cosets(j for j in range(d) if j != i)
                      for i in range(d)), whole]
+
+
+def _smallest_flags(labels: np.ndarray) -> np.ndarray:
+    """Each face's smallest flag, ascending: the flags that label themselves.
+    A face is numbered by its position here."""
+    return np.flatnonzero(labels == np.arange(len(labels)))
+
+
+def _pair_codes(a: np.ndarray, b: np.ndarray, return_inverse: bool = False):
+    """The distinct (a, b) label pairs over the flags, as sorted int64 codes
+    a n + b, and with ``return_inverse`` each flag's index among them.
+    Labels are flags, below n, so a code is exact and its order is that of
+    the pairs."""
+    return np.unique(a.astype(np.int64) * len(a) + b, return_inverse=return_inverse)
 
 
 @dataclass(frozen=True)
@@ -63,7 +80,8 @@ class FaceLattice:
     """The full face poset, least and greatest faces included.
 
     Node ids run through the ranks -1 to d in turn, each rank's faces in
-    coset order: 0 is the least face and the last node the greatest.
+    the order of their smallest flags: 0 is the least face and the last
+    node the greatest.
     ``covers`` holds (lower, upper) node pairs with ranks one apart.
     """
 
@@ -100,22 +118,25 @@ def build_lattice(realized: RealizedGroup, certificate: SggiCertificate) -> Face
     """Assemble the face lattice of a certified group.
 
     A face covers another of rank one less exactly when some flag lies in
-    both, so the covers between consecutive ranks are the distinct pairs of
-    their coset ids over all flags.
+    both, so the covers between consecutive ranks are the distinct label
+    pairs of their faces over all flags. The codes come sorted and the
+    numbering by smallest flag keeps their order, so the covers come out
+    sorted.
     """
     _require_certificate(realized, certificate)
-    faces = _faces(realized)
-    offsets = np.cumsum([0] + [q.size for q in faces]).tolist()
+    n = realized.order
+    labels = _faces(realized)
+    faces = [_smallest_flags(a) for a in labels]
+    offsets = np.cumsum([0] + [len(f) for f in faces]).tolist()
     covers: list[tuple[int, int]] = []
-    for r, (lower, upper) in enumerate(zip(faces, faces[1:])):
-        codes = np.unique(lower.phi.astype(np.int64) * upper.size + upper.phi)
-        covers.extend(zip((offsets[r] + codes // upper.size).tolist(),
-                          (offsets[r + 1] + codes % upper.size).tolist()))
-    covers.sort()
+    for r in range(len(faces) - 1):
+        lower, upper = np.divmod(_pair_codes(labels[r], labels[r + 1]), n)
+        covers.extend(zip((offsets[r] + np.searchsorted(faces[r], lower)).tolist(),
+                          (offsets[r + 1] + np.searchsorted(faces[r + 1], upper)).tolist()))
     return FaceLattice(
         rank=realized.rank,
-        group_order=realized.order,
-        f_vector=tuple(q.size for q in faces[1:-1]),
+        group_order=n,
+        f_vector=tuple(len(f) for f in faces[1:-1]),
         covers=tuple(covers),
     )
 
@@ -152,7 +173,7 @@ def check_section_connectivity(realized: RealizedGroup, certificate: SggiCertifi
 
     The flags through one such pair are a union of orbits of
     <r_k : k not in {i, j}>, so the sections are connected exactly when the
-    number of distinct (phi_i, phi_j) pairs equals the number of those
+    number of distinct (i-face, j-face) label pairs equals the number of those
     orbits. Those orbits are the left cosets of that subgroup, so there are
     order / |<r_k : k not in {i, j}>| of them. Exhaustive over flags, so
     guarded by ``max_order``.
@@ -164,11 +185,9 @@ def check_section_connectivity(realized: RealizedGroup, certificate: SggiCertifi
     faces = _faces(realized)
     for i in range(d):
         for j in range(i + 1, d):
-            lower, upper = faces[i + 1], faces[j + 1]
-            pairs = lower.phi.astype(np.int64) * upper.size + upper.phi
             orbits = realized.order // realized.parabolic_order(
                 x for x in range(d) if x not in (i, j))
-            if np.unique(pairs).size != orbits:
+            if len(_pair_codes(faces[i + 1], faces[j + 1])) != orbits:
                 return False
     return True
 
@@ -178,20 +197,26 @@ def check_diamond(realized: RealizedGroup, certificate: SggiCertificate, *, max_
     """Every incident (rank i-1, rank i+1) face pair must sandwich exactly
     two rank-i faces. Exhaustive over flags, so guarded by ``max_order``.
 
-    Failures are reported as (i, lower face, upper face, count), at most ten.
+    Failures are reported as (i, lower face, upper face, count), at most ten,
+    each face numbered as in ``build_lattice``.
     """
     _require_exhaustive(realized, certificate, max_order, "diamond check")
+    n = realized.order
     faces = _faces(realized)
     failures: list[tuple[int, int, int, int]] = []
     for i in range(realized.rank):
         lower, middle, upper = faces[i:i + 3]
-        pair_codes = lower.phi.astype(np.int64) * upper.size + upper.phi
-        # distinct (pair, middle face) combinations, then middles per pair
-        combo = np.unique(pair_codes * middle.size + middle.phi)
-        pairs, counts = np.unique(combo // middle.size, return_counts=True)
-        bad = counts != 2
-        failures.extend((i, int(code // upper.size), int(code % upper.size), int(cnt))
-                        for code, cnt in zip(pairs[bad], counts[bad]))
+        # each flag's (lower, upper) pair as its index among the distinct
+        # pairs, then the distinct middle faces per pair
+        pairs, index = _pair_codes(lower, upper, return_inverse=True)
+        counts = np.bincount(_pair_codes(index, middle) // n)
+        bad = np.flatnonzero(counts != 2)
+        if bad.size:
+            low, up = np.divmod(pairs[bad], n)
+            failures.extend(zip([i] * len(bad),
+                                np.searchsorted(_smallest_flags(lower), low).tolist(),
+                                np.searchsorted(_smallest_flags(upper), up).tolist(),
+                                counts[bad].tolist()))
     return (not failures, tuple(failures[:10]))
 
 

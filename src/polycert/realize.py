@@ -52,8 +52,8 @@ one orbit routine, ``perms.orbit_labels``, labels each element with the
 smallest element of its coset. The group keeps those labels, read-only, from
 the first time S is read: the one cache per subset. <S> is label 0, so a
 parabolic order counts label 0 and an intersection order counts the elements
-labelled 0 for both subsets, exact for any presentation. ``quotient``
-numbers the cosets from the same labels for the face lattice.
+labelled 0 for both subsets, exact for any presentation. ``cosets`` hands
+out the labels themselves: the face lattice reads its faces from them.
 
 ``stats`` counts the table-building passes: ``enumerations`` (2 on the
 orbit route, 3 when it falls back, 1 when it does not apply), plus
@@ -203,24 +203,6 @@ def _regular_table(p: Presentation, limits: EnumerationLimits, strategy: str,
     return table
 
 
-class Quotient:
-    """The set of left cosets w<S>, as a partition of the element ids.
-
-    Built from each element's smallest coset-mate, as ``orbit_labels`` gives
-    it. ``phi`` maps each element id to its coset id; coset ids are assigned
-    in order of their smallest element.
-    """
-
-    __slots__ = ("phi", "size")
-
-    def __init__(self, labels: np.ndarray):
-        ids = np.cumsum(labels == np.arange(len(labels)), dtype=np.int32) - 1
-        phi = ids[labels]
-        phi.setflags(write=False)
-        self.phi = phi
-        self.size = int(ids[-1]) + 1
-
-
 class RealizedGroup:
     """A finitely presented group realized on its own elements."""
 
@@ -266,10 +248,11 @@ class RealizedGroup:
 
     # -- parabolic subgroups -----------------------------------------------------
 
-    def _labels(self, subset: Iterable[int]) -> np.ndarray:
-        """The smallest element of each left coset w<subset>, read-only: the
-        orbits of right multiplication by the generators in ``subset``, whose
-        label 0 marks <subset> itself. Computed once per subset."""
+    def cosets(self, subset: Iterable[int]) -> np.ndarray:
+        """The left cosets w<subset>, as each element's smallest coset-mate,
+        read-only: the orbits of right multiplication by the generators in
+        ``subset``, whose label 0 marks <subset> itself. Computed once per
+        subset."""
         fs = self._check_subset(subset)
         labels = self._partitions.get(fs)
         if labels is None:
@@ -279,17 +262,13 @@ class RealizedGroup:
             self._partitions[fs] = labels
         return labels
 
-    def quotient(self, subset: Iterable[int]) -> Quotient:
-        """The left cosets w<subset>, numbered from the kept labels."""
-        return Quotient(self._labels(subset))
-
     def parabolic_order(self, subset: Iterable[int]) -> int:
         """Order of the subgroup spanned by a subset of the generators."""
-        return int(np.count_nonzero(self._labels(subset) == 0))
+        return int(np.count_nonzero(self.cosets(subset) == 0))
 
     def intersection_order(self, left: Iterable[int], right: Iterable[int]) -> int:
         """Order of the intersection of two parabolic subgroups."""
-        both = (self._labels(left) == 0) & (self._labels(right) == 0)
+        both = (self.cosets(left) == 0) & (self.cosets(right) == 0)
         return int(np.count_nonzero(both))
 
 

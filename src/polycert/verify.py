@@ -96,21 +96,18 @@ def _all_subsets(rank: int) -> list[tuple[int, ...]]:
 
 
 def check_intersection_property_full(
-        realized: RealizedGroup,
-        pruned: bool = True) -> tuple[bool, tuple[IntersectionEvidence, ...]]:
-    """Check |G_I n G_J| == |G_{I n J}| over subset pairs.
+        realized: RealizedGroup) -> tuple[bool, tuple[IntersectionEvidence, ...]]:
+    """Check |G_I n G_J| == |G_{I n J}| over the incomparable subset pairs.
 
-    With ``pruned`` (the default) comparable pairs are skipped: when I is
-    contained in J the identity holds by definition, so only incomparable
-    pairs carry information. Pass ``pruned=False`` for the fully exhaustive
-    sweep; both must return the same verdict.
+    Comparable pairs are skipped: when I is contained in J the identity
+    holds by definition, so only incomparable pairs carry information.
     """
     subsets = _all_subsets(realized.rank)
     evidence = []
     ok = True
     for a, b in itertools.combinations(subsets, 2):
         sa, sb = set(a), set(b)
-        if pruned and (sa <= sb or sb <= sa):
+        if sa <= sb or sb <= sa:
             continue
         got = realized.intersection_order(a, b)
         expected = realized.parabolic_order(sa & sb)

@@ -5,13 +5,17 @@ part of the scripting contract, so they are asserted literally.
 """
 
 import ast
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import polycert
 import polycert.cli as cli
@@ -491,3 +495,121 @@ def test_library_imports_only_what_it_uses():
     for path in sources:
         if path.name != "__init__.py":
             assert _unused_imports(path.read_text()) == [], path.name
+
+
+# Paths the generated argv point at: a file that does not exist, a file that
+# exists but is neither a presentation nor an atlas, and an output file in a
+# directory that does not exist.
+MISSING_FILE = str(Path(__file__).with_name("no-such-input.txt"))
+NOT_AN_INPUT = __file__
+UNWRITABLE_OUT = str(Path(__file__).with_name("no-such-directory") / "out.txt")
+
+# Integers stay small: an exponent e in --k is a relator of 2^(e+1) letters.
+_small_ints = st.integers(-1, 6).map(str)
+_int_lists = st.one_of(
+    st.lists(st.integers(2, 4), min_size=1, max_size=4).map(lambda ks: ",".join(map(str, ks))),
+    st.lists(st.integers(-1, 8), max_size=4).map(lambda ks: ",".join(map(str, ks))),
+    st.sampled_from(["", ",", "2,,3", "a", "2;3", "2.5", "0x3", " 2 , 3", "+4,4", "4,4,"]))
+_relator_text = st.one_of(st.just(HIDDEN_CENTER_RELATORS), st.lists(
+    st.lists(st.sampled_from(["r0", "r1", "r2", "r0^-1", "r1^-1", "r7", "r", "x", "1",
+                              "r-1", "r0^2"]), max_size=6).map(" ".join),
+    max_size=5).map(";".join))
+_family_flags = {
+    "d": st.integers(2, 5).map(str), "n": st.integers(-1, 12).map(str), "k": _int_lists,
+    "s": _small_ints, "t": _small_ints, "rank": st.integers(2, 5).map(str), "l": _small_ints,
+    "generators": _small_ints, "relators": _relator_text, "type": _int_lists,
+    "presentation-file": st.sampled_from([MISSING_FILE, NOT_AN_INPUT])}
+
+
+def _options(draw, flags, eighths: int = 4) -> list[str]:
+    """Each of ``flags`` (option name to value strategy) with chance
+    eighths / 8, in ``--name=value`` form, so values that start with '-'
+    stay values."""
+    return [f"--{name}={draw(values)}" for name, values in flags.items()
+            if draw(st.integers(0, 7)) < eighths]
+
+
+def _engine_options(draw) -> list[str]:
+    """A coset limit, always: at most 10^4 keeps every run small."""
+    return [f"--max-cosets={draw(st.integers(-2, 10 ** 4))}",
+            *_options(draw, {"strategy": st.sampled_from(["hlt", "felsch"])}),
+            *_options(draw, {"out": st.just(UNWRITABLE_OUT)}, 1)]
+
+
+@st.composite
+def _valid_family_values(draw, family: str) -> dict:
+    """Values of ``family``'s own flags that its builder accepts (with
+    --unsafe-params where n is below the known-good range)."""
+    entries = st.integers(2, 3)
+    if family in ("coxeter", "tight"):
+        orders = st.integers(2, 5) if family == "coxeter" else st.sampled_from([4, 6, 8])
+        return {"k": ",".join(map(str, draw(st.lists(orders, min_size=1, max_size=3))))}
+    if family == "H":
+        s, t = draw(entries), draw(entries)
+        return {"n": s + t + draw(st.integers(1, 3)), "s": s, "t": t}
+    d = draw(st.integers(4 if family == "L" else 3, 4 if family in ("G", "M") else 5))
+    ks = draw(st.lists(entries, min_size=d - 1, max_size=d - 1))
+    values = {"rank" if family == "A" else "d": d}
+    if family in ("G", "M"):
+        values["n"] = sum(ks) + draw(st.integers(1, 3))
+    if family == "A":
+        values["l"] = draw(st.integers(1, 3))
+    values["k"] = ",".join(map(str, ks))
+    return values
+
+
+@st.composite
+def cli_argv(draw):
+    """An argv that argparse accepts, kept small: a coset limit of at most
+    10^4, small parameters, and malformed --k, --type and relator text. A
+    family's own flags are usually given, any other family flag rarely."""
+    command = draw(st.sampled_from(["verify", "hasse", "sweep", "paper-tables", "export"]))
+    if command == "export":
+        return [command, f"--in={draw(st.sampled_from([MISSING_FILE, NOT_AN_INPUT]))}",
+                *_options(draw, {"format": st.sampled_from(["json", "tsv"]),
+                                 "out": st.just(UNWRITABLE_OUT)})]
+    if command == "paper-tables":
+        return [command, *_engine_options(draw)]
+    if command == "sweep":
+        # the range is always given: the default one is the whole grid
+        d, n = draw(st.integers(2, 4)), draw(st.integers(6, 10))
+        return [command, f"--d-min={d}", f"--d-max={d + draw(st.integers(-1, 1))}",
+                f"--n-min={n}", f"--n-max={n + draw(st.integers(-1, 1))}",
+                *_options(draw, {"k-min": st.integers(1, 4).map(str),
+                                 "jobs": st.integers(0, 1).map(str),
+                                 "ip": st.sampled_from(["recursive", "full", "both"])}),
+                *_engine_options(draw)]
+    family = draw(st.sampled_from(cli.FAMILIES))
+    if family != "raw" and draw(st.booleans()):
+        values = draw(_valid_family_values(family))
+    else:
+        own = cli.FAMILY_TABLE[family][0] if family != "raw" else ("generators", "relators")
+        values = {f: draw(_family_flags[f]) for f in own if draw(st.integers(0, 7)) < 7}
+    argv = [command, f"--family={family}", *(f"--{f}={v}" for f, v in values.items()),
+            *_options(draw, {f: v for f, v in _family_flags.items() if f not in values}, 1),
+            *_engine_options(draw)]
+    if draw(st.booleans()):
+        argv.append("--unsafe-params")
+    if command == "verify" and draw(st.booleans()):
+        argv.append("--full-ip")
+    if command == "hasse":
+        argv += _options(draw, {"format": st.sampled_from(["dot", "edges"]),
+                                "max-order": st.integers(-1, 4096).map(str)})
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(cli_argv())
+@example(["verify", "--family=K", "--d=3", "--k=2,2", "--max-cosets=10000"])
+def test_main_ends_every_run_in_an_exit_code_and_one_line(argv):
+    """No traceback: every run returns a documented exit code and writes at
+    most one ``polycert:`` line to stderr. Warnings are errors here, because
+    a warning also reaches stderr and pytest would otherwise capture it."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code in (0, 3, 4, 5), (argv, code)
+    lines = err.getvalue().splitlines(keepends=True)
+    assert lines == [] or (len(lines) == 1 and lines[0].startswith("polycert: ")
+                           and lines[0].endswith("\n")), (argv, err.getvalue())

@@ -25,6 +25,7 @@ from polycert.families import (
     tight_quotient_presentation,
 )
 from polycert.realize import RealizedGroup
+from polycert.verify import certify
 from polycert.words import commutator, generator, pair, power, word_to_text
 
 
@@ -113,18 +114,23 @@ def test_vertex_collapse_appends_one_relator():
 
 
 def test_section_drops_last_generator():
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         rank3 = family_k(3, (2, 3))
     assert family_l(4, (2, 3, 2)) == rank3
     assert family_l(5, (2, 2, 2, 2)) == family_k(4, (2, 2, 2))
 
 
-def test_rank3_facet_quotient_warns_but_section_does_not():
-    with pytest.warns(UserWarning):
-        family_k(3, (2, 3))
+def test_rank3_facet_quotient_and_its_section_raise_no_warning():
+    # every rank-3 facet-side quotient over small exponents certifies as a
+    # tight, non-degenerate string C-group; the certificate, not a warning,
+    # is what reports a degenerate type
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         family_l(4, (2, 3, 2))
+        for k in [(2, 2), (2, 5), (5, 3)]:
+            cert = certify(family_k(3, k))
+            assert cert.passed and cert.tight and not cert.degenerate
 
 
 def test_coxeter_presentation_has_no_extra_relators():

@@ -25,7 +25,7 @@ from polycert.polytope import (
     flag_graph,
 )
 from polycert.perms import Permutation, orbit_labels
-from polycert.realize import Quotient, RealizedGroup, _realize_cached, realize
+from polycert.realize import RealizedGroup, _realize_cached, realize
 from polycert.verify import certify
 from polycert.words import Presentation, generator, pair, power
 
@@ -197,8 +197,8 @@ def test_each_subset_is_partitioned_once(monkeypatch):
         counts.append(rg.stats["quotient_actions"])
     assert counts == [len(read)] * 2
     for s in read:
-        fresh = Quotient(orbit_labels([rg.right[g] for g in sorted(s)], rg.order))
-        assert np.array_equal(rg.quotient(s).phi, fresh.phi)
+        fresh = orbit_labels([rg.right[g] for g in sorted(s)], rg.order)
+        assert np.array_equal(rg.cosets(s), fresh)
     assert rg.stats["quotient_actions"] == len(read)
 
 

@@ -133,16 +133,17 @@ def test_intersection_orders_match_element_sets():
 def test_quotient_partition_consistency():
     rg = RealizedGroup(family_k(4, (2, 2, 2)))
     for subset in [(), (0,), (0, 1), (1, 2, 3), (0, 2), (0, 1, 2, 3)]:
-        q = rg.quotient(subset)
+        labels = rg.cosets(subset)
+        assert not labels.flags.writeable
+        assert rg.cosets(subset) is labels
         block = rg.parabolic_order(subset)
-        assert q.size * block == rg.order
-        assert int(q.phi[0]) == 0
-        # coset ids follow the order of each coset's smallest element
-        ids, first = np.unique(q.phi, return_index=True)
-        assert ids.tolist() == list(range(q.size))
-        assert np.all(np.diff(first) > 0)
-        sizes = np.bincount(q.phi, minlength=q.size)
-        assert set(sizes.tolist()) == {block}
+        # each coset is labelled by its smallest element, which labels itself
+        reps, first, sizes = np.unique(labels, return_index=True, return_counts=True)
+        assert np.array_equal(reps, first)
+        assert len(reps) * block == rg.order and set(sizes.tolist()) == {block}
+        # right multiplication by a generator of the subset stays in the coset
+        for g in subset:
+            assert np.array_equal(labels[rg.right[g]], labels)
 
 
 def test_realize_returns_shared_instances():
@@ -193,7 +194,7 @@ def test_bad_generator_subsets(tight44):
     with pytest.raises(InvalidGeneratorError):
         rg.intersection_order((0,), (-1,))
     with pytest.raises(InvalidGeneratorError):
-        rg.quotient((7,))
+        rg.cosets((7,))
 
 
 @pytest.mark.parametrize("p, sigma", [

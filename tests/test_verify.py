@@ -7,6 +7,8 @@ overlap more than their generator sets say, so only the intersection check
 can reject it.
 """
 
+import itertools
+
 import pytest
 
 from polycert.errors import ParameterError
@@ -107,16 +109,25 @@ def test_modes_agree_on_verdict(tight44):
         assert rec.intersection_ok == full.intersection_ok
 
 
+def exhaustive_intersection_rows(rg):
+    """Every subset pair's row |G_I n G_J| against |G_{I n J}|, comparable
+    pairs included: the reference the pruned sweep is checked against."""
+    subsets = [s for r in range(rg.rank + 1) for s in itertools.combinations(range(rg.rank), r)]
+    return [IntersectionEvidence(a, b, rg.intersection_order(a, b),
+                                 rg.parabolic_order(set(a) & set(b)))
+            for a, b in itertools.combinations(subsets, 2)]
+
+
 def test_pruned_and_exhaustive_sweeps_agree(tight44):
     _, rg, _ = tight44
-    ok_pruned, ev_pruned = check_intersection_property_full(rg, pruned=True)
-    ok_full, ev_full = check_intersection_property_full(rg, pruned=False)
-    assert ok_pruned and ok_full
+    ok_pruned, ev_pruned = check_intersection_property_full(rg)
+    ev_full = exhaustive_intersection_rows(rg)
+    assert ok_pruned and all(row.ok for row in ev_full)
     assert len(ev_full) > len(ev_pruned)
     assert set(ev_pruned) <= set(ev_full)
     bad = RealizedGroup(hidden_center_presentation())
-    assert check_intersection_property_full(bad, pruned=True)[0] is False
-    assert check_intersection_property_full(bad, pruned=False)[0] is False
+    assert check_intersection_property_full(bad)[0] is False
+    assert not all(row.ok for row in exhaustive_intersection_rows(bad))
 
 
 def test_recursive_evidence_layout(tight44):

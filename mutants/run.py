@@ -47,9 +47,10 @@ MUTANTS = (
            "        for col in cols:\n            v = col[a]\n",
            "        for col in reversed(cols):\n            v = col[a]\n",
            ("tests/test_acceptance.py::test_outputs_match_golden_digests",)),
-    Mutant("generator-column-swap", "src/polycert/realize.py",
-           "        right.setflags(write=False)\n",
-           "        right[1, [0, 5]] = right[1, [5, 0]]\n        right.setflags(write=False)\n",
+    # the one generator array that the realization and Schreier-Sims share
+    Mutant("generator-column-swap", "src/polycert/coset.py",
+           "        perms.setflags(write=False)\n",
+           "        perms[1, [0, 5]] = perms[1, [5, 0]]\n        perms.setflags(write=False)\n",
            ("tests/test_realize.py",)),
     Mutant("coset-action-as-regular-table", "src/polycert/realize.py",
            "    if table is None:\n        stats[\"enumerations\"] += 1\n"
@@ -59,6 +60,11 @@ MUTANTS = (
            ("tests/test_acceptance.py::test_regular_by_centralizer_rejects_mutants",)),
     Mutant("diamond-count-above-two", "src/polycert/polytope.py",
            "bad = np.flatnonzero(counts != 2)", "bad = np.flatnonzero(counts > 2)",
+           ("tests/test_polytope.py::test_section_pair_count_catches_hidden_centre",)),
+    Mutant("section-check-single-face", "src/polycert/polytope.py",
+           '    _require_exhaustive(realized, certificate, max_order, "section connectivity")\n',
+           '    _require_exhaustive(realized, certificate, max_order, "section connectivity")\n'
+           "    return True\n",
            ("tests/test_polytope.py::test_section_pair_count_catches_hidden_centre",)),
     Mutant("pair-code-without-n", "src/polycert/polytope.py",
            "np.unique(a.astype(np.int64) * len(a) + b,",
@@ -105,6 +111,14 @@ MUTANTS = (
            "        orbit = self.orbit\n        pos = np.full(",
            "        return True\n        orbit = self.orbit\n        pos = np.full(",
            ("tests/test_perms.py",)),
+    Mutant("permutation-group-without-bijection-check", "src/polycert/perms.py",
+           "    if arr.min() < 0 or arr.max() >= n or np.bincount(arr, minlength=n).max() != 1:\n",
+           "    if False:\n",
+           ("tests/test_perms.py",)),
+    Mutant("power-without-word-cap", "src/polycert/words.py",
+           "    if len(w) * e > MAX_WORD_LETTERS:\n", "    if False:\n",
+           ("tests/test_words.py::test_power_and_commutator_shapes",
+            "tests/test_cli.py::test_word_length_cap_is_a_limit")),
     Mutant("hasse-without-polytope-checks", "src/polycert/cli.py",
            "    for name, ok in verdicts:\n", "    for name, ok in ():\n",
            ("tests/test_cli.py",)),

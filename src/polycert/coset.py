@@ -68,7 +68,6 @@ from .errors import (
     LimitExceededError,
     TableNotClosedError,
 )
-from .perms import Permutation
 from .words import Presentation, Word, word_to_text
 
 DEFAULT_MAX_COSETS = 1 << 22
@@ -185,13 +184,17 @@ class CosetTable:
             coset = t[coset, c]
         return int(coset)
 
-    def to_permutations(self):
-        """One permutation of the live cosets per generator.
+    def to_permutations(self) -> np.ndarray:
+        """The generators' permutations of the cosets: one read-only,
+        C-contiguous image array per row, of shape (generators, cosets).
 
-        Involutory generators yield self-inverse permutations; a table over
-        the whole group yields identity permutations on a single point.
+        ``validate()`` has proved each row a bijection through its back
+        links, so no second check is made. A table over the whole group
+        yields identity permutations on a single point.
         """
-        return [Permutation(row) for row in self.matrix[:, self.columns.fwd].T]
+        perms = np.ascontiguousarray(self.matrix.T[self.columns.fwd])
+        perms.setflags(write=False)
+        return perms
 
     def validate(self) -> None:
         """Exhaustive post-hoc closure check, independent of the run's bookkeeping.
@@ -433,9 +436,10 @@ class _Engine:
     def _scan(self, alpha: int, rel: _Relator, fill: bool) -> bool:
         """Scan one relator (or subgroup generator) from ``alpha``.
 
-        With ``fill`` the first undefined slot is defined and the scan
-        restarts, so the scan always completes (HLT); without it the scan
-        stops at a gap wider than one (lookahead / felsch deduction scans).
+        With ``fill`` the first undefined slot is defined and the forward
+        scan continues from the new coset, so the scan always completes
+        (HLT); without it the scan stops at a gap wider than one (lookahead
+        / felsch deduction scans).
         Returns whether it processed a coincidence, the only way a scan can
         kill ``alpha``.
         """

@@ -45,7 +45,8 @@ class TableNotClosedError(PolycertError):
 
 
 class CapacityError(PolycertError):
-    """A permutation domain exceeds the supported point cap."""
+    """A permutation domain exceeds the supported point cap, or a word built
+    by ``words.power`` would exceed the word-length cap."""
 
 
 class UncertifiedInputError(PolycertError):

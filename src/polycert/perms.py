@@ -1,12 +1,14 @@
-"""Finite permutations and permutation groups with verified stabilizer chains.
+"""Permutation groups with verified stabilizer chains.
 
-Composition convention: ``a * b`` applies ``a`` first, then ``b``, so
-``(a * b).apply(x) == b.apply(a.apply(x))``.
+A permutation of {0, ..., n-1} is its image array: a read-only int32 array
+whose entry x is the image of x, the form in which a coset table hands out
+its generators (``CosetTable.to_permutations``). Products are numpy gathers:
+``b[a]`` applies ``a`` first, then ``b``.
 
 ``PermutationGroup`` keeps a base and strong generating set built by a
 deterministic Schreier-Sims pass (Holt, Eick and O'Brien, *Handbook of
-Computational Group Theory*, ch. 4), so group order, membership answers and
-the chain itself are reproducible across runs.
+Computational Group Theory*, ch. 4), so the group order, the base and the
+chain itself are reproducible across runs.
 
 Level i of the chain has a base point b, its generators S (every strong
 generator that fixes the earlier base points, in the order they joined) and
@@ -66,78 +68,28 @@ MAX_DEGREE = 1 << 22
 BATCH_CELLS = 1 << 20
 
 
-class Permutation:
-    """An immutable permutation of {0, ..., n-1}, backed by an int32 image array."""
+def _image_array(images) -> np.ndarray:
+    """A read-only int32 copy of ``images``, checked to be a permutation of
+    range(n) for some 1 <= n <= MAX_DEGREE."""
+    arr = np.array(images, dtype=np.int32, copy=True)
+    if arr.ndim != 1:
+        raise ValueError("permutation images must be a flat sequence")
+    n = arr.shape[0]
+    if n == 0:
+        raise ValueError("permutation degree must be at least 1")
+    if n > MAX_DEGREE:
+        raise CapacityError(f"degree {n} exceeds the supported maximum {MAX_DEGREE}")
+    if arr.min() < 0 or arr.max() >= n or np.bincount(arr, minlength=n).max() != 1:
+        raise ValueError("images do not describe a bijection")
+    arr.setflags(write=False)
+    return arr
 
-    __slots__ = ("images",)
 
-    def __init__(self, images):
-        arr = np.array(images, dtype=np.int32, copy=True)
-        if arr.ndim != 1:
-            raise ValueError("permutation images must be a flat sequence")
-        n = arr.shape[0]
-        if n == 0:
-            raise ValueError("permutation degree must be at least 1")
-        if n > MAX_DEGREE:
-            raise CapacityError(f"degree {n} exceeds the supported maximum {MAX_DEGREE}")
-        if arr.min() < 0 or arr.max() >= n or np.bincount(arr, minlength=n).max() != 1:
-            raise ValueError("images do not describe a bijection")
-        arr.setflags(write=False)
-        object.__setattr__(self, "images", arr)
-
-    @staticmethod
-    def _raw(arr: np.ndarray) -> "Permutation":
-        """Wrap a known-good image array without re-validating."""
-        p = object.__new__(Permutation)
-        arr.setflags(write=False)
-        object.__setattr__(p, "images", arr)
-        return p
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        if not 1 <= n <= MAX_DEGREE:
-            raise CapacityError(f"degree {n} out of supported range")
-        return cls._raw(np.arange(n, dtype=np.int32))
-
-    @property
-    def degree(self) -> int:
-        return int(self.images.shape[0])
-
-    def apply(self, point: int) -> int:
-        return int(self.images[point])
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        if other.degree != self.degree:
-            raise ValueError("cannot compose permutations of different degrees")
-        return Permutation._raw(other.images[self.images])
-
-    def inverse(self) -> "Permutation":
-        inv = np.empty_like(self.images)
-        inv[self.images] = np.arange(self.degree, dtype=np.int32)
-        return Permutation._raw(inv)
-
-    @property
-    def is_identity(self) -> bool:
-        return bool(np.array_equal(self.images, np.arange(self.degree, dtype=np.int32)))
-
-    def key(self) -> bytes:
-        return self.images.tobytes()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        return bool(np.array_equal(self.images, other.images))
-
-    def __hash__(self) -> int:
-        return hash(self.images.tobytes())
-
-    def __repr__(self) -> str:
-        shown = ", ".join(map(str, self.images[:8].tolist()))
-        if self.degree > 8:
-            shown += ", ..."
-        return f"Permutation([{shown}], degree={self.degree})"
+def _inverse(perm: np.ndarray) -> np.ndarray:
+    """The image array of the inverse permutation."""
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(perm.shape[0], dtype=perm.dtype)
+    return inv
 
 
 def _bfs(images: Sequence[np.ndarray], pred: np.ndarray, label: np.ndarray,
@@ -212,7 +164,7 @@ class _Level:
     pred: np.ndarray
     orbit: np.ndarray
     layers: list[int]
-    gens: list[Permutation] = field(default_factory=list)
+    gens: list[np.ndarray] = field(default_factory=list)
     inverses: list[np.ndarray] = field(default_factory=list)
     checked: list[int] = field(default_factory=list)
 
@@ -223,13 +175,12 @@ class _Level:
         return cls(base=base, label=np.full(degree, -1, dtype=np.int32), pred=pred,
                    orbit=np.array([base], dtype=np.int32), layers=[0, 1])
 
-    def add(self, gen: Permutation, inverse: np.ndarray) -> None:
+    def add(self, gen: np.ndarray, inverse: np.ndarray) -> None:
         """Take on one more generator and re-close the orbit."""
         self.gens.append(gen)
         self.inverses.append(inverse)
         self.checked.append(0)
-        fresh = _bfs([g.images for g in self.gens], self.pred, self.label,
-                     self.orbit, [len(self.gens) - 1])
+        fresh = _bfs(self.gens, self.pred, self.label, self.orbit, [len(self.gens) - 1])
         if fresh:
             self.orbit = np.concatenate([self.orbit, *fresh])
             for layer in fresh:
@@ -244,7 +195,7 @@ class _Level:
             point = int(self.pred[point])
         u = np.arange(self.pred.shape[0], dtype=np.int32)
         for k in reversed(path):
-            u = self.gens[k].images[u]
+            u = self.gens[k][u]
         return u
 
     def stabilizer_is_trivial(self) -> bool:
@@ -256,7 +207,7 @@ class _Level:
         pos[orbit] = np.arange(orbit.size, dtype=np.int32)
         parent = pos[self.pred[orbit]]
         label = self.label[orbit]
-        x = np.union1d([g.images[self.base] for g in self.gens],
+        x = np.union1d([g[self.base] for g in self.gens],
                        np.flatnonzero(self.pred < 0)).astype(np.int32)
         step = max(1, BATCH_CELLS // orbit.size)
         for lo in range(0, x.size, step):
@@ -267,9 +218,8 @@ class _Level:
                 layer = label[start:end]
                 for k in np.unique(layer):
                     at = start + np.flatnonzero(layer == k)
-                    rows[at] = self.gens[k].images[rows[parent[at]]]
-            for g in self.gens:
-                s = g.images
+                    rows[at] = self.gens[k][rows[parent[at]]]
+            for s in self.gens:
                 if not np.array_equal(s[rows], rows[pos[s[orbit]]]):
                     return False
         return True
@@ -278,17 +228,19 @@ class _Level:
 class PermutationGroup:
     """Group generated by permutations of a common degree.
 
+    Each generator is a sequence of images (a list, an array, or a row of a
+    2-D array such as ``CosetTable.to_permutations()``), checked once and
+    kept as a read-only int32 copy, the form that ``generators`` and
+    ``strong_generators()`` hand out.
+
     The stabilizer chain is built lazily on first use and cached; building is
     guarded by a lock so a group instance can be shared between threads.
     """
 
-    def __init__(self, generators: Iterable[Permutation] = (), degree: int | None = None):
-        gens = tuple(generators)
-        for g in gens:
-            if not isinstance(g, Permutation):
-                raise TypeError(f"not a Permutation: {g!r}")
+    def __init__(self, generators: Iterable = (), degree: int | None = None):
+        gens = tuple(_image_array(g) for g in generators)
         if gens:
-            degs = {g.degree for g in gens}
+            degs = {g.shape[0] for g in gens}
             if len(degs) != 1:
                 raise ValueError(f"mixed degrees in generator list: {sorted(degs)}")
             inferred = degs.pop()
@@ -305,11 +257,7 @@ class PermutationGroup:
         self._lock = threading.Lock()
 
     @property
-    def degree(self) -> int:
-        return self._degree
-
-    @property
-    def generators(self) -> tuple[Permutation, ...]:
+    def generators(self) -> tuple[np.ndarray, ...]:
         return self._generators
 
     # -- stabilizer chain ----------------------------------------------------
@@ -324,9 +272,7 @@ class PermutationGroup:
     def _build(self) -> list[_Level]:
         levels: list[_Level] = []
         for g in self._generators:
-            if g.is_identity:
-                continue
-            residue, j = self._strip(g.images, levels)
+            residue, j = self._strip(g, levels)
             if residue is not None:
                 self._add(levels, residue, j)
         i = len(levels) - 1
@@ -342,15 +288,15 @@ class PermutationGroup:
         """Make ``g``, which fixes the base points before level ``j``, a
         strong generator; returns the level whose base it moves first."""
         while j == len(levels):
-            gens = [g] if levels else [h.images for h in self._generators]
+            gens = [g] if levels else self._generators
             base = _largest_orbit_point(gens, self._degree)
             levels.append(_Level.start(base, self._degree))
             if g[base] == base:
                 j += 1
-        gen = Permutation._raw(g)
-        inverse = gen.inverse().images
+        g.setflags(write=False)
+        inverse = _inverse(g)
         for lv in levels[:j + 1]:
-            lv.add(gen, inverse)
+            lv.add(g, inverse)
         return j
 
     def _settle(self, levels: list[_Level], i: int):
@@ -366,8 +312,7 @@ class PermutationGroup:
             if lv.stabilizer_is_trivial():
                 lv.checked = [size] * len(lv.gens)
                 return None
-        for k, g in enumerate(lv.gens):
-            s = g.images
+        for k, s in enumerate(lv.gens):
             for p in range(lv.checked[k], size):
                 pt = int(lv.orbit[p])
                 img = s[pt]
@@ -407,19 +352,10 @@ class PermutationGroup:
             n *= int(lv.orbit.size)
         return n
 
-    def contains(self, g: Permutation) -> bool:
-        if g.degree != self._degree:
-            raise ValueError("degree mismatch")
-        residue, _ = self._strip(g.images, self._chain())
-        return residue is None
-
-    def __contains__(self, g: Permutation) -> bool:
-        return self.contains(g)
-
     def base(self) -> tuple[int, ...]:
         return tuple(lv.base for lv in self._chain())
 
-    def strong_generators(self) -> tuple[Permutation, ...]:
+    def strong_generators(self) -> tuple[np.ndarray, ...]:
         levels = self._chain()
         return tuple(levels[0].gens) if levels else ()
 
@@ -440,18 +376,17 @@ class PermutationGroup:
             for pt in lv.orbit.tolist():
                 u = lv.trace(pt)
                 for g in lv.gens:
-                    img = g.apply(pt)
+                    img = int(g[pt])
                     if lv.pred[img] < 0:
                         raise RuntimeError(
                             f"level {i}: orbit is not closed at point {pt}")
-                    h = (Permutation._raw(g.images[u])
-                         * Permutation._raw(lv.trace(img)).inverse())
-                    residue, _ = self._strip(h.images, levels, i + 1)
+                    h = _inverse(lv.trace(img))[g[u]]
+                    residue, _ = self._strip(h, levels, i + 1)
                     if residue is not None:
                         raise RuntimeError(
                             f"level {i}: Schreier element at point {pt} does not sift")
         for g in self._generators:
-            residue, _ = self._strip(g.images, levels)
+            residue, _ = self._strip(g, levels)
             if residue is not None:
                 raise RuntimeError("an original generator does not sift through the chain")
 
@@ -466,21 +401,21 @@ class PermutationGroup:
             raise RuntimeError(f"level {i}: orbit list and Schreier vector disagree")
         for g in lv.gens:
             for j in range(i):
-                if g.apply(levels[j].base) != levels[j].base:
+                if g[levels[j].base] != levels[j].base:
                     raise RuntimeError(f"level {i}: generator moves an earlier base")
         if i + 1 < len(levels):
-            mine = {g.key() for g in lv.gens}
-            if any(g.key() not in mine for g in levels[i + 1].gens):
+            mine = {g.tobytes() for g in lv.gens}
+            if any(g.tobytes() not in mine for g in levels[i + 1].gens):
                 raise RuntimeError(f"level {i + 1}: generator missing from the level above")
         if len(lv.inverses) != len(lv.gens) or any(
-                not np.array_equal(g.images[inv], np.arange(n, dtype=np.int32))
+                not np.array_equal(g[inv], np.arange(n, dtype=np.int32))
                 for g, inv in zip(lv.gens, lv.inverses)):
             raise RuntimeError(f"level {i}: stored inverses do not match the generators")
         pts = lv.orbit[1:]
         labels = lv.label[pts]
         if labels.size and (labels.min() < 0 or labels.max() >= len(lv.gens)):
             raise RuntimeError(f"level {i}: Schreier vector names an unknown generator")
-        images = np.array([g.images for g in lv.gens], dtype=np.int32).reshape(-1, n)
+        images = np.array(lv.gens, dtype=np.int32).reshape(-1, n)
         if labels.size and not np.array_equal(images[labels, lv.pred[pts]], pts):
             raise RuntimeError(f"level {i}: Schreier vector edge is not a generator step")
         root = np.where(on, lv.pred, np.arange(n, dtype=np.int32))

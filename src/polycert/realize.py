@@ -2,11 +2,10 @@
 
 A ``RealizedGroup`` holds the regular coset table of its group, so group
 elements are coset ids (0 is the identity) and each generator is a
-right-multiplication array over the elements: row g of ``right``, one
-read-only, contiguous copy of the table's generator columns. ``validate()``
-has proved each column a permutation through its back links, so no second
-check or ``Permutation`` object is built. Everything else is derived from
-that single table without further enumerations.
+right-multiplication array over the elements: row g of ``right``, which is
+the table's ``to_permutations()``, the same read-only image arrays that a
+stabilizer chain is built from. Everything else is derived from that single
+table without further enumerations.
 
 The table is built as the orbit of one point when the presentation allows
 it: the rank d is at least 3, every generator is a declared involution,
@@ -214,9 +213,7 @@ class RealizedGroup:
         self.table = _regular_table(presentation, limits or EnumerationLimits(), strategy,
                                     self.stats)
         self.order = self.table.live_count
-        right = np.ascontiguousarray(self.table.matrix[:, self.table.columns.fwd].T)
-        right.setflags(write=False)
-        self.right = right
+        self.right = self.table.to_permutations()
         self._partitions: dict[frozenset[int], np.ndarray] = {}
 
     @property

@@ -33,9 +33,16 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import InvalidGeneratorError, InvalidWordError
+from .errors import CapacityError, InvalidGeneratorError, InvalidWordError
 
 Letter = tuple[int, int]
+
+# The most letters ``power`` builds, the default coset limit. Each letter
+# costs an 8-byte pointer in the word and again in each temporary list or
+# tuple that builds it, so this keeps a relator near 100 MB at the peak; an
+# exponent read from the command line is otherwise unbounded, and a K
+# exponent of 30 would ask for 2^31 letters before any enumeration limit.
+MAX_WORD_LETTERS = 1 << 22
 
 # The one tuple kept for each letter: at most two per generator ever used.
 # Tuples are immutable and equal keys are equal letters, so sharing them
@@ -135,9 +142,14 @@ def pair(i: int, j: int) -> Word:
 
 
 def power(w: Word, e: int) -> Word:
-    """``w`` concatenated ``e`` times (``e >= 0``), freely reduced."""
+    """``w`` concatenated ``e`` times (``e >= 0``), freely reduced; raises
+    ``CapacityError`` beyond ``MAX_WORD_LETTERS`` letters."""
     if e < 0:
         raise InvalidWordError("power exponent must be nonnegative")
+    if len(w) * e > MAX_WORD_LETTERS:
+        # the exponent is left out: it may have too many digits to print
+        raise CapacityError(f"a power of a {len(w)}-letter word exceeds "
+                            f"the {MAX_WORD_LETTERS}-letter cap")
     return Word._of_checked(w.letters * e)
 
 

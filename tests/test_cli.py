@@ -19,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import polycert
 import polycert.cli as cli
+import polycert.words as words_mod
 from polycert.certificates import certificate_from_json, parse_atlas
 from polycert.cli import main
 from polycert.families import tight_quotient_presentation
@@ -133,6 +134,15 @@ def test_verify_infinite_group_hits_limit(capsys):
                        "--max-cosets", "200")
     assert code == 5
     assert "polycert: limit-exceeded:" in err
+
+
+def test_word_length_cap_is_a_limit(capsys, monkeypatch):
+    # the relator (r0 r1)^64 has 128 letters; the cap refuses it before it is built
+    monkeypatch.setattr(words_mod, "MAX_WORD_LETTERS", 64)
+    code, out, err = run(capsys, "verify", "--family", "K", "--d", "3", "--k", "6,2")
+    assert code == 5 and out == ""
+    assert err.splitlines() == [
+        "polycert: limit-exceeded: a power of a 2-letter word exceeds the 64-letter cap"]
 
 
 def test_max_cosets_env_and_flag_precedence(capsys, monkeypatch):

@@ -16,7 +16,6 @@ from polycert import (
     EnumerationLimits,
     InvalidGeneratorError,
     LimitExceededError,
-    Permutation,
     PermutationGroup,
     Presentation,
     RealizedGroup,
@@ -58,20 +57,19 @@ def closure_order(perms, cap=1 << 13):
     hashes images, so it independently re-derives any order the enumeration
     engine claims (for groups small enough to hold in memory).
     """
-    gens = list(perms)
-    identity = Permutation.identity(gens[0].degree)
-    seen = {identity.key(): identity}
+    identity = np.arange(perms.shape[1], dtype=perms.dtype)
+    seen = {identity.tobytes()}
     frontier = [identity]
     while frontier:
         nxt = []
         for g in frontier:
-            for s in gens:
-                h = g * s
-                k = h.key()
+            for s in perms:
+                h = s[g]  # g, then s
+                k = h.tobytes()
                 if k not in seen:
                     if len(seen) >= cap:
                         raise AssertionError("closure exceeded the test cap")
-                    seen[k] = h
+                    seen.add(k)
                     nxt.append(h)
         frontier = nxt
     return len(seen)
@@ -104,11 +102,12 @@ def test_table_shape_and_permutations():
     assert not t.matrix.flags.writeable
     assert t.table == t.matrix.tolist()
     perms = t.to_permutations()
-    assert len(perms) == 2
+    assert perms.shape == (2, 8) and perms.dtype == np.int32
+    assert perms.flags.c_contiguous and not perms.flags.writeable
     a, b = perms
-    assert (a * a).is_identity
-    assert (b * b).is_identity
-    assert PermutationGroup([a * b]).order() == 4
+    assert np.array_equal(a[a], np.arange(8))
+    assert np.array_equal(b[b], np.arange(8))
+    assert PermutationGroup([b[a]]).order() == 4
 
 
 def test_subgroup_enumeration():

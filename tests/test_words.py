@@ -3,7 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import polycert.words as words_mod
 from polycert import (
+    CapacityError,
     InvalidGeneratorError,
     InvalidWordError,
     Presentation,
@@ -60,12 +62,18 @@ def test_word_rejects_garbage():
         generator(0).letters = ()
 
 
-def test_power_and_commutator_shapes():
+def test_power_and_commutator_shapes(monkeypatch):
     ab = pair(0, 1)
     assert power(ab, 3).letters == ((0, 1), (1, 1)) * 3
     assert power(ab, 0) == Word()
     with pytest.raises(InvalidWordError):
         power(ab, -1)
+    monkeypatch.setattr(words_mod, "MAX_WORD_LETTERS", 6)
+    assert len(power(ab, 3)) == 6
+    with pytest.raises(CapacityError, match="6-letter cap"):
+        power(ab, 4)
+    with pytest.raises(CapacityError):
+        power(ab, 1 << 20000)  # an exponent with too many digits to print
     c = commutator(generator(0), generator(1))
     assert c.letters == ((0, -1), (1, -1), (0, 1), (1, 1))
 

@@ -58,6 +58,11 @@ MUTANTS = (
            "    stats[\"enumerations\"] += 1\n"
            "    table = enumerate_cosets(p, (generator(0),), limits, strategy)\n",
            ("tests/test_acceptance.py::test_regular_by_centralizer_rejects_mutants",)),
+    # only the plain fallback, which none of the acceptance registry's groups takes
+    Mutant("coset-action-as-fallback-table", "src/polycert/realize.py",
+           "        table = enumerate_cosets(p, (), limits, strategy)\n",
+           "        table = enumerate_cosets(p, (generator(0),), limits, strategy)\n",
+           ("tests/test_realize.py",)),
     Mutant("diamond-count-above-two", "src/polycert/polytope.py",
            "bad = np.flatnonzero(counts != 2)", "bad = np.flatnonzero(counts > 2)",
            ("tests/test_polytope.py::test_section_pair_count_catches_hidden_centre",)),
@@ -92,11 +97,9 @@ MUTANTS = (
     Mutant("block-under-r0-alone", "src/polycert/realize.py",
            "for g in (0, 1)], n0 * n1)", "for g in (0,)], n0 * n1)",
            ("tests/test_realize.py",)),
-    Mutant("regular-table-without-validate", "src/polycert/coset.py",
+    # the one constructor of every table, enumerated or from the orbit route
+    Mutant("closed-table-without-validate", "src/polycert/coset.py",
            "    table.validate()\n    return table\n", "    return table\n",
-           ("tests/test_realize.py", "tests/test_coset.py")),
-    Mutant("enumeration-without-validate", "src/polycert/coset.py",
-           "    result.validate()\n    return result\n", "    return result\n",
            ("tests/test_coset.py", "tests/test_realize.py")),
     Mutant("felsch-without-inverse-words", "src/polycert/coset.py",
            "variants = {seq, tuple(inv[c] for c in reversed(seq))}", "variants = {seq}",
@@ -119,6 +122,10 @@ MUTANTS = (
            "    if len(w) * e > MAX_WORD_LETTERS:\n", "    if False:\n",
            ("tests/test_words.py::test_power_and_commutator_shapes",
             "tests/test_cli.py::test_word_length_cap_is_a_limit")),
+    Mutant("exponent-without-bound", "src/polycert/words.py",
+           "    if e >= MAX_WORD_LETTERS.bit_length():\n", "    if False:\n",
+           ("tests/test_families.py::test_exponents_are_bounded_before_the_shift",
+            "tests/test_cli.py::test_huge_exponent_is_a_limit")),
     Mutant("hasse-without-polytope-checks", "src/polycert/cli.py",
            "    for name, ok in verdicts:\n", "    for name, ok in ():\n",
            ("tests/test_cli.py",)),

@@ -31,9 +31,10 @@ were ever defined. Dead cosets produced by coincidences are compacted away
 whenever they outnumber live ones 3 to 1: compaction renumbers the columns
 in place with numpy gathers over views of the arrays. The finished table is
 handed out as one read-only int32 matrix, with a row per coset and the same
-columns, numbered by ``_standardize``. That one routine also numbers the
-regular tables that ``regular_table`` builds from an action found another
-way, so every route to a table gives the same bytes.
+columns. ``closed_table`` is the one constructor of a table: it numbers the
+rows with ``_standardize``, for an enumeration and for the regular action
+that ``realize`` builds another way alike, so every route to a table gives
+the same bytes.
 
 HLT (with its lookahead, as in Holt, Eick and O'Brien, ch. 5) skips the
 scans that it knows would change nothing. Once a fill scan has closed a
@@ -48,10 +49,11 @@ when it also reads as itself backwards, as (r0 r1)^k does. The lookahead
 starts at the HLT pointer, since every live coset below it has had each
 relator closed.
 
-Every returned table is re-verified post hoc (every relator traces to a
-closed cycle from every live coset, and every subgroup generator fixes
-coset 0). ``validate`` checks a relator u^k through the map of its root u,
-raised to the k-th power by repeated squaring.
+``closed_table`` also re-verifies every table post hoc, before it hands it
+out frozen (every relator traces to a closed cycle from every live coset,
+and every subgroup generator fixes coset 0). ``validate`` checks a relator
+u^k through the map of its root u, raised to the k-th power by repeated
+squaring.
 """
 
 from __future__ import annotations
@@ -148,9 +150,13 @@ class _ColumnMap:
         return tuple(fwd[g] if s > 0 else bwd[g] for g, s in w)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CosetTable:
-    """A closed coset table plus enough context to interpret it."""
+    """A closed coset table plus enough context to interpret it.
+
+    Built only by ``closed_table``, which validates it; frozen, so no field
+    changes after that.
+    """
 
     presentation: Presentation
     subgroup_generators: tuple[Word, ...]
@@ -678,19 +684,12 @@ class _Engine:
 
     # -- finishing ------------------------------------------------------------
 
-    def finalize(self) -> CosetTable:
+    def finalize(self, subgroup_generators: tuple[Word, ...]) -> CosetTable:
         self._compact(0)
-        n = self.n
         self.stats.cosets_created = self.created
-        self.stats.live_count = n
-        return CosetTable(
-            presentation=self.presentation,
-            subgroup_generators=(),  # caller fills in
-            matrix=_standardize(np.stack(
-                [np.frombuffer(col, dtype=np.intc, count=n) for col in self.t], axis=1)),
-            columns=self.cols,
-            stats=self.stats,
-        )
+        rows = np.stack([np.frombuffer(col, dtype=np.intc, count=self.n) for col in self.t],
+                        axis=1)
+        return closed_table(self.presentation, subgroup_generators, rows, self.stats)
 
 
 def _standardize(table: np.ndarray) -> np.ndarray:
@@ -727,20 +726,20 @@ def _standardize(table: np.ndarray) -> np.ndarray:
     return std
 
 
-def regular_table(presentation: Presentation, images: np.ndarray,
-                  parts: Sequence[CosetTable]) -> CosetTable:
-    """The table over the trivial subgroup of a regular action of the group.
+def closed_table(presentation: Presentation, subgroup_generators: tuple[Word, ...],
+                 rows: np.ndarray, stats: EnumerationStats) -> CosetTable:
+    """The table of the coset action ``rows``, numbered, validated and frozen.
 
-    ``images`` has a row per point and a column per generator-and-sign of
-    ``presentation``, and its point 0 stands for the identity. The table is
-    standardized from that point and validated like any enumerated one. Its
-    stats sum those of ``parts``, the enumerations that built the action,
-    and its live count is the order.
+    ``rows`` has a row per coset and a column per generator-and-sign of
+    ``presentation``, and its row 0 stands for the subgroup that
+    ``subgroup_generators`` generate: an enumeration's compacted table, or a
+    regular action found another way (its point 0 the identity). Every
+    table is built here, so every one is standardized from that row and
+    validated like any other. Sets ``stats.live_count`` to the count of rows.
     """
-    counts = {name: sum(getattr(t.stats, name) for t in parts)
-              for name in ("cosets_created", "compactions", "lookaheads", "deductions")}
-    stats = EnumerationStats(strategy=parts[0].stats.strategy, live_count=len(images), **counts)
-    table = CosetTable(presentation, (), _standardize(images), _ColumnMap(presentation), stats)
+    stats.live_count = len(rows)
+    table = CosetTable(presentation, subgroup_generators, _standardize(rows),
+                       _ColumnMap(presentation), stats)
     table.validate()
     return table
 
@@ -771,7 +770,4 @@ def enumerate_cosets(presentation: Presentation,
         engine.run_hlt()
     else:
         engine.run_felsch()
-    result = engine.finalize()
-    result.subgroup_generators = subgens
-    result.validate()
-    return result
+    return engine.finalize(subgens)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from .errors import ParameterError
-from .words import Presentation, Word, commutator, generator, pair, power
+from .words import Presentation, Word, commutator, generator, pair, power, two_power
 
 SAFE_MIN_EXPONENT_SUM_TOTAL = 10
 
@@ -68,18 +68,19 @@ def _fourth_power_commutators(rank: int) -> list[Word]:
 
 
 def _tail_relator(rank: int, slack: int) -> Word:
-    """The slack-absorbing relator; its shape depends on the parity of the slack."""
+    """The slack-absorbing relator, a power 2^((slack - 1) // 2) of a base
+    whose shape depends on the parity of the slack."""
     if slack % 2 == 1:
         base = _last_section_commutator(rank)
-        return power(base, 1 << ((slack - 1) // 2))
-    base = commutator(power(pair(rank - 3, rank - 2), 2),
-                      power(pair(rank - 2, rank - 1), 2))
-    return power(base, 1 << ((slack - 2) // 2))
+    else:
+        base = commutator(power(pair(rank - 3, rank - 2), 2),
+                          power(pair(rank - 2, rank - 1), 2))
+    return power(base, two_power((slack - 1) // 2))
 
 
 def _scheme(rank: int, k: Sequence[int], slack: int) -> Presentation:
     """The main 2-power scheme: order 2**(sum(k) + slack)."""
-    rels = _coxeter_relators(rank, [1 << e for e in k]) + _mixing_commutators(rank)
+    rels = _coxeter_relators(rank, [two_power(e) for e in k]) + _mixing_commutators(rank)
     rels.extend(_fourth_power_commutators(rank))
     rels.append(_tail_relator(rank, slack))
     return Presentation(rank, tuple(rels))
@@ -160,7 +161,7 @@ def family_k(d: int, k: Sequence[int]) -> Presentation:
     by [(r_{d-3} r_{d-2})^2, r_{d-1}] instead of a slack-dependent tail.
     """
     ks = _check_rank(d, k)
-    rels = _coxeter_relators(d, [1 << e for e in ks]) + _mixing_commutators(d)
+    rels = _coxeter_relators(d, [two_power(e) for e in ks]) + _mixing_commutators(d)
     rels.append(_last_section_commutator(d))
     return Presentation(d, tuple(rels))
 

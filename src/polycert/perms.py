@@ -8,7 +8,8 @@ its generators (``CosetTable.to_permutations``). Products are numpy gathers:
 ``PermutationGroup`` keeps a base and strong generating set built by a
 deterministic Schreier-Sims pass (Holt, Eick and O'Brien, *Handbook of
 Computational Group Theory*, ch. 4), so the group order, the base and the
-chain itself are reproducible across runs.
+chain itself are reproducible across runs. The constructor builds the
+chain, and the queries read it.
 
 Level i of the chain has a base point b, its generators S (every strong
 generator that fixes the earlier base points, in the order they joined) and
@@ -55,7 +56,6 @@ element, forms every Schreier element of every level and sifts it.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -231,10 +231,8 @@ class PermutationGroup:
     Each generator is a sequence of images (a list, an array, or a row of a
     2-D array such as ``CosetTable.to_permutations()``), checked once and
     kept as a read-only int32 copy, the form that ``generators`` and
-    ``strong_generators()`` hand out.
-
-    The stabilizer chain is built lazily on first use and cached; building is
-    guarded by a lock so a group instance can be shared between threads.
+    ``strong_generators()`` hand out. The stabilizer chain is built here,
+    once.
     """
 
     def __init__(self, generators: Iterable = (), degree: int | None = None):
@@ -253,21 +251,13 @@ class PermutationGroup:
             raise CapacityError(f"degree {degree} out of supported range")
         self._generators = gens
         self._degree = degree
-        self._levels: list[_Level] | None = None
-        self._lock = threading.Lock()
+        self._levels = self._build()
 
     @property
     def generators(self) -> tuple[np.ndarray, ...]:
         return self._generators
 
     # -- stabilizer chain ----------------------------------------------------
-
-    def _chain(self) -> list[_Level]:
-        if self._levels is None:
-            with self._lock:
-                if self._levels is None:
-                    self._levels = self._build()
-        return self._levels
 
     def _build(self) -> list[_Level]:
         levels: list[_Level] = []
@@ -348,16 +338,15 @@ class PermutationGroup:
 
     def order(self) -> int:
         n = 1
-        for lv in self._chain():
+        for lv in self._levels:
             n *= int(lv.orbit.size)
         return n
 
     def base(self) -> tuple[int, ...]:
-        return tuple(lv.base for lv in self._chain())
+        return tuple(lv.base for lv in self._levels)
 
     def strong_generators(self) -> tuple[np.ndarray, ...]:
-        levels = self._chain()
-        return tuple(levels[0].gens) if levels else ()
+        return tuple(self._levels[0].gens) if self._levels else ()
 
     def verify_chain(self) -> None:
         """Re-check the chain after the fact; raises RuntimeError on any defect.
@@ -369,7 +358,7 @@ class PermutationGroup:
         element, forms every Schreier element of every level and sifts it,
         without the lemma, and sifts every original generator.
         """
-        levels = self._chain()
+        levels = self._levels
         for i in range(len(levels)):
             self._check_layout(levels, i)
         for i, lv in enumerate(levels):

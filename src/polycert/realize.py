@@ -30,20 +30,23 @@ the two small actions, labelled by ``perms.orbit_labels``; the others follow
 with one numpy gather per level of the transversal tree.
 |O| = [G : H n G_0 n K] <= |G|, so |O| = B proves that G acts regularly on
 O. The points are numbered with one sort, the image columns read with
-``searchsorted``, and the table standardized and validated like an
-enumerated one; standardization is canonical, so it is the enumerated
-table byte for byte. The proof needs sigma only through ``validate()``:
-the validated table is an action of G, transitive on B >= |G| points, so it
-is regular. A sigma that is no character can only raise, and a bound above
-|G| can only fall back; a bound below |G| is the one error that would give
-a wrong table, and the 2m above is a proof that it cannot happen. In a string
+``searchsorted``, and the action handed to ``coset.closed_table``, which
+standardizes and validates it as it does every enumerated table;
+standardization is canonical, so it is the enumerated table byte for byte.
+The proof needs sigma only through ``validate()``: the validated table is
+an action of G, transitive on B >= |G| points, so it is regular. A sigma
+that is no character can only raise, and a bound above |G| can only fall
+back; a bound below |G| is the one error that would give a wrong table,
+and the 2m above is a proof that it cannot happen. In a string
 C-group H n G_0 = <r1> (McMullen and Schulte, *Abstract Regular Polytopes*,
 2E), and <r1> n K = 1, so |O| < B means that the group is not a string
 C-group or that H is smaller than 2m. Then, and whenever the route does not
 apply, the table comes from one enumeration over the trivial subgroup. The
 limits and the strategy apply to every enumeration, and the first one to
 hit a limit raises. The coset limit also bounds B, the rows of the regular
-table, as it bounds the rows that plain enumeration defines.
+table, as it bounds the rows that plain enumeration defines. The table's
+``stats`` sum the counts of the two enumerations, and a limit on B reports
+their total.
 
 For a generator subset S, the orbits of right multiplication by S are the
 left cosets w<S>, and the orbit of the identity is <S> itself. The library's
@@ -68,7 +71,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .coset import CosetTable, EnumerationLimits, enumerate_cosets, regular_table
+from .coset import (CosetTable, EnumerationLimits, EnumerationStats, closed_table,
+                    enumerate_cosets)
 from .errors import InvalidGeneratorError, LimitExceededError, TableNotClosedError
 from .perms import orbit_labels
 from .words import Presentation, Word, generator
@@ -133,16 +137,14 @@ def _orbit_table(p: Presentation, bound_h: int, sigma: int, limits: EnumerationL
     a proof.
     """
     d = p.generator_count
-    parts: list[CosetTable] = []
-
-    def enumerate_(subgroup: list[Word]) -> np.ndarray:
-        stats["enumerations"] += 1
-        parts.append(enumerate_cosets(p, subgroup, limits, strategy))
-        return parts[-1].matrix
-
-    th = enumerate_([generator(0), generator(1)])
+    parts = [enumerate_cosets(p, subgroup, limits, strategy)
+             for subgroup in ([generator(0), generator(1)], [generator(i) for i in range(1, d)])]
+    stats["enumerations"] += len(parts)
+    counts = EnumerationStats(strategy, **{
+        name: sum(getattr(t.stats, name) for t in parts)
+        for name in ("cosets_created", "compactions", "lookaheads", "deductions")})
+    th, t0 = (t.matrix for t in parts)
     bound = len(th) * bound_h
-    t0 = enumerate_([generator(i) for i in range(1, d)])
     t1 = np.array([[x ^ (sigma >> g & 1) for g in range(d)] for x in (0, 1)], dtype=np.intc)
     n, n0, n1 = len(th), len(t0), len(t1)
     # Block 0 is the <r0, r1>-orbit of the point (0, 0) in the product of
@@ -153,11 +155,10 @@ def _orbit_table(p: Presentation, bound_h: int, sigma: int, limits: EnumerationL
     if n * len(block) != bound:
         return None
     if bound > limits.max_cosets:
-        created = sum(t.stats.cosets_created for t in parts)
         raise LimitExceededError(
             f"coset limit {limits.max_cosets} exceeded (the regular table has {bound} "
-            f"cosets; {created} cosets created in {len(parts)} enumerations)",
-            cosets_created=created)
+            f"cosets; {counts.cosets_created} cosets created in {len(parts)} enumerations)",
+            cosets_created=counts.cosets_created)
     # Coset beta of H is first entered, in row-major order of the
     # standardized table, from a smaller coset parent[beta - 1] by generator
     # gen[beta - 1]; parents never decrease, so each level of that tree is
@@ -184,7 +185,7 @@ def _orbit_table(p: Presentation, bound_h: int, sigma: int, limits: EnumerationL
         if not np.array_equal(keys[pos], image):
             raise TableNotClosedError(f"the orbit of the base point is not closed under r{g}")
         images[:, g] = pos
-    return regular_table(p, images, parts)
+    return closed_table(p, (), images, counts)
 
 
 def _regular_table(p: Presentation, limits: EnumerationLimits, strategy: str,

@@ -153,6 +153,16 @@ def power(w: Word, e: int) -> Word:
     return Word._of_checked(w.letters * e)
 
 
+def two_power(e: int) -> int:
+    """2^e for an exponent ``e >= 0`` of a relator power; raises
+    ``CapacityError`` when 2^e alone exceeds ``MAX_WORD_LETTERS``, before the
+    shift builds an e-bit int (12 GB for an exponent of 10^11)."""
+    if e >= MAX_WORD_LETTERS.bit_length():
+        raise CapacityError(f"a power 2^e with e above {MAX_WORD_LETTERS.bit_length() - 1} "
+                            f"exceeds the {MAX_WORD_LETTERS}-letter cap")
+    return 1 << e
+
+
 def commutator(a: Word, b: Word) -> Word:
     """``a^-1 b^-1 a b``, freely reduced."""
     return Word._of_checked(a.inverse().letters + b.inverse().letters

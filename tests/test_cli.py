@@ -145,6 +145,16 @@ def test_word_length_cap_is_a_limit(capsys, monkeypatch):
         "polycert: limit-exceeded: a power of a 2-letter word exceeds the 64-letter cap"]
 
 
+def test_huge_exponent_is_a_limit(capsys):
+    # a k entry or an n of 10^8 is refused before 2^(10^8) is built
+    for argv in (("--family", "K", "--d", "3", "--k", "100000000,2"),
+                 ("--family", "G", "--d", "3", "--n", "100000000", "--k", "2,2")):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 5 and out == ""
+        assert err.splitlines() == ["polycert: limit-exceeded: a power 2^e with e above 22 "
+                                    "exceeds the 4194304-letter cap"]
+
+
 def test_max_cosets_env_and_flag_precedence(capsys, monkeypatch):
     args = ("verify", "--family", "tight", "--k", "4,4")
     code, _, err = run(capsys, *args, "--max-cosets", "10")

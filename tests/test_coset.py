@@ -4,6 +4,7 @@ The brute-force oracle below closes the group by left-multiplying reduced
 words, entirely independent of the table-based engine it checks.
 """
 
+import dataclasses
 import tracemalloc
 from collections import Counter
 
@@ -299,7 +300,7 @@ def test_marks_stay_true_through_coincidences_and_compaction(monkeypatch):
     for p in (tight_quotient_presentation((8, 8, 8)), family_a(3, 2, (2, 2))):
         engine = coset_mod._Engine(p, (), EnumerationLimits(), "hlt")
         engine.run_hlt()
-        stats = engine.finalize().stats
+        stats = engine.finalize(()).stats
         assert stats.cosets_created > stats.live_count and stats.compactions > 1
         n = engine.n
         marks = np.frombuffer(engine.marks, dtype=engine.marks.typecode)
@@ -370,33 +371,35 @@ def test_bad_inputs():
 
 
 def test_validate_catches_corruption():
+    # a table is frozen once validated, so each corrupt copy is a new table
     enumerate_cosets(dihedral(4)).validate()
 
     def set_entry(t, i, c, value):
         corrupt = t.matrix.copy()
         corrupt[i, c] = value
-        t.matrix = corrupt
+        return dataclasses.replace(t, matrix=corrupt)
 
     def wrong_arrow(t):
-        set_entry(t, 2, 0, t.matrix[2, 0] ^ 1)
+        return set_entry(t, 2, 0, t.matrix[2, 0] ^ 1)
 
     def undefined_entry(t):
-        set_entry(t, 0, 1, -1)
+        return set_entry(t, 0, 1, -1)
 
     def out_of_range_entry(t):
-        set_entry(t, 0, 1, len(t.matrix))
+        return set_entry(t, 0, 1, len(t.matrix))
 
     def missing_column(t):
-        t.matrix = t.matrix[:, :-1].copy()
+        return dataclasses.replace(t, matrix=t.matrix[:, :-1].copy())
 
     def open_relator(t):
         # (r0 r1)^2 is the central rotation of the dihedral group of order 8,
         # so it fails at every coset while every back link stays consistent
         extra = power(pair(0, 1), 2)
-        t.presentation = Presentation(2, t.presentation.relators + (extra,))
+        return dataclasses.replace(
+            t, presentation=Presentation(2, t.presentation.relators + (extra,)))
 
     def moving_subgroup_generator(t):
-        t.subgroup_generators = (generator(0),)
+        return dataclasses.replace(t, subgroup_generators=(generator(0),))
 
     cases = [
         (wrong_arrow, r"entry \(2, col 0\) lacks a consistent back link"),
@@ -407,8 +410,7 @@ def test_validate_catches_corruption():
         (moving_subgroup_generator, "moves coset 0"),
     ]
     for corrupt, message in cases:
-        t = enumerate_cosets(dihedral(4))
-        corrupt(t)
+        t = corrupt(enumerate_cosets(dihedral(4)))
         with pytest.raises(TableNotClosedError, match=message):
             t.validate()
 
@@ -420,13 +422,21 @@ def test_validate_catches_corruption():
     relabel = np.array([0, 3, 1, 5, 2, 6, 4])
     matrix = np.empty((7, 2), dtype=np.intc)
     matrix[relabel] = relabel[square_and_triangle]
-    t = enumerate_cosets(dihedral(4))
-    t.matrix = matrix
+    t = dataclasses.replace(enumerate_cosets(dihedral(4)), matrix=matrix)
     relator = power(pair(0, 1), 4)
     first_open = next(x for x in range(7) if t.trace(x, relator) != x)
     assert first_open == 2
     with pytest.raises(TableNotClosedError, match=f"does not close at coset {first_open}$"):
         t.validate()
+
+
+def test_tables_are_frozen():
+    # every table is built and validated by closed_table, then frozen
+    for t in (enumerate_cosets(dihedral(4)), RealizedGroup(family_k(3, (2, 2))).table):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.matrix = t.matrix.copy()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.subgroup_generators = (generator(0),)
 
 
 def test_lookahead_is_exercised(monkeypatch):

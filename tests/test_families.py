@@ -7,11 +7,12 @@ by hand from the documented scheme.
 """
 
 import itertools
+import tracemalloc
 import warnings
 
 import pytest
 
-from polycert.errors import ParameterError
+from polycert.errors import CapacityError, ParameterError
 from polycert.families import (
     SAFE_MIN_EXPONENT_SUM_TOTAL,
     a_parameter_tuples,
@@ -26,7 +27,15 @@ from polycert.families import (
 )
 from polycert.realize import RealizedGroup
 from polycert.verify import certify
-from polycert.words import commutator, generator, pair, power, word_to_text
+from polycert.words import (
+    MAX_WORD_LETTERS,
+    commutator,
+    generator,
+    pair,
+    power,
+    two_power,
+    word_to_text,
+)
 
 
 def test_tight_square_relators_frozen():
@@ -243,3 +252,22 @@ def test_default_grid_letters_are_shared():
     letters = [x for p in presentations for r in p.relators for x in r.letters]
     assert len(letters) == 46560
     assert len({id(x) for x in letters}) == len(set(letters)) == 10
+
+
+def test_exponents_are_bounded_before_the_shift():
+    assert two_power(22) == MAX_WORD_LETTERS
+    with pytest.raises(CapacityError, match="e above 22 exceeds the 4194304-letter cap"):
+        two_power(23)
+    # 2^(10^8) alone would be a 12.5 MB int: each builder refuses its
+    # exponent (a k entry, or the slack of the tail relator) before the shift
+    builders = [lambda: family_k(3, (10**8, 2)), lambda: family_g(3, 10**8, (2, 2)),
+                lambda: family_g(4, 10**8 + 1, (2, 2, 2)), lambda: family_a(3, 10**8, (3, 2))]
+    for build in builders:
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="letter cap"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

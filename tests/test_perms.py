@@ -21,8 +21,11 @@ def _orbit(g, point):
 
 
 def test_validation():
-    # each generator is checked once, as the group takes it in
-    for bad in ([0, 0, 1], [], [[0, 1], [1, 0]], [1, 2, 3], [-1, 0]):
+    # each generator is checked once, as the group takes it in; the chain is
+    # built next, and without the check an unchecked map would reach it:
+    # [-1, 0] would give a group of order 2, while [0, 0, 1] would keep
+    # adding levels without end, so the inputs that fail fast come first
+    for bad in ([-1, 0], [1, 2, 3], [0, 0, 1], [], [[0, 1], [1, 0]]):
         with pytest.raises(ValueError):
             PermutationGroup([bad])
 

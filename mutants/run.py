@@ -11,6 +11,12 @@ fails. Before any mutant, the selections run once on an unedited copy and
 must pass, so a kill is the edit's doing. A mutant whose text is not found
 exactly once is stale: the code it was written against has moved.
 
+Every test run may map at most ``MEMORY_LIMIT`` bytes, so a mutant that
+sends an oracle into an unbounded allocation fails fast with a
+``MemoryError`` instead of taking the machine's memory. Such a run counts as
+killed only when the unedited run peaked far below the limit, so that the
+edit, not the limit, made it fail.
+
 The report has one line per mutant and ends with the survivors; the exit
 code is 0 only when every mutant is killed. A new check or oracle adds its
 own mutant here.
@@ -19,6 +25,7 @@ own mutant here.
 from __future__ import annotations
 
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -32,6 +39,10 @@ IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypot
 # A mutant can make an oracle slow (a wrong table may generate a huge group),
 # so every test run is stopped after this long; a timeout is no kill.
 TIMEOUT_S = 600
+MEMORY_LIMIT = 4 << 30  # address space of one test run, in bytes
+# "Far below": the unedited run's peak resident size must stay under this
+# share of the limit for a run that hit the limit to count as killed.
+BASELINE_SHARE = 1 / 8
 
 
 class Mutant(NamedTuple):
@@ -86,16 +97,16 @@ MUTANTS = (
            "    if n * len(block) != bound:\n",
            "    bound = n * len(block)\n    if n * len(block) != bound:\n",
            ("tests/test_realize.py",)),
-    Mutant("character-without-elimination", "src/polycert/realize.py",
-           "    rows: dict[int, int] = {}  # pivot bit -> row, in reduced echelon form\n",
-           "    return 1 << 1\n"
-           "    rows: dict[int, int] = {}  # pivot bit -> row, in reduced echelon form\n",
+    # an odd relator: the swap of the cosets of K is no action of G
+    Mutant("route-without-even-length-test", "src/polycert/realize.py",
+           "            and all(len(r) % 2 == 0 for r in p.relators)):\n",
+           "            ):\n",
            ("tests/test_realize.py",)),
     Mutant("block-from-every-point", "src/polycert/realize.py",
            "block = np.flatnonzero(labels == 0)", "block = np.flatnonzero(labels >= 0)",
            ("tests/test_realize.py",)),
     Mutant("block-under-r0-alone", "src/polycert/realize.py",
-           "for g in (0, 1)], n0 * n1)", "for g in (0,)], n0 * n1)",
+           "for g in (0, 1)], n0 * 2)", "for g in (0,)], n0 * 2)",
            ("tests/test_realize.py",)),
     # the one constructor of every table, enumerated or from the orbit route
     Mutant("closed-table-without-validate", "src/polycert/coset.py",
@@ -129,19 +140,45 @@ MUTANTS = (
     Mutant("hasse-without-polytope-checks", "src/polycert/cli.py",
            "    for name, ok in verdicts:\n", "    for name, ok in ():\n",
            ("tests/test_cli.py",)),
+    # export has no early writability check: only the write reports it
+    Mutant("write-error-swallowed", "src/polycert/cli.py",
+           "            fh.write(text)\n    except OSError as exc:\n"
+           "        raise ParameterError(f\"cannot write output: {exc}\")\n",
+           "            fh.write(text)\n    except OSError as exc:\n        return\n",
+           ("tests/test_cli.py::test_export_to_a_missing_directory_is_param_invalid",)),
+    Mutant("flag-matchings-allow-fixed-points", "src/polycert/polytope.py",
+           "if np.any(arr == idx) or not np.array_equal(arr[arr], idx):",
+           "if not np.array_equal(arr[arr], idx):",
+           ("tests/test_polytope.py::test_flag_matchings_report_the_failing_ranks",)),
+    Mutant("node-label-without-range-error", "src/polycert/polytope.py",
+           '        raise IndexError("node id out of range")\n',
+           '        return "out of range"\n',
+           ("tests/test_polytope.py::test_node_addressing",)),
+    Mutant("presentation-text-without-gens-check", "src/polycert/words.py",
+           "    if gen_count is None:\n", "    if False:\n",
+           ("tests/test_words.py::test_presentation_text_needs_a_gens_line",)),
 )
 
 
-def run_tests(checkout: Path, tests: tuple[str, ...]) -> int | str:
+def _limit_memory() -> None:
+    """Bound the address space of the test process (run in the child)."""
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limit = MEMORY_LIMIT if hard == resource.RLIM_INFINITY else min(hard, MEMORY_LIMIT)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+
+def run_tests(checkout: Path, tests: tuple[str, ...]) -> tuple[int | str, bool]:
     """pytest's exit code for ``tests`` in ``checkout`` (0 passed, 1 failed),
-    or "timeout" when the run outlasts ``TIMEOUT_S``."""
+    or "timeout" when the run outlasts ``TIMEOUT_S``; and whether the run
+    reported a ``MemoryError``, the sign that it hit ``MEMORY_LIMIT``."""
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
     try:
-        return subprocess.run(cmd, cwd=checkout, env=env, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.DEVNULL, timeout=TIMEOUT_S).returncode
+        proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True,
+                              errors="replace", timeout=TIMEOUT_S, preexec_fn=_limit_memory)
     except subprocess.TimeoutExpired:
-        return "timeout"
+        return "timeout", False
+    return proc.returncode, "MemoryError" in proc.stdout + proc.stderr
 
 
 def main(names: list[str]) -> int:
@@ -154,10 +191,15 @@ def main(names: list[str]) -> int:
         base = Path(tmp) / "base"
         shutil.copytree(ROOT, base, ignore=IGNORED)
         selections = tuple(dict.fromkeys(t for m in mutants for t in m.tests))
-        code = run_tests(base, selections)
+        code, _ = run_tests(base, selections)
         if code != 0:
             print(f"the unedited checkout fails the selections (pytest exit {code})")
             return 1
+        # the largest child so far, and the only one: the unedited run
+        peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * 1024
+        limit_kills = peak < MEMORY_LIMIT * BASELINE_SHARE
+        print(f"the unedited run peaks at {peak >> 20} MB; the limit is {MEMORY_LIMIT >> 20} MB",
+              flush=True)
         survivors = []
         for m in mutants:
             copy = Path(tmp) / m.name
@@ -170,12 +212,15 @@ def main(names: list[str]) -> int:
             else:
                 target.write_text(text.replace(m.old, m.new))
                 started = time.perf_counter()
-                code = run_tests(copy, m.tests)
+                code, over_limit = run_tests(copy, m.tests)
                 seconds = time.perf_counter() - started
-                if code == 1:
+                if over_limit and limit_kills:
+                    verdict = f"killed over the memory limit (pytest {code}, {seconds:.1f} s)"
+                elif code == 1 and not over_limit:
                     verdict = f"killed ({seconds:.1f} s)"
                 else:
-                    verdict = f"SURVIVED (pytest {code}, {seconds:.1f} s)"
+                    memory = ", over the memory limit" if over_limit else ""
+                    verdict = f"SURVIVED (pytest {code}{memory}, {seconds:.1f} s)"
                     survivors.append(m.name)
             shutil.rmtree(copy)
             print(f"{m.name}: {verdict}", flush=True)

@@ -8,7 +8,7 @@ Loading a JSON document checks every value against its field's declared
 type, refuses keys that no field declares, and recomputes the sha256 digest
 over the intersection evidence rows.
 The digest covers only those rows; checking a certificate by replaying it
-arrives with ROADMAP item 3. Orders are stored exactly, with a convenience
+arrives with ROADMAP item 2. Orders are stored exactly, with a convenience
 log2 field that is null whenever the order is not a power of two (tight
 groups of non-2-power type exist, so this cannot be assumed).
 

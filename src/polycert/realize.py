@@ -9,44 +9,44 @@ table without further enumerations.
 
 The table is built as the orbit of one point when the presentation allows
 it: the rank d is at least 3, every generator is a declared involution,
-some relator in r0 and r1 alone is a rotation, and some character moves r1.
-Let H = <r0, r1> and G_0 = <r1, ..., r_{d-1}>. Each relator in r0 and r1
-alone reduces in the infinite dihedral group <r0, r1 | r0^2, r1^2> to a
-reflection or to a rotation (r0 r1)^(+-j); if m is the gcd of the rotation
-exponents, H is a quotient of the dihedral group of order 2m. Each relator
-also gives the parities of its letter counts, a vector over GF(2); a sigma
-over GF(2) with sigma_1 = 1 and an even weight on every such vector, found
-by elimination, is a character G -> C2 that sends r1 to -1, and its kernel
-K has index 2 and does not contain r1. Two enumerations, in this order, give
-N = [G:H] with a transversal (the first entry of each coset in row-major
-order of the standardized table over H) and the coset action of G on G_0;
-the action on the two cosets of K is x -> x + sigma_g. A completed
-enumeration proves an index (Holt, Eick and O'Brien, *Handbook of
-Computational Group Theory*, ch. 5), so |G| = N |H| <= B = 2mN. The orbit O
-of the point (H, G_0, K) in the product of the three coset actions is the
-H-orbit of that point carried along the transversal: N disjoint blocks, one
-per coset of H. The first block is the H-orbit of (G_0, K) in the product of
-the two small actions, labelled by ``perms.orbit_labels``; the others follow
-with one numpy gather per level of the transversal tree.
-|O| = [G : H n G_0 n K] <= |G|, so |O| = B proves that G acts regularly on
-O. The points are numbered with one sort, the image columns read with
-``searchsorted``, and the action handed to ``coset.closed_table``, which
-standardizes and validates it as it does every enumerated table;
-standardization is canonical, so it is the enumerated table byte for byte.
-The proof needs sigma only through ``validate()``: the validated table is
-an action of G, transitive on B >= |G| points, so it is regular. A sigma
-that is no character can only raise, and a bound above |G| can only fall
-back; a bound below |G| is the one error that would give a wrong table,
-and the 2m above is a proof that it cannot happen. In a string
-C-group H n G_0 = <r1> (McMullen and Schulte, *Abstract Regular Polytopes*,
-2E), and <r1> n K = 1, so |O| < B means that the group is not a string
-C-group or that H is smaller than 2m. Then, and whenever the route does not
-apply, the table comes from one enumeration over the trivial subgroup. The
-limits and the strategy apply to every enumeration, and the first one to
-hit a limit raises. The coset limit also bounds B, the rows of the regular
-table, as it bounds the rows that plain enumeration defines. The table's
-``stats`` sum the counts of the two enumerations, and a limit on B reports
-their total.
+every relator has even length, and some relator in r0 and r1 alone is a
+rotation. Let H = <r0, r1> and G_0 = <r1, ..., r_{d-1}>. Each relator in r0
+and r1 alone reduces in the infinite dihedral group <r0, r1 | r0^2, r1^2> to
+a reflection or to a rotation (r0 r1)^(+-j); if m is the gcd of the rotation
+exponents, H is a quotient of the dihedral group of order 2m. Every relator
+has even length exactly when r_i -> -1 is a character G -> C2; its kernel K
+is then the rotation subgroup G+ of the products of an even number of
+generators, which has index 2 and does not contain r1 (McMullen and
+Schulte, *Abstract Regular Polytopes*, 2B). An odd relator means that G+ is
+all of G: the group of a non-orientable polytope is one such. Two
+enumerations, in this order, give N = [G:H] with a transversal (the first
+entry of each coset in row-major order of the standardized table over H)
+and the coset action of G on G_0; every generator swaps the two cosets of
+K. A completed enumeration proves an index (Holt, Eick and O'Brien,
+*Handbook of Computational Group Theory*, ch. 5), so |G| = N |H| <= B = 2mN.
+The orbit O of the point (H, G_0, K) in the product of the three coset
+actions is the H-orbit of that point carried along the transversal: N
+disjoint blocks, one per coset of H. The first block is the H-orbit of
+(G_0, K) in the product of the two small actions, labelled by
+``perms.orbit_labels``; the others follow with one numpy gather per level
+of the transversal tree. |O| = [G : H n G_0 n K] <= |G|, so |O| = B proves
+that G acts regularly on O. The points are numbered with one sort, the image
+columns read with ``searchsorted``, and the action handed to
+``coset.closed_table``, which standardizes and validates it as it does every
+enumerated table; standardization is canonical, so it is the enumerated
+table byte for byte. The validated table is an action of G, transitive on
+B >= |G| points, so it is regular: were the swap of the cosets of K no
+action of G, the table could only raise or fall back. A bound above |G| can
+only fall back; a bound below |G| is the one error that would give a wrong
+table, and the 2m above is a proof that it cannot happen. In a string
+C-group H n G_0 = <r1> (McMullen and Schulte, 2E), and <r1> n K = 1, so
+|O| < B means that the group is not a string C-group or that H is smaller
+than 2m. Then, and whenever the route does not apply, the table comes from
+one enumeration over the trivial subgroup. The limits and the strategy
+apply to every enumeration, and the first one to hit a limit raises. The
+coset limit also bounds B, the rows of the regular table, as it bounds the
+rows that plain enumeration defines. The table's ``stats`` sum the counts
+of the two enumerations, and a limit on B reports their total.
 
 For a generator subset S, the orbits of right multiplication by S are the
 left cosets w<S>, and the orbit of the identity is <S> itself. The library's
@@ -98,43 +98,12 @@ def _rotation_bound(p: Presentation) -> int:
     return 2 * m
 
 
-def _character(p: Presentation) -> int | None:
-    """A homomorphism sigma: G -> C2 with sigma(r1) = -1, as the bit mask of
-    the generators it sends to -1, or None when there is none.
-
-    sigma must have an even weight on every relator's letter-count parities
-    over GF(2), so it exists exactly when e_1 is not in their span.
-    """
-    rows: dict[int, int] = {}  # pivot bit -> row, in reduced echelon form
-    for r in p.relators:
-        v = 0
-        for g, _ in r:
-            v ^= 1 << g
-        for pivot, row in rows.items():
-            if v >> pivot & 1:
-                v ^= row
-        if v:
-            pivot = v.bit_length() - 1
-            rows = {q: row ^ v if row >> pivot & 1 else row for q, row in rows.items()}
-            rows[pivot] = v
-    # sigma is 1 on one free column c and 0 on the others; each row then
-    # fixes sigma on its pivot. Bit 1 is free, or the pivot of a row whose
-    # other bits are free and below it.
-    c = 1
-    if 1 in rows:
-        if rows[1] == 1 << 1:
-            return None
-        c = 0
-    return 1 << c | sum((row >> c & 1) << q for q, row in rows.items())
-
-
-def _orbit_table(p: Presentation, bound_h: int, sigma: int, limits: EnumerationLimits,
+def _orbit_table(p: Presentation, bound_h: int, limits: EnumerationLimits,
                  strategy: str, stats: Counter) -> CosetTable | None:
     """The regular table as the orbit of one point, or None when |O| < B.
 
-    ``bound_h`` bounds |<r0, r1>| and ``sigma`` is the character whose
-    kernel is K. The module docstring states the construction and why it is
-    a proof.
+    ``bound_h`` bounds |<r0, r1>|. The module docstring states the
+    construction and why it is a proof.
     """
     d = p.generator_count
     parts = [enumerate_cosets(p, subgroup, limits, strategy)
@@ -145,12 +114,13 @@ def _orbit_table(p: Presentation, bound_h: int, sigma: int, limits: EnumerationL
         for name in ("cosets_created", "compactions", "lookaheads", "deductions")})
     th, t0 = (t.matrix for t in parts)
     bound = len(th) * bound_h
-    t1 = np.array([[x ^ (sigma >> g & 1) for g in range(d)] for x in (0, 1)], dtype=np.intc)
-    n, n0, n1 = len(th), len(t0), len(t1)
+    n, n0 = len(th), len(t0)
     # Block 0 is the <r0, r1>-orbit of the point (0, 0) in the product of
-    # the actions on G_0 and K, point (a, b) numbered a n1 + b. The order of
-    # the points in a block is irrelevant: they are numbered by one sort.
-    labels = orbit_labels([(t0[:, g, None] * n1 + t1[:, g]).ravel() for g in (0, 1)], n0 * n1)
+    # the actions on G_0 and on the two cosets of K, which every generator
+    # swaps: point (a, b) is numbered 2a + b. The order of the points in a
+    # block is irrelevant: they are numbered by one sort.
+    swap = np.array([1, 0], dtype=np.intc)
+    labels = orbit_labels([(t0[:, g, None] * 2 + swap).ravel() for g in (0, 1)], n0 * 2)
     block = np.flatnonzero(labels == 0)
     if n * len(block) != bound:
         return None
@@ -166,21 +136,21 @@ def _orbit_table(p: Presentation, bound_h: int, sigma: int, limits: EnumerationL
     parent, gen = np.divmod(np.unique(th, return_index=True)[1][1:], d)
     a = np.empty((n, len(block)), dtype=np.intc)
     b = np.empty_like(a)
-    a[0], b[0] = np.divmod(block, n1)
+    a[0], b[0] = np.divmod(block, 2)
     lo = 1
     while lo < n:
         hi = 1 + int(np.searchsorted(parent, lo))
         par, g = parent[lo - 1:hi - 1], gen[lo - 1:hi - 1, None]
         a[lo:hi] = t0[a[par], g]
-        b[lo:hi] = t1[b[par], g]
+        b[lo:hi] = b[par] ^ 1
         lo = hi
     beta = np.repeat(np.arange(n, dtype=np.int64), len(block))
-    keys = (beta * n0 + a.ravel()) * n1 + b.ravel()
+    keys = (beta * n0 + a.ravel()) * 2 + b.ravel()
     order = np.argsort(keys)
     keys, beta, a, b = keys[order], beta[order], a.ravel()[order], b.ravel()[order]
     images = np.empty((len(keys), d), dtype=np.intc)
     for g in range(d):
-        image = (th[beta, g].astype(np.int64) * n0 + t0[a, g]) * n1 + t1[b, g]
+        image = (th[beta, g].astype(np.int64) * n0 + t0[a, g]) * 2 + (b ^ 1)
         pos = np.minimum(np.searchsorted(keys, image), len(keys) - 1)
         if not np.array_equal(keys[pos], image):
             raise TableNotClosedError(f"the orbit of the base point is not closed under r{g}")
@@ -193,10 +163,11 @@ def _regular_table(p: Presentation, limits: EnumerationLimits, strategy: str,
     """The orbit route's table where it applies and closes, else one enumeration."""
     d = p.generator_count
     table = None
-    if d >= 3 and p.involutory_generators() == frozenset(range(d)):
-        bound_h, sigma = _rotation_bound(p), _character(p)
-        if bound_h and sigma is not None:
-            table = _orbit_table(p, bound_h, sigma, limits, strategy, stats)
+    if (d >= 3 and p.involutory_generators() == frozenset(range(d))
+            and all(len(r) % 2 == 0 for r in p.relators)):
+        bound_h = _rotation_bound(p)
+        if bound_h:
+            table = _orbit_table(p, bound_h, limits, strategy, stats)
     if table is None:
         stats["enumerations"] += 1
         table = enumerate_cosets(p, (), limits, strategy)

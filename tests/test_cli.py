@@ -20,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 import polycert
 import polycert.cli as cli
 import polycert.words as words_mod
-from polycert.certificates import certificate_from_json, parse_atlas
+from polycert.certificates import certificate_from_json, format_atlas, parse_atlas
 from polycert.cli import main
 from polycert.families import tight_quotient_presentation
 
@@ -395,6 +395,18 @@ def test_export_input_errors(capsys, tmp_path):
     code, _, err = run(capsys, "export", "--in", str(bad))
     assert code == 4
     assert "format-invalid" in err
+
+
+def test_export_to_a_missing_directory_is_param_invalid(capsys, tmp_path):
+    # export checks its output only when it writes, after the parse
+    atlas = tmp_path / "atlas.tsv"
+    atlas.write_text(format_atlas([], []))
+    code, out, err = run(capsys, "export", "--in", str(atlas),
+                         "--out", str(tmp_path / "missing" / "atlas.json"))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("polycert: param-invalid: cannot write output: ")
+    assert err.count("\n") == 1
 
 
 def test_paper_tables(capsys):

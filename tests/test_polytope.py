@@ -118,6 +118,8 @@ def test_node_addressing(tight44):
         lat.node_id(0, 4)
     with pytest.raises(IndexError):
         lat.node_id(5, 0)
+    with pytest.raises(IndexError):
+        lat.node_label(lat.node_count)
 
 
 def test_flag_graph_structure(tight44):
@@ -146,6 +148,14 @@ def test_certify_and_polytope_checks_build_no_permutation():
     assert check_diamond(rg, cert, max_order=rg.order)[0]
     assert check_section_connectivity(rg, cert, max_order=rg.order)
     assert build_lattice(rg, cert).f_vector == (4, 8, 4)
+
+
+def test_flag_matchings_report_the_failing_ranks():
+    # row 0 is an involution with two fixed points, row 2 a 4-cycle
+    moves = np.array([[0, 2, 1, 3], [1, 0, 3, 2], [1, 2, 3, 0]], dtype=np.int32)
+    assert check_flag_matchings(moves[:2]) == (False, (0,))
+    assert check_flag_matchings(moves) == (False, (0, 2))
+    assert check_flag_matchings(moves[1:2]) == (True, ())
 
 
 def test_section_connectivity_and_diamond(tight44):

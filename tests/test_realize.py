@@ -5,8 +5,8 @@ walk of the subgroup's element set, a Python stack search that shares no code
 with the numpy partition under test.
 """
 
-import importlib
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,7 +21,7 @@ from polycert.families import (
     tight_quotient_presentation,
 )
 from polycert.perms import PermutationGroup, orbit_labels
-from polycert.realize import RealizedGroup, _character, _rotation_bound, realize
+from polycert.realize import RealizedGroup, _orbit_table, _rotation_bound, realize
 from polycert.words import (
     Presentation,
     Word,
@@ -51,15 +51,21 @@ ORACLE_PRESENTATIONS = [
                      commutator(generator(0), generator(1)))),
 ]
 
-# Enumerations behind each oracle table: 2 on the orbit route, 3 where it
-# falls back (the hidden centre, where <r0, r1> meets <r1, r2> in more than
-# <r1>), 1 where it does not apply (rank 2). Where r0 = r1, <r0, r1> n <r1, r2>
-# = <r1> meets the kernel of the character in the identity, so the route holds.
-ORACLE_ENUMERATIONS = [2, 2, 2, 1, 2, 3, 1]
+# Enumerations behind each oracle table: 2 on the orbit route, 1 where it
+# does not apply (rank 2, or the odd relator r2 (r0 r1)^2 of the hidden
+# centre). Where r0 = r1, <r0, r1> n <r1, r2> = <r1> meets the rotation
+# subgroup in the identity, so the route holds.
+ORACLE_ENUMERATIONS = [2, 2, 2, 1, 2, 1, 1]
 
 # Order 8, with r2 = (r0 r1)^2 central: <r0, r1> n <r1, r2> n <r0, r2> has
 # order 2, so the group fails the intersection property.
 HIDDEN_CENTRE = ORACLE_PRESENTATIONS[5]
+
+
+def even(p):
+    """Does every relator have even length, so that the orbit route may
+    take the rotation subgroup as K?"""
+    return all(len(r) % 2 == 0 for r in p.relators)
 
 
 def span_elements(rg, subset):
@@ -197,21 +203,21 @@ def test_bad_generator_subsets(tight44):
         rg.cosets((7,))
 
 
-@pytest.mark.parametrize("p, sigma", [
-    (tight_quotient_presentation((4, 4, 4)), 0b10),
-    (tight_quotient_presentation((8, 8, 8)), 0b10),
-    (family_g(3, 12, (2, 9)), 0b10),
+@pytest.mark.parametrize("p", [
+    tight_quotient_presentation((4, 4, 4)),
+    tight_quotient_presentation((8, 8, 8)),
+    family_g(3, 12, (2, 9)),
     # 2m = 1024 and 512 cosets of G_0: the largest <r0, r1>-orbit block on
     # the sweep grid, where G3 above has 8 points
-    (family_g(3, 12, (9, 2)), 0b10),
-    (family_g(4, 12, (3, 3, 3)), 0b10),
-    (family_g(5, 12, (2, 2, 2, 3)), 0b10),
-    # (r0 r1)^3 and (r1 r2)^3 have odd letter counts, so e_1 is no
-    # character; the sign character, -1 on every generator, is
-    (coxeter_string_presentation((3, 3)), 0b111),
+    family_g(3, 12, (9, 2)),
+    family_g(4, 12, (3, 3, 3)),
+    family_g(5, 12, (2, 2, 2, 3)),
+    # (r0 r1)^3 and (r1 r2)^3 have an odd count of each letter, but an even
+    # length, so the sign is a character
+    coxeter_string_presentation((3, 3)),
 ], ids=["tight444", "tight888", "G3", "G3-wide-block", "G4", "G5", "coxeter33"])
-def test_orbit_route_gives_the_enumerated_table(p, sigma):
-    assert _character(p) == sigma
+def test_orbit_route_gives_the_enumerated_table(p):
+    assert even(p)
     rg = RealizedGroup(p)
     plain = enumerate_cosets(p)
     assert rg.stats["enumerations"] == 2
@@ -220,35 +226,51 @@ def test_orbit_route_gives_the_enumerated_table(p, sigma):
     assert 0 < rg.table.stats.cosets_created < plain.stats.cosets_created
 
 
-def test_a_wrong_character_is_caught_by_validate(monkeypatch):
-    # sigma = e_1 is no character of Coxeter {3,3}: the orbit still has
-    # B = 24 points and closes, but (r0 r1)^3 moves it, so validate() raises
-    realize_module = importlib.import_module("polycert.realize")  # the package exports realize()
-    monkeypatch.setattr(realize_module, "_character", lambda p: 0b10)
+def test_a_wrong_character_is_caught_by_validate():
+    # With an odd relator the swap of the cosets of K is no action of G. The
+    # route, entered past its even-length test, must then fall back or raise.
+    # The hemicube {4,3}_3 (order 24) is non-orientable: the orbit has
+    # B = 24 points and closes, but (r0 r1 r2)^3 moves it, so validate() raises.
+    hemicube = presentation_from_text(
+        "gens 3\nrel r0 r0\nrel r1 r1\nrel r2 r2\nrel r0 r1 r0 r1 r0 r1 r0 r1\n"
+        "rel r1 r2 r1 r2 r1 r2\nrel r0 r2 r0 r2\nrel r0 r1 r2 r0 r1 r2 r0 r1 r2\n")
+    for p in (hemicube, HIDDEN_CENTRE):
+        assert not even(p)
     with pytest.raises(TableNotClosedError, match="does not close"):
-        RealizedGroup(coxeter_string_presentation((3, 3)))
+        _orbit_table(hemicube, _rotation_bound(hemicube), EnumerationLimits(), "hlt", Counter())
+    # the hidden centre's orbit has fewer than B = 8 points
+    assert _orbit_table(HIDDEN_CENTRE, _rotation_bound(HIDDEN_CENTRE), EnumerationLimits(),
+                        "hlt", Counter()) is None
+    rg = RealizedGroup(hemicube)
+    assert rg.stats["enumerations"] == 1 and rg.order == 24
 
 
 def test_failing_intersection_property_falls_back():
-    # |O| = 4 < B = 8: the route must not accept the orbit as the group
-    rg = RealizedGroup(HIDDEN_CENTRE)
-    plain = enumerate_cosets(HIDDEN_CENTRE)
+    # (r0 r1)^2 = (r1 r2)^2, so <r0, r1> n <r1, r2> has order 4, not 2:
+    # |O| = 8 < B = 16, and the route must not accept the orbit as the group
+    p = Presentation(3, (power(generator(0), 2), power(generator(1), 2), power(generator(2), 2),
+                         power(pair(0, 1), 4), power(pair(1, 2), 4), power(pair(0, 2), 2),
+                         power(pair(0, 1), 2) * power(pair(2, 1), 2)))
+    assert even(p)
+    rg = RealizedGroup(p)
+    plain = enumerate_cosets(p)
     assert rg.stats["enumerations"] == 3
-    assert rg.order == plain.live_count == 8
+    assert rg.order == plain.live_count == 16
+    assert rg.intersection_order((0, 1), (1, 2)) == 4
     assert np.array_equal(rg.table.matrix, plain.matrix)
 
 
-@pytest.mark.parametrize("text, sigma, bound, order", [
+@pytest.mark.parametrize("text, bound, order", [
     # the dihedral group of order 8 on r0 and r2, with r1 = (r0 r2)^2 its
-    # centre: that relator's parity vector is e_1, so every character fixes r1
-    ("rel r0 r2 r0 r2 r0 r2 r0 r2\nrel r1 r0 r2 r0 r2\nrel r0 r1 r0 r1\n", None, 4, 8),
+    # centre: that relator has odd length, so the sign is no character
+    ("rel r0 r2 r0 r2 r0 r2 r0 r2\nrel r1 r0 r2 r0 r2\nrel r0 r1 r0 r1\n", 4, 8),
     # (r0 r1)^2 r0 reduces to a reflection, which bounds no rotation: r0 = 1
-    # and <r1, r2> is S3, but the route has no bound on <r0, r1>
-    ("rel r0 r1 r0 r1 r0\nrel r1 r2 r1 r2 r1 r2\nrel r0 r2 r0 r2\n", 0b110, 0, 6),
+    # and <r1, r2> is S3. Its odd length keeps the route off before the bound
+    ("rel r0 r1 r0 r1 r0\nrel r1 r2 r1 r2 r1 r2\nrel r0 r2 r0 r2\n", 0, 6),
 ], ids=["no-character", "reflections"])
-def test_no_character_or_no_rotation_takes_the_plain_path(text, sigma, bound, order):
+def test_no_character_or_no_rotation_takes_the_plain_path(text, bound, order):
     p = presentation_from_text("gens 3\nrel r0 r0\nrel r1 r1\nrel r2 r2\n" + text)
-    assert _character(p) == sigma
+    assert not even(p)
     assert _rotation_bound(p) == bound
     rg = RealizedGroup(p)
     assert rg.stats["enumerations"] == 1
@@ -261,6 +283,7 @@ def test_no_bounding_relator_takes_the_plain_path():
     # so, so <r0, r1 | r0^2, r1^2> is infinite and the route must not start
     p = presentation_from_text(
         "gens 3\nrel r0 r0\nrel r1 r1\nrel r2 r2\nrel r0 r2\nrel r1 r2 r1 r2 r1 r2\n")
+    assert even(p) and _rotation_bound(p) == 0
     rg = RealizedGroup(p, EnumerationLimits(max_cosets=50))
     assert rg.order == 6
     assert rg.stats["enumerations"] == 1

@@ -160,6 +160,11 @@ def test_involutory_generators_ignores_other_shapes():
     assert p.involutory_generators() == frozenset({0, 2})
 
 
+def test_presentation_text_needs_a_gens_line():
+    with pytest.raises(InvalidWordError, match="missing a 'gens <n>' line"):
+        presentation_from_text("rel r0 r0\n")
+
+
 def test_presentation_text_round_trip():
     p = Presentation(3, (
         power(generator(0), 2),

@@ -99,8 +99,8 @@ MUTANTS = (
            ("tests/test_realize.py",)),
     # an odd relator: the swap of the cosets of K is no action of G
     Mutant("route-without-even-length-test", "src/polycert/realize.py",
-           "            and all(len(r) % 2 == 0 for r in p.relators)):\n",
-           "            ):\n",
+           "    if d >= 3 and all(len(r) % 2 == 0 for r in p.relators):\n",
+           "    if d >= 3:\n",
            ("tests/test_realize.py",)),
     Mutant("block-from-every-point", "src/polycert/realize.py",
            "block = np.flatnonzero(labels == 0)", "block = np.flatnonzero(labels >= 0)",
@@ -112,9 +112,19 @@ MUTANTS = (
     Mutant("closed-table-without-validate", "src/polycert/coset.py",
            "    table.validate()\n    return table\n", "    return table\n",
            ("tests/test_coset.py", "tests/test_realize.py")),
-    Mutant("felsch-without-inverse-words", "src/polycert/coset.py",
-           "variants = {seq, tuple(inv[c] for c in reversed(seq))}", "variants = {seq}",
-           ("tests/test_coset.py",)),
+    Mutant("felsch-without-reversed-words", "src/polycert/coset.py",
+           "variants = {seq, seq[::-1]}", "variants = {seq}",
+           ("tests/test_coset.py::test_felsch_groups_read_each_cycle_from_both_ends",)),
+    # the one layout has no column for an inverse: a generator that is no
+    # declared involution must be refused, not read as one
+    Mutant("enumeration-without-involution-check", "src/polycert/coset.py",
+           "    presentation.require_involutions()\n", "",
+           ("tests/test_coset.py::test_a_generator_that_is_no_declared_involution_is_refused",)),
+    Mutant("standardize-without-connectivity-check", "src/polycert/coset.py",
+           "    if nxt != n:\n"
+           "        raise TableNotClosedError(\"coset graph is not connected; table corrupt\")\n",
+           "",
+           ("tests/test_coset.py::test_a_disconnected_coset_graph_is_refused",)),
     Mutant("closed-offsets-every-offset", "src/polycert/coset.py",
            "    return tuple(sorted(offsets))\n", "    return tuple(range(n))\n",
            ("tests/test_coset.py",)),
@@ -140,6 +150,26 @@ MUTANTS = (
     Mutant("hasse-without-polytope-checks", "src/polycert/cli.py",
            "    for name, ok in verdicts:\n", "    for name, ok in ():\n",
            ("tests/test_cli.py",)),
+    # the bound is read only after the enumerations, as a group order
+    Mutant("hasse-max-order-not-a-coset-limit", "src/polycert/cli.py",
+           "    limits = EnumerationLimits(max_cosets=min(max_cosets, args.max_order))\n",
+           "    limits = EnumerationLimits(max_cosets=max_cosets)\n",
+           ("tests/test_cli.py::test_hasse_max_order_bounds_each_enumeration",)),
+    Mutant("sweep-ip-both-without-disagreement-check", "src/polycert/cli.py",
+           "        if len(set(verdicts)) > 1:\n", "        if False:\n",
+           ("tests/test_cli.py::test_sweep_ip_both_skips_a_tuple_whose_verdicts_disagree",)),
+    Mutant("paper-tables-without-mismatch-exit", "src/polycert/cli.py",
+           "    if not all_ok:\n"
+           "        print(\"polycert: check-failed: table values did not reproduce\", "
+           "file=sys.stderr)\n        return EXIT_CHECK_FAILED\n",
+           "",
+           ("tests/test_cli.py::test_paper_tables_report_a_wrong_order",)),
+    Mutant("main-without-check-failed-handler", "src/polycert/cli.py",
+           "    except (TableNotClosedError, UncertifiedInputError) as exc:\n"
+           "        print(f\"polycert: check-failed: {exc}\", file=sys.stderr)\n"
+           "        return EXIT_CHECK_FAILED\n",
+           "",
+           ("tests/test_cli.py::test_a_failed_table_or_certificate_check_exits_3",)),
     # export has no early writability check: only the write reports it
     Mutant("write-error-swallowed", "src/polycert/cli.py",
            "            fh.write(text)\n    except OSError as exc:\n"

@@ -372,15 +372,20 @@ def _cmd_export(args) -> int:
 
 def _cmd_hasse(args) -> int:
     presentation, declared, _ = build_presentation(args)
-    limits = _limits(args)
+    max_cosets = _limits(args).max_cosets
     if args.max_order < 1:
         raise ParameterError("--max-order must be at least 1")
     spec = SggiSpec(presentation, declared)
     _check_writable(args.out)
-    rg = realize(presentation, limits, args.strategy)
-    if rg.order > args.max_order:
-        raise LimitExceededError(
-            f"group order {rg.order} exceeds --max-order {args.max_order}")
+    # --max-order bounds the cosets that each enumeration defines, and so
+    # the rows of the group's table
+    limits = EnumerationLimits(max_cosets=min(max_cosets, args.max_order))
+    try:
+        rg = realize(presentation, limits, args.strategy)
+    except LimitExceededError as exc:
+        if args.max_order < max_cosets and exc.deductions is None:
+            raise LimitExceededError(f"--max-order {args.max_order} exceeded: {exc}")
+        raise
     cert = certify(spec, limits=limits, strategy=args.strategy)
     if not cert.passed:
         print("polycert: check-failed: group is not a certified string C-group",

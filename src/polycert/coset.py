@@ -4,7 +4,7 @@ Two strategies are provided: a relator-oriented scan ("hlt", the default,
 with a lookahead pass once the table grows past a soft threshold) and a
 definition-oriented one ("felsch", driven by a deduction stack). Felsch
 scans a deduction once: a new entry alpha^c = beta is checked by scanning,
-at alpha only, the cyclic conjugates of the relators and of their inverses
+at alpha only, the cyclic conjugates of the relators and of their reversals
 that start with c, which read every relator cycle through that entry (the
 lemma is in ``_Engine._process_deductions``). Both strategies produce the
 same standardized table for the same inputs, which the test suite uses as a
@@ -14,9 +14,12 @@ Conventions:
 
 * Cosets are right cosets of the given subgroup, numbered from 0; coset 0 is
   the subgroup itself.
-* The table stores one column per generator-and-sign, except that a generator
-  with an explicit square relator is an involution and shares a single column
-  for both signs.
+* Every generator is a declared involution (a square relator r_i r_i is
+  required; ``enumerate_cosets`` refuses any other presentation): the groups
+  polycert certifies are string C-groups, which are generated by involutions
+  (McMullen and Schulte, *Abstract Regular Polytopes*, 2B). So the table has
+  one column per generator, each column is its own inverse, and a word reads
+  its generators with the signs dropped.
 * New cosets always take the smallest unused id and relators are scanned in
   their listed order from the lowest-numbered incomplete coset, so the
   enumeration (and the resulting numbering) is deterministic.
@@ -88,9 +91,10 @@ MAX_DEDUCTIONS = 1 << 26
 
 STRATEGIES = ("hlt", "felsch")
 
-# A relator as the engine scans it: its column sequence, then the column
-# arrays read by the forward scan and by the backward scan.
-_Relator = tuple[tuple[int, ...], tuple[array, ...], tuple[array, ...]]
+# A relator as the engine scans it: its column sequence, then its column
+# arrays, which the forward scan reads in order and the backward scan in
+# reverse.
+_Relator = tuple[tuple[int, ...], tuple[array, ...]]
 
 
 @dataclass(frozen=True)
@@ -118,36 +122,9 @@ class EnumerationStats:
     deductions: int = 0
 
 
-class _ColumnMap:
-    """Generator/sign to table-column layout, honoring involution sharing."""
-
-    __slots__ = ("ncols", "fwd", "bwd", "inv")
-
-    def __init__(self, presentation: Presentation):
-        involutory = presentation.involutory_generators()
-        fwd: list[int] = []
-        bwd: list[int] = []
-        inv: list[int] = []
-        for g in range(presentation.generator_count):
-            c = len(inv)
-            if g in involutory:
-                fwd.append(c)
-                bwd.append(c)
-                inv.append(c)
-            else:
-                fwd.append(c)
-                bwd.append(c + 1)
-                inv.append(c + 1)
-                inv.append(c)
-        self.ncols = len(inv)
-        self.fwd = fwd
-        self.bwd = bwd
-        self.inv = inv
-
-    def seq(self, w: Word) -> tuple[int, ...]:
-        fwd = self.fwd
-        bwd = self.bwd
-        return tuple(fwd[g] if s > 0 else bwd[g] for g, s in w)
+def _seq(w: Word) -> tuple[int, ...]:
+    """The columns a word reads: its generators, signs dropped."""
+    return tuple(g for g, _ in w)
 
 
 @dataclass(frozen=True)
@@ -161,7 +138,6 @@ class CosetTable:
     presentation: Presentation
     subgroup_generators: tuple[Word, ...]
     matrix: np.ndarray
-    columns: _ColumnMap
     stats: EnumerationStats
 
     @property
@@ -186,42 +162,42 @@ class CosetTable:
         coset, and ``validate`` itself traces only after its range check.
         """
         t = self.matrix
-        for c in self.columns.seq(w):
-            coset = t[coset, c]
+        for g, _ in w:
+            coset = t[coset, g]
         return int(coset)
 
     def to_permutations(self) -> np.ndarray:
         """The generators' permutations of the cosets: one read-only,
         C-contiguous image array per row, of shape (generators, cosets).
 
-        ``validate()`` has proved each row a bijection through its back
-        links, so no second check is made. A table over the whole group
-        yields identity permutations on a single point.
+        ``validate()`` has proved each row an involution, so no second check
+        is made. A table over the whole group yields identity permutations on
+        a single point.
         """
-        perms = np.ascontiguousarray(self.matrix.T[self.columns.fwd])
+        perms = np.ascontiguousarray(self.matrix.T)
         perms.setflags(write=False)
         return perms
 
     def validate(self) -> None:
         """Exhaustive post-hoc closure check, independent of the run's bookkeeping.
 
-        Confirms every entry is defined and back-linked, every relator traces
-        to a closed cycle from every live coset, and every subgroup generator
-        word fixes coset 0. A relator u^k, with u its root, is traced as the
-        k-th power of u's map of the cosets, by repeated squaring: |u| + about
-        2 log k gathers instead of k|u|, with the same result at every coset,
-        so a failure names the same first open coset as a letter-by-letter
-        trace.
+        Confirms every entry is defined and back-linked (each column is an
+        involution of the cosets), every relator traces to a closed cycle
+        from every live coset, and every subgroup generator word fixes coset
+        0. A relator u^k, with u its root, is traced as the k-th power of u's
+        map of the cosets, by repeated squaring: |u| + about 2 log k gathers
+        instead of k|u|, with the same result at every coset, so a failure
+        names the same first open coset as a letter-by-letter trace.
         """
         t = self.matrix
         n = len(t)
-        ncols = self.columns.ncols
+        ncols = self.presentation.generator_count
         if t.shape != (n, ncols):
             raise TableNotClosedError(f"table has shape {t.shape}, expected ({n}, {ncols})")
         ids = np.arange(n)
         out_of_range = (t < 0) | (t >= n)
         safe = np.where(out_of_range, 0, t)
-        bad = out_of_range | (safe[safe, self.columns.inv] != ids[:, None])
+        bad = out_of_range | (safe[safe, np.arange(ncols)] != ids[:, None])
         if bad.any():
             i, c = divmod(int(np.argmax(bad)), ncols)
             if out_of_range[i, c]:
@@ -229,7 +205,7 @@ class CosetTable:
                     f"entry ({i}, col {c}) = {t[i, c]} undefined or out of range")
             raise TableNotClosedError(f"entry ({i}, col {c}) lacks a consistent back link")
         for r in self.presentation.relators:
-            seq = self.columns.seq(r)
+            seq = _seq(r)
             cur = ids
             if seq:
                 root = _root_length(seq)
@@ -259,18 +235,19 @@ def _root_length(seq: Sequence[int]) -> int:
     return (text + text).find(text, 1)
 
 
-def _closed_offsets(seq: Sequence[int], inv: Sequence[int]) -> tuple[int, ...]:
+def _closed_offsets(seq: Sequence[int]) -> tuple[int, ...]:
     """The offsets m of a closed cycle of ``seq`` from which ``seq`` reads as itself.
 
     Reading the cycle forwards from offset m gives ``seq`` rotated by m, so
     every multiple of the root length qualifies. Reading it backwards gives
-    a rotation of the inverse word; ``seq`` is its rotation by q exactly at
-    the matches q of ``seq`` in the doubled inverse word, which then recur
-    every root length, and the backward reading from m = -q is ``seq``.
+    a rotation of the reversed word (each column is its own inverse);
+    ``seq`` is its rotation by q exactly at the matches q of ``seq`` in the
+    doubled reversed word, which then recur every root length, and the
+    backward reading from m = -q is ``seq``.
     """
     n = len(seq)
     root = _root_length(seq)
-    back = "".join(chr(inv[c]) for c in reversed(seq))
+    back = "".join(map(chr, reversed(seq)))
     offsets = set(range(0, n, root))
     first = (back + back).find("".join(map(chr, seq)))
     if first >= 0:
@@ -301,42 +278,39 @@ class _Engine:
                  limits: EnumerationLimits, strategy: str):
         self.presentation = presentation
         self.limits = limits
-        self.cols = _ColumnMap(presentation)
-        inv = self.cols.inv
-        self.t = [array("i", [-1]) for _ in range(self.cols.ncols)]
+        self.t = [array("i", [-1]) for _ in range(presentation.generator_count)]
         self.p = array("i", [0])
         self.n = 1
-        # Each relator is scanned with the tuple of its column arrays
-        # (forward) and of their inverse columns (backward). A square r r of
-        # an involution on its shared column c holds exactly when c is
-        # defined, so HLT defines c instead of scanning it, and the
-        # lookahead and deduction scans, which could only find it closed or
-        # open by two letters, skip it.
+        # Each relator is scanned with the tuple of its column arrays. A
+        # square r r on column c holds exactly when c is defined, so HLT
+        # defines c instead of scanning it, and the lookahead and deduction
+        # scans, which could only find it closed or open by two letters,
+        # skip it.
         #
         # Every other relator is a step (-1, rel, bit, walk). A relator that
         # reads as itself from more than one offset of its cycles gets its
         # own bit of ``marks`` (the first 64 such relators do), and ``walk``
-        # holds its forward columns cut at those offsets; any other relator
-        # has bit 0 and is always scanned.
+        # holds its columns cut at those offsets; any other relator has bit 0
+        # and is always scanned.
         self.steps: list[tuple[int, _Relator, int, tuple[tuple[array, ...], ...]]] = []
         symmetric = 0
         for r in presentation.relators:
             if len(r) == 0:
                 continue
-            rel = self._relator(self.cols.seq(r))
+            rel = self._relator(_seq(r))
             seq = rel[0]
-            if len(seq) == 2 and seq[0] == seq[1] == inv[seq[0]]:
+            if len(seq) == 2 and seq[0] == seq[1]:
                 self.steps.append((seq[0], rel, 0, ()))
                 continue
-            offsets = _closed_offsets(seq, inv)
+            offsets = _closed_offsets(seq)
             bit = 0
             if len(offsets) > 1 and symmetric < 64:
                 bit = 1 << symmetric
                 symmetric += 1
-            fwd = rel[1]
-            walk = tuple(fwd[a:b] for a, b in zip(offsets, offsets[1:]))
+            cols = rel[1]
+            walk = tuple(cols[a:b] for a, b in zip(offsets, offsets[1:]))
             self.steps.append((-1, rel, bit, walk))
-        self.subs = [self._relator(self.cols.seq(w)) for w in subgroup_generators if len(w) > 0]
+        self.subs = [self._relator(_seq(w)) for w in subgroup_generators if len(w) > 0]
         self.created = 1
         self.dead = 0
         self.dedstack: list[tuple[int, int]] = []
@@ -349,8 +323,7 @@ class _Engine:
 
     def _relator(self, seq: tuple[int, ...]) -> _Relator:
         t = self.t
-        inv = self.cols.inv
-        return seq, tuple(t[c] for c in seq), tuple(t[inv[c]] for c in seq)
+        return seq, tuple(t[c] for c in seq)
 
     # -- union-find over coset ids (min id is the representative) ----------
 
@@ -393,8 +366,9 @@ class _Engine:
             self._grow()
         self.n = new + 1
         self.created += 1
-        self.t[c][alpha] = new
-        self.t[self.cols.inv[c]][new] = alpha
+        col = self.t[c]
+        col[alpha] = new
+        col[new] = alpha
         if self.felsch:
             self.dedstack.append((alpha, c))
         return new
@@ -409,33 +383,30 @@ class _Engine:
             queue.append(nu)
 
     def _coincidence(self, a: int, b: int) -> None:
-        t = self.t
-        inv = self.cols.inv
         felsch = self.felsch
         queue: deque = deque()
         self._merge(a, b, queue)
         while queue:
             gamma = queue.popleft()
-            for c, col in enumerate(t):
+            for c, col in enumerate(self.t):
                 delta = col[gamma]
                 if delta < 0:
                     continue
-                ci = inv[c]
-                t[ci][delta] = -1
+                col[delta] = -1
                 if felsch:
-                    self.dedstack.append((delta, ci))
+                    self.dedstack.append((delta, c))
                 mu = self._rep(gamma)
                 nu = self._rep(delta)
                 x = col[mu]
                 if x >= 0:
                     self._merge(nu, x, queue)
                 else:
-                    x = t[ci][nu]
+                    x = col[nu]
                     if x >= 0:
                         self._merge(mu, x, queue)
                     else:
                         col[mu] = nu
-                        t[ci][nu] = mu
+                        col[nu] = mu
                         if felsch:
                             self.dedstack.append((mu, c))
 
@@ -449,10 +420,10 @@ class _Engine:
         Returns whether it processed a coincidence, the only way a scan can
         kill ``alpha``.
         """
-        seq, fwd, bwd = rel
+        seq, cols = rel
         f = alpha
         i = 0
-        for col in fwd:
+        for col in cols:
             nxt = col[f]
             if nxt < 0:
                 break
@@ -467,7 +438,7 @@ class _Engine:
         j = len(seq) - 1
         while True:
             while j >= i:
-                nxt = bwd[j][b]
+                nxt = cols[j][b]
                 if nxt < 0:
                     break
                 b = nxt
@@ -478,8 +449,9 @@ class _Engine:
                 return True
             if j == i:
                 # the gap is a single letter: close it (a deduction)
-                fwd[i][f] = b
-                bwd[i][b] = f
+                col = cols[i]
+                col[f] = b
+                col[b] = f
                 if self.felsch:
                     self.dedstack.append((f, seq[i]))
                 return False
@@ -487,7 +459,7 @@ class _Engine:
                 return False
             self._define(f, seq[i])
             while i <= j:
-                nxt = fwd[i][f]
+                nxt = cols[i][f]
                 if nxt < 0:
                     break
                 f = nxt
@@ -609,13 +581,13 @@ class _Engine:
                 alpha = self._maybe_compact(alpha)
 
     def _felsch_groups(self) -> list[list[_Relator]]:
-        """Cyclic conjugates of all relators and inverses, grouped by lead column."""
-        inv = self.cols.inv
-        groups: list[set[tuple[int, ...]]] = [set() for _ in range(self.cols.ncols)]
-        for lead, (seq, _, _), _, _ in self.steps:
+        """Cyclic conjugates of all relators and their reversals (the inverse
+        words, since every column is its own inverse), grouped by lead column."""
+        groups: list[set[tuple[int, ...]]] = [set() for _ in self.t]
+        for lead, (seq, _), _, _ in self.steps:
             if lead >= 0:
                 continue
-            variants = {seq, tuple(inv[c] for c in reversed(seq))}
+            variants = {seq, seq[::-1]}
             for base in variants:
                 for k in range(len(base)):
                     rot = base[k:] + base[:k]
@@ -628,17 +600,18 @@ class _Engine:
         Lemma: every relator cycle through the edge alpha -c-> beta is read
         from alpha by a word of ``groups[c]``, so beta = alpha^c needs no
         scan of its own. Proof: a cycle that crosses the edge forwards is a
-        cyclic conjugate c u of a relator or its inverse, read from alpha.
-        One that crosses it backwards is some inv(c) u read from beta; its
-        inverse u^-1 c, rotated to c u^-1, is a cyclic conjugate of the
-        inverse word, so ``_felsch_groups`` put it in ``groups[c]``. Read
-        from alpha it visits the same cosets in reverse order, and since
-        every defined entry keeps its back link, its forward walk reads the
-        entries of the other word's backward walk and vice versa. Both scans
-        therefore stop at the same gap: they close the same one-letter gap
-        (writing the same entry and back link) or meet at the same two
-        cosets. An entry that either scan defines is pushed as a deduction
-        of its own, so cycles through it are scanned when it is popped.
+        cyclic conjugate c u of a relator or its reversal, read from alpha.
+        One that crosses it backwards is some c u read from beta (c is its
+        own inverse); its reversal u' c (u' is u reversed), rotated to c u',
+        is a cyclic conjugate of the reversed word, so ``_felsch_groups`` put
+        it in ``groups[c]``. Read from alpha it visits the same cosets in reverse
+        order, and since every defined entry keeps its back link, its
+        forward walk reads the entries of the other word's backward walk and
+        vice versa. Both scans therefore stop at the same gap: they close the
+        same one-letter gap (writing the same entry and back link) or meet at
+        the same two cosets. An entry that either scan defines is pushed as a
+        deduction of its own, so cycles through it are scanned when it is
+        popped.
         """
         limit = MAX_DEDUCTIONS
         stack = self.dedstack
@@ -695,7 +668,7 @@ class _Engine:
 def _standardize(table: np.ndarray) -> np.ndarray:
     """Canonical renumbering of a closed table: first-visit order scanning rows by column.
 
-    ``table`` has a row per coset and a column per generator-and-sign, with
+    ``table`` has a row per coset and a column per generator, with
     row 0 the subgroup. The numbering depends only on the action and that
     base row, not on how the rows were found, so both strategies and every
     route to a table give byte-identical tables for the same input. Returns
@@ -730,7 +703,7 @@ def closed_table(presentation: Presentation, subgroup_generators: tuple[Word, ..
                  rows: np.ndarray, stats: EnumerationStats) -> CosetTable:
     """The table of the coset action ``rows``, numbered, validated and frozen.
 
-    ``rows`` has a row per coset and a column per generator-and-sign of
+    ``rows`` has a row per coset and a column per generator of
     ``presentation``, and its row 0 stands for the subgroup that
     ``subgroup_generators`` generate: an enumeration's compacted table, or a
     regular action found another way (its point 0 the identity). Every
@@ -738,8 +711,7 @@ def closed_table(presentation: Presentation, subgroup_generators: tuple[Word, ..
     validated like any other. Sets ``stats.live_count`` to the count of rows.
     """
     stats.live_count = len(rows)
-    table = CosetTable(presentation, subgroup_generators, _standardize(rows),
-                       _ColumnMap(presentation), stats)
+    table = CosetTable(presentation, subgroup_generators, _standardize(rows), stats)
     table.validate()
     return table
 
@@ -750,12 +722,14 @@ def enumerate_cosets(presentation: Presentation,
                      strategy: str = "hlt") -> CosetTable:
     """Enumerate the cosets of ``<subgroup_generators>`` in the presented group.
 
-    Returns a closed, compacted, standardized table or raises
+    Every generator must be a declared involution (``ParameterError``
+    otherwise). Returns a closed, compacted, standardized table or raises
     ``LimitExceededError``. Deterministic: the same inputs give the same table,
     whichever run or machine.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    presentation.require_involutions()
     limits = limits or EnumerationLimits()
     subgens = tuple(subgroup_generators)
     for w in subgens:

@@ -7,11 +7,12 @@ the table's ``to_permutations()``, the same read-only image arrays that a
 stabilizer chain is built from. Everything else is derived from that single
 table without further enumerations.
 
-The table is built as the orbit of one point when the presentation allows
-it: the rank d is at least 3, every generator is a declared involution,
-every relator has even length, and some relator in r0 and r1 alone is a
-rotation. Let H = <r0, r1> and G_0 = <r1, ..., r_{d-1}>. Each relator in r0
-and r1 alone reduces in the infinite dihedral group <r0, r1 | r0^2, r1^2> to
+Every generator is a declared involution, as ``coset.enumerate_cosets``
+requires. The table is built as the orbit of one point when the
+presentation allows it: the rank d is at least 3, every relator has even
+length, and some relator in r0 and r1 alone is a rotation. Let
+H = <r0, r1> and G_0 = <r1, ..., r_{d-1}>. Each relator in r0 and r1 alone
+reduces in the infinite dihedral group <r0, r1 | r0^2, r1^2> to
 a reflection or to a rotation (r0 r1)^(+-j); if m is the gcd of the rotation
 exponents, H is a quotient of the dihedral group of order 2m. Every relator
 has even length exactly when r_i -> -1 is a character G -> C2; its kernel K
@@ -163,8 +164,7 @@ def _regular_table(p: Presentation, limits: EnumerationLimits, strategy: str,
     """The orbit route's table where it applies and closes, else one enumeration."""
     d = p.generator_count
     table = None
-    if (d >= 3 and p.involutory_generators() == frozenset(range(d))
-            and all(len(r) % 2 == 0 for r in p.relators)):
+    if d >= 3 and all(len(r) % 2 == 0 for r in p.relators):
         bound_h = _rotation_bound(p)
         if bound_h:
             table = _orbit_table(p, bound_h, limits, strategy, stats)

@@ -39,13 +39,7 @@ class SggiSpec:
     declared_type: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        involutory = self.presentation.involutory_generators()
-        missing = [i for i in range(self.presentation.generator_count)
-                   if i not in involutory]
-        if missing:
-            raise ParameterError(
-                f"generators {missing} have no square relator; "
-                f"a string group candidate declares every generator an involution")
+        self.presentation.require_involutions()
         if self.declared_type is not None:
             declared = tuple(self.declared_type)
             if len(declared) != self.presentation.generator_count - 1:

@@ -33,7 +33,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import CapacityError, InvalidGeneratorError, InvalidWordError
+from .errors import CapacityError, InvalidGeneratorError, InvalidWordError, ParameterError
 
 Letter = tuple[int, int]
 
@@ -224,6 +224,17 @@ class Presentation:
                 if g1 == g2 and s1 == s2:
                     out.add(g1)
         return frozenset(out)
+
+    def require_involutions(self) -> None:
+        """Raise ``ParameterError`` unless every generator has a square
+        relator: the one precondition of every enumeration and of every
+        string group candidate, checked before any work."""
+        involutory = self.involutory_generators()
+        missing = [i for i in range(self.generator_count) if i not in involutory]
+        if missing:
+            raise ParameterError(
+                f"generators {missing} have no square relator; "
+                f"a string group candidate declares every generator an involution")
 
     def to_text(self) -> str:
         lines = [f"gens {self.generator_count}"]

@@ -5,11 +5,13 @@ part of the scripting contract, so they are asserted literally.
 """
 
 import ast
+import dataclasses
 import io
 import json
 import os
 import subprocess
 import sys
+import types
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -19,9 +21,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import polycert
 import polycert.cli as cli
+import polycert.coset as coset_mod
 import polycert.words as words_mod
 from polycert.certificates import certificate_from_json, format_atlas, parse_atlas
 from polycert.cli import main
+from polycert.errors import TableNotClosedError, UncertifiedInputError
 from polycert.families import tight_quotient_presentation
 
 HIDDEN_CENTER_RELATORS = (
@@ -442,6 +446,38 @@ def test_hasse_guards(capsys):
     assert "check-failed" in err
 
 
+def test_hasse_max_order_bounds_each_enumeration(capsys, monkeypatch):
+    # the bound is a coset limit on every enumeration, so a larger group
+    # stops at the first one that passes it, with the --max-order message
+    code, out, err = run(capsys, "hasse", "--family", "tight", "--k", "4,4",
+                         "--max-order", "16")
+    assert (code, out) == (5, "")
+    assert err.splitlines() == [
+        "polycert: limit-exceeded: --max-order 16 exceeded: coset limit 16 exceeded "
+        "(the regular table has 32 cosets; 8 cosets created in 2 enumerations)"]
+    code, out, err = run(capsys, "hasse", "--family", "coxeter", "--k", "4,4",
+                         "--max-order", "1000")
+    assert (code, out) == (5, "")
+    assert err.splitlines() == [
+        "polycert: limit-exceeded: --max-order 1000 exceeded: coset limit 1000 exceeded "
+        "(1000 cosets created, 1000 live, 12288 table bytes; the table is not closed)"]
+    # a --max-cosets below it, or another limit, keeps its own message
+    code, _, err = run(capsys, "hasse", "--family", "coxeter", "--k", "4,4",
+                       "--max-order", "1000", "--max-cosets", "500")
+    assert code == 5
+    assert err.startswith("polycert: limit-exceeded: coset limit 500 exceeded (500 cosets")
+    monkeypatch.setattr(coset_mod, "MAX_DEDUCTIONS", 100)
+    code, _, err = run(capsys, "hasse", "--family", "coxeter", "--k", "4,4",
+                       "--max-order", "1000", "--strategy", "felsch")
+    assert code == 5
+    assert err.startswith("polycert: limit-exceeded: deduction limit 100 exceeded")
+    # a group of exactly --max-order elements passes
+    code, out, err = run(capsys, "hasse", "--family", "tight", "--k", "4,4",
+                         "--max-order", "32", "--format", "edges")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 40
+
+
 @pytest.mark.parametrize("check, failure, name", [
     ("check_flag_matchings", (False, (1,)), "flag matching"),
     ("check_flag_connectivity", False, "flag connectivity"),
@@ -460,6 +496,56 @@ def test_hasse_refuses_a_lattice_that_fails_a_check(capsys, monkeypatch, tmp_pat
                      "--out", str(target))
     assert code == 3
     assert not target.exists()
+
+
+def test_sweep_ip_both_skips_a_tuple_whose_verdicts_disagree(capsys, monkeypatch, tmp_path):
+    # three tuples, k = (4, 4), (4, 5) and (5, 4), that pass in both modes
+    argv = ("sweep", "--d-min", "3", "--d-max", "3", "--n-min", "10", "--n-max", "10",
+            "--k-min", "4", "--ip", "both", "--out", str(tmp_path / "atlas.tsv"))
+    assert run(capsys, *argv)[::2] == (0, "")
+    certify = cli.certify
+
+    def full_mode_flips(spec, mode, **kwargs):
+        cert = certify(spec, mode=mode, **kwargs)
+        if mode == "full":
+            cert = dataclasses.replace(cert, intersection_ok=not cert.intersection_ok)
+        return cert
+
+    monkeypatch.setattr(cli, "certify", full_mode_flips)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.splitlines() == ["polycert: check-failed: 0 failing rows, 3 skipped"]
+    rows, skipped = parse_atlas((tmp_path / "atlas.tsv").read_text())
+    assert rows == []
+    assert skipped == [("G", f"d=3;n=10;k={k}",
+                        "TableNotClosedError: recursive and full intersection checks disagree")
+                       for k in ("4,4", "4,5", "5,4")]
+
+
+def test_paper_tables_report_a_wrong_order(capsys, monkeypatch):
+    realize = cli.realize
+
+    def one_more(p, limits, strategy):
+        return types.SimpleNamespace(order=realize(p, limits, strategy).order + 1)
+
+    monkeypatch.setattr(cli, "realize", one_more)
+    code, out, err = run(capsys, "paper-tables")
+    assert code == 3
+    assert "(3,5): 1 tuples, 0 verified MISMATCH" in out
+    assert "k=4,4: order 33 MISMATCH (expected 32)" in out
+    assert out.rstrip().endswith("MISMATCHES FOUND")
+    assert err.splitlines() == ["polycert: check-failed: table values did not reproduce"]
+
+
+@pytest.mark.parametrize("error", [TableNotClosedError, UncertifiedInputError])
+def test_a_failed_table_or_certificate_check_exits_3(capsys, monkeypatch, error):
+    def fails(*args, **kwargs):
+        raise error("the check failed")
+
+    monkeypatch.setattr(cli, "certify", fails)
+    code, out, err = run(capsys, "verify", "--family", "tight", "--k", "4,4")
+    assert (code, out) == (3, "")
+    assert err.splitlines() == ["polycert: check-failed: the check failed"]
 
 
 def _environment_reads(source: str) -> list[str]:

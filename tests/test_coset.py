@@ -17,9 +17,11 @@ from polycert import (
     EnumerationLimits,
     InvalidGeneratorError,
     LimitExceededError,
+    ParameterError,
     PermutationGroup,
     Presentation,
     RealizedGroup,
+    SggiSpec,
     TableNotClosedError,
     Word,
     commutator,
@@ -43,11 +45,12 @@ def dihedral(m):
     ))
 
 
-# C4 x C2, with the involution r1 and the order-4 generator r0
-C4_X_C2 = Presentation(2, (
-    power(generator(0), 4),
-    power(generator(1), 2),
-    commutator(generator(0), generator(1)),
+# <r_i | r_i^2, (r0 r1)^3, (r1 r2)^3, (r0 r2)^2, (r0 r1 r2)^4>, of order 24:
+# the reversal of (r0 r1 r2)^4 is none of its rotations
+REVERSAL_NOT_A_ROTATION = Presentation(3, (
+    power(generator(0), 2), power(generator(1), 2), power(generator(2), 2),
+    power(pair(0, 1), 3), power(pair(1, 2), 3), power(pair(0, 2), 2),
+    power(Word([(0, 1), (1, 1), (2, 1)]), 4),
 ))
 
 
@@ -77,14 +80,38 @@ def closure_order(perms, cap=1 << 13):
 
 
 def test_trivial_group():
-    p = Presentation(1, (generator(0),))
+    p = Presentation(1, (power(generator(0), 2), generator(0)))
     assert enumerate_cosets(p).live_count == 1
 
 
-def test_cyclic_groups():
+def test_dihedral_groups():
     for m in (1, 2, 3, 8, 31):
-        p = Presentation(1, (power(generator(0), m),))
-        assert enumerate_cosets(p).live_count == m
+        for strategy in coset_mod.STRATEGIES:
+            assert enumerate_cosets(dihedral(m), strategy=strategy).live_count == 2 * m
+
+
+def test_a_generator_that_is_no_declared_involution_is_refused():
+    # one message, from the one check that SggiSpec makes too, before any work
+    message = ("generators [0] have no square relator; "
+               "a string group candidate declares every generator an involution")
+    c4_x_c2 = Presentation(2, (power(generator(0), 4), power(generator(1), 2),
+                               commutator(generator(0), generator(1))))
+    cube = Presentation(3, tuple(c4_x_c2.relators) + (
+        power(generator(2), 2), commutator(generator(0), generator(2)),
+        commutator(generator(1), generator(2))))
+    for strategy in coset_mod.STRATEGIES:
+        with pytest.raises(ParameterError) as info:
+            enumerate_cosets(c4_x_c2, strategy=strategy)
+        assert str(info.value) == message
+    # rank 2 takes the plain path; rank 3 with even relators and the
+    # rotation bound 8 would take the orbit route
+    for p in (c4_x_c2, cube):
+        with pytest.raises(ParameterError) as info:
+            RealizedGroup(p)
+        assert str(info.value) == message
+    with pytest.raises(ParameterError) as info:
+        SggiSpec(c4_x_c2)
+    assert str(info.value) == message
 
 
 def test_dihedral_order_and_index():
@@ -130,9 +157,6 @@ def test_strategies_agree_byte_for_byte():
         (tight_quotient_presentation((4, 8)), ()),
         (family_a(3, 1, (2, 2)), ()),
         (k4, ()),
-        # r0 is not an involution, so it has two columns
-        (C4_X_C2, ()),
-        (C4_X_C2, (generator(1),)),
         # Felsch defines 4,108 cosets here for 4,096 live ones
         (g4, ()),
         # parabolic subgroups
@@ -155,26 +179,27 @@ def test_strategies_agree_byte_for_byte():
 
 def test_felsch_groups_read_each_cycle_from_both_ends():
     # the lemma of _Engine._process_deductions: a word c u of groups[c],
-    # read backwards from the other end of its c edge, is inv(c) u^-1, and
-    # that word is in groups[inv(c)], so no deduction needs a second scan;
-    # each relator of the three involutory presentations reads backwards as
-    # one of its own rotations, so only C4_X_C2 needs the inverse words
+    # read backwards from the other end of its c edge, is c u reversed past
+    # its first letter, and that word is in groups[c] too, so no deduction
+    # needs a second scan; each relator of the first three presentations
+    # reads backwards as one of its own rotations, so only the last needs
+    # the reversed words
     cases = [
         family_g(5, 12, (2, 2, 2, 3)),
         tight_quotient_presentation((8, 8, 8)),
         coxeter_string_presentation((4, 4, 4)),
-        C4_X_C2,
+        REVERSAL_NOT_A_ROTATION,
     ]
     for p in cases:
         engine = coset_mod._Engine(p, (), EnumerationLimits(), "felsch")
-        inv = engine.cols.inv
-        groups = [{seq for seq, _, _ in g} for g in engine._felsch_groups()]
+        groups = [{seq for seq, _ in g} for g in engine._felsch_groups()]
         for c, words in enumerate(groups):
             assert words, (p, c)
             for w in words:
                 assert w[0] == c
-                back = (inv[c],) + tuple(inv[x] for x in reversed(w[1:]))
-                assert back in groups[inv[c]], (p, c, w)
+                assert (c,) + w[:0:-1] in groups[c], (p, c, w)
+    for strategy in coset_mod.STRATEGIES:
+        assert enumerate_cosets(REVERSAL_NOT_A_ROTATION, strategy=strategy).live_count == 24
 
 
 def test_enumeration_is_deterministic():
@@ -306,10 +331,10 @@ def test_marks_stay_true_through_coincidences_and_compaction(monkeypatch):
         marks = np.frombuffer(engine.marks, dtype=engine.marks.typecode)
         assert not marks[n:].any()
         marked = 0
-        for _, (_, fwd, _), bit, _ in engine.steps:
+        for _, (_, cols), bit, _ in engine.steps:
             for alpha in np.flatnonzero(marks[:n] & bit).tolist():
                 f = alpha
-                for col in fwd:
+                for col in cols:
                     f = col[f]
                 assert f == alpha, (p, bit, alpha)
                 marked += 1
@@ -323,24 +348,23 @@ def test_a_wrong_mark_can_only_raise(monkeypatch):
     p = Presentation(2, (power(generator(0), 2), power(generator(1), 2),
                          Word([(1, 1), (0, 1), (1, 1)])))
     assert enumerate_cosets(p).live_count == 2
-    assert coset_mod._closed_offsets((1, 0, 1), (0, 1)) == (0,)
+    assert coset_mod._closed_offsets((1, 0, 1)) == (0,)
     monkeypatch.setattr(coset_mod, "_closed_offsets",
-                        lambda seq, inv: tuple(range(len(seq))))
+                        lambda seq: tuple(range(len(seq))))
     with pytest.raises(TableNotClosedError, match="'r1 r0 r1' does not close"):
         enumerate_cosets(p)
 
 
 def test_closed_offsets():
-    # involution columns 0, 1 and a column pair 2, 3 for r2 and r2^-1
-    inv = (0, 1, 3, 2)
     # (r0 r1)^3 reads as itself forwards from even offsets, backwards from odd
-    assert coset_mod._closed_offsets((0, 1) * 3, inv) == tuple(range(6))
-    # r2^3 reads as itself forwards only
-    assert coset_mod._closed_offsets((2, 2, 2), inv) == (0, 1, 2)
-    # [r0, r2] = r0 r2 r0 r2^-1 reads backwards as itself from offset 1
-    assert coset_mod._closed_offsets((0, 2, 0, 3), inv) == (0, 1)
-    # (r0 r1 r0 r2)^2 has root length 4 and no backward symmetry
-    assert coset_mod._closed_offsets((0, 1, 0, 2) * 2, inv) == (0, 4)
+    assert coset_mod._closed_offsets((0, 1) * 3) == tuple(range(6))
+    # r0 r1 r2 r1 reads as itself forwards from 0 and backwards from 1
+    assert coset_mod._closed_offsets((0, 1, 2, 1)) == (0, 1)
+    # (r0 r1 r2)^4 has root length 3 and no backward symmetry
+    assert coset_mod._closed_offsets((0, 1, 2) * 4) == (0, 3, 6, 9)
+    # (r0 r1 r0 r2)^2 has root length 4 and reads backwards as itself from 3
+    # and from 7
+    assert coset_mod._closed_offsets((0, 1, 0, 2) * 2) == (0, 3, 4, 7)
     assert coset_mod._root_length((0, 1) * 512) == 2
     assert coset_mod._root_length((0, 1, 2)) == 3
 
@@ -430,6 +454,16 @@ def test_validate_catches_corruption():
         t.validate()
 
 
+def test_a_disconnected_coset_graph_is_refused():
+    # <r0 | r0^2> on two disjoint 2-cycles: every entry is back-linked and
+    # every relator closes, but only two of the four rows are reachable
+    p = Presentation(1, (power(generator(0), 2),))
+    rows = np.array([[1], [0], [3], [2]], dtype=np.intc)
+    with pytest.raises(TableNotClosedError,
+                       match="^coset graph is not connected; table corrupt$"):
+        coset_mod.closed_table(p, (), rows, coset_mod.EnumerationStats())
+
+
 def test_tables_are_frozen():
     # every table is built and validated by closed_table, then frozen
     for t in (enumerate_cosets(dihedral(4)), RealizedGroup(family_k(3, (2, 2))).table):
@@ -476,15 +510,14 @@ def test_deduction_stack_overflow_falls_back(monkeypatch):
 
 def test_orders_against_closure_and_known_values():
     # (presentation, order known in advance): dihedral groups have order 2m,
-    # the tight groups order 2*prod(k), the direct product C4 x C4 order 16
+    # the tight groups order 2*prod(k)
     cases = [
         (dihedral(3), 6),
         (dihedral(7), 14),
         (tight_quotient_presentation((4, 4)), 32),
         (tight_quotient_presentation((8, 4)), 64),
         (family_a(3, 1, (2, 2)), 32),  # 2**(1+2+2)
-        (Presentation(2, (power(generator(0), 4), power(generator(1), 4),
-                          commutator(generator(0), generator(1)))), 16),
+        (REVERSAL_NOT_A_ROTATION, 24),
     ]
     for p, known in cases:
         t = enumerate_cosets(p)
@@ -492,29 +525,13 @@ def test_orders_against_closure_and_known_values():
         assert closure_order(t.to_permutations()) == known
 
 
-def test_commutator_relator_enumeration():
-    # a non-involutory presentation exercises the inverse columns
-    p = Presentation(2, (
-        power(generator(0), 4),
-        power(generator(1), 4),
-        commutator(generator(0), generator(1)),
-    ))
-    for strategy in coset_mod.STRATEGIES:
-        assert enumerate_cosets(p, strategy=strategy).live_count == 16
-
-
 @st.composite
 def small_presentations(draw):
-    """2-4 generators, most of them involutions; a few short relators; and
+    """2-4 generators, each a declared involution; a few short relators; and
     maybe one subgroup generator. Many of these groups are infinite."""
     n = draw(st.integers(2, 4))
     letters = st.tuples(st.integers(0, n - 1), st.sampled_from((1, -1)))
-    relators = []
-    for g in range(n):
-        if draw(st.integers(0, 3)):
-            relators.append(power(generator(g), 2))
-        else:
-            relators.append(power(generator(g), draw(st.integers(3, 6))))
+    relators = [power(generator(g), 2) for g in range(n)]
     for _ in range(draw(st.integers(1, 4))):
         w = Word(draw(st.lists(letters, min_size=1, max_size=3)))
         relators.append(power(w, draw(st.integers(1, 4))))

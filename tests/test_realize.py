@@ -45,17 +45,13 @@ ORACLE_PRESENTATIONS = [
     Presentation(3, (power(generator(0), 2), power(generator(1), 2), power(generator(2), 2),
                      power(pair(0, 1), 4), generator(2) * power(pair(0, 1), 2),
                      power(pair(0, 2), 2), power(pair(1, 2), 2))),
-    # C4 x C2 with non-involutory r0: its right-multiplication array is no
-    # longer self-inverse
-    Presentation(2, (power(generator(0), 4), power(generator(1), 2),
-                     commutator(generator(0), generator(1)))),
 ]
 
 # Enumerations behind each oracle table: 2 on the orbit route, 1 where it
 # does not apply (rank 2, or the odd relator r2 (r0 r1)^2 of the hidden
 # centre). Where r0 = r1, <r0, r1> n <r1, r2> = <r1> meets the rotation
 # subgroup in the identity, so the route holds.
-ORACLE_ENUMERATIONS = [2, 2, 2, 1, 2, 1, 1]
+ORACLE_ENUMERATIONS = [2, 2, 2, 1, 2, 1]
 
 # Order 8, with r2 = (r0 r1)^2 central: <r0, r1> n <r1, r2> n <r0, r2> has
 # order 2, so the group fails the intersection property.

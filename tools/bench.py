@@ -38,6 +38,8 @@ CAVEATS = (
     "separately timed plain-HLT probe from a span that takes the route, so it reads "
     "below zero",
     "realize.left_arrays is always 0: nothing in src/ writes that key",
+    "cli.self_s is not meaningful on limit: limit_op moves a separately probed enumeration "
+    "time out of the cli.main span, so it reads below zero",
     "audit compares tables through matrix.tolist() copies, about 4 ms per op at order 4096",
     "perfbench/calibrate.py's reference kernel runs in the worker's heap, so a library "
     "change can move the speed factor and with it every reported time",

@@ -58,6 +58,10 @@ MUTANTS = (
            "        for col in cols:\n            v = col[a]\n",
            "        for col in reversed(cols):\n            v = col[a]\n",
            ("tests/test_acceptance.py::test_outputs_match_golden_digests",)),
+    # the rows kept in the order the engine found them
+    Mutant("standardize-in-engine-order", "src/polycert/coset.py",
+           "    std = new_id[table[old_of]]\n", "    std = np.array(table, dtype=np.intc)\n",
+           ("tests/test_coset.py::test_rewritten_presentations_give_the_same_tables",)),
     # the one generator array that the realization and Schreier-Sims share
     Mutant("generator-column-swap", "src/polycert/coset.py",
            "        perms.setflags(write=False)\n",
@@ -108,6 +112,10 @@ MUTANTS = (
     Mutant("block-under-r0-alone", "src/polycert/realize.py",
            "for g in (0, 1)], n0 * 2)", "for g in (0,)], n0 * 2)",
            ("tests/test_realize.py",)),
+    Mutant("orbit-without-closure-check", "src/polycert/realize.py",
+           "        if not np.array_equal(keys[pos], image):\n",
+           "        if False:\n",
+           ("tests/test_realize.py::test_an_orbit_block_that_is_not_closed_is_refused",)),
     # the one constructor of every table, enumerated or from the orbit route
     Mutant("closed-table-without-validate", "src/polycert/coset.py",
            "    table.validate()\n    return table\n", "    return table\n",
@@ -184,6 +192,13 @@ MUTANTS = (
            '        raise IndexError("node id out of range")\n',
            '        return "out of range"\n',
            ("tests/test_polytope.py::test_node_addressing",)),
+    Mutant("word-without-index-check", "src/polycert/words.py",
+           "            if not isinstance(gen, int) or isinstance(gen, bool) or gen < 0:\n",
+           "            if False:\n",
+           ("tests/test_words.py::test_word_rejects_garbage",)),
+    Mutant("any-two-letter-relator-declares-an-involution", "src/polycert/words.py",
+           "if len(r) == 2 and r[0] == r[1])", "if len(r) == 2)",
+           ("tests/test_words.py::test_involutory_generators_ignores_other_shapes",)),
     Mutant("presentation-text-without-gens-check", "src/polycert/words.py",
            "    if gen_count is None:\n", "    if False:\n",
            ("tests/test_words.py::test_presentation_text_needs_a_gens_line",)),

@@ -18,8 +18,8 @@ Conventions:
   required; ``enumerate_cosets`` refuses any other presentation): the groups
   polycert certifies are string C-groups, which are generated by involutions
   (McMullen and Schulte, *Abstract Regular Polytopes*, 2B). So the table has
-  one column per generator, each column is its own inverse, and a word reads
-  its generators with the signs dropped.
+  one column per generator, each column is its own inverse, and a word's
+  letters are the columns it reads.
 * New cosets always take the smallest unused id and relators are scanned in
   their listed order from the lowest-numbered incomplete coset, so the
   enumeration (and the resulting numbering) is deterministic.
@@ -122,11 +122,6 @@ class EnumerationStats:
     deductions: int = 0
 
 
-def _seq(w: Word) -> tuple[int, ...]:
-    """The columns a word reads: its generators, signs dropped."""
-    return tuple(g for g, _ in w)
-
-
 @dataclass(frozen=True)
 class CosetTable:
     """A closed coset table plus enough context to interpret it.
@@ -162,7 +157,7 @@ class CosetTable:
         coset, and ``validate`` itself traces only after its range check.
         """
         t = self.matrix
-        for g, _ in w:
+        for g in w.letters:
             coset = t[coset, g]
         return int(coset)
 
@@ -205,7 +200,7 @@ class CosetTable:
                     f"entry ({i}, col {c}) = {t[i, c]} undefined or out of range")
             raise TableNotClosedError(f"entry ({i}, col {c}) lacks a consistent back link")
         for r in self.presentation.relators:
-            seq = _seq(r)
+            seq = r.letters
             cur = ids
             if seq:
                 root = _root_length(seq)
@@ -297,7 +292,7 @@ class _Engine:
         for r in presentation.relators:
             if len(r) == 0:
                 continue
-            rel = self._relator(_seq(r))
+            rel = self._relator(r.letters)
             seq = rel[0]
             if len(seq) == 2 and seq[0] == seq[1]:
                 self.steps.append((seq[0], rel, 0, ()))
@@ -310,7 +305,7 @@ class _Engine:
             cols = rel[1]
             walk = tuple(cols[a:b] for a, b in zip(offsets, offsets[1:]))
             self.steps.append((-1, rel, bit, walk))
-        self.subs = [self._relator(_seq(w)) for w in subgroup_generators if len(w) > 0]
+        self.subs = [self._relator(w.letters) for w in subgroup_generators if len(w) > 0]
         self.created = 1
         self.dead = 0
         self.dedstack: list[tuple[int, int]] = []

@@ -88,8 +88,8 @@ def _rotation_bound(p: Presentation) -> int:
     for r in p.relators:
         if r.max_generator() > 1:
             continue
-        stack: list[int] = []  # the reduced form: letters, signs dropped, alternate
-        for g, _ in r:
+        stack: list[int] = []  # the reduced form: its letters alternate
+        for g in r.letters:
             if stack and stack[-1] == g:
                 stack.pop()
             else:

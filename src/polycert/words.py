@@ -1,22 +1,24 @@
 """Words over indexed generators, and finite presentations built from them.
 
-A word is an immutable sequence of letters ``(generator_index, sign)`` with
-``sign`` one of ``+1``/``-1``. Words are freely reduced on construction
-(adjacent ``x x^-1`` pairs cancel) and no further: ``r0 r0`` stays as written
-even when r0 is an involution, so presentations are kept faithful to how
-their relators were written.
+A word is an immutable sequence of letters, each a nonnegative generator
+index, kept exactly as written. polycert presents string C-groups, which are
+generated by involutions (McMullen and Schulte, *Abstract Regular Polytopes*,
+2B), and every enumeration requires a square relator r_i r_i for each
+generator. So r_i^-1 is r_i, a letter needs no sign, and the inverse of a
+word is the word reversed. No letters cancel: ``r0 r0`` stays as written, so
+presentations are kept faithful to how their relators were written.
 
-Letters are shared: every word holds the one tuple kept for each distinct
-``(gen, sign)``, so a long relator costs a pointer per letter, not a tuple.
 ``Word(...)`` checks every letter it is given; the word algebra (``*``,
 ``inverse``, :func:`power`, :func:`commutator`) only recombines letters of
-words already checked, so it free-reduces them without checking them again.
+words already checked, so it does not check them again.
 
 Text form
 ---------
 
-The compact text form writes letters as ``r<i>`` with an optional ``^-1``
-suffix, separated by single spaces, e.g. ``"r0 r1 r0^-1"``. The empty word is
+The text form writes each letter as ``r<i>``, separated by single spaces,
+e.g. ``"r0 r1 r0"``. There is no ``^-1`` suffix: reading ``r0^-1`` as ``r0``
+would make ``rel r0 r0^-1``, which is trivial, the square relator that
+declares r0 an involution, so such a token is refused. The empty word is
 written ``"1"``. Presentations serialize one relator per line::
 
     gens 3
@@ -35,8 +37,6 @@ from typing import Iterable, Iterator
 
 from .errors import CapacityError, InvalidGeneratorError, InvalidWordError, ParameterError
 
-Letter = tuple[int, int]
-
 # The most letters ``power`` builds, the default coset limit. Each letter
 # costs an 8-byte pointer in the word and again in each temporary list or
 # tuple that builds it, so this keeps a relator near 100 MB at the peak; an
@@ -44,51 +44,24 @@ Letter = tuple[int, int]
 # exponent of 30 would ask for 2^31 letters before any enumeration limit.
 MAX_WORD_LETTERS = 1 << 22
 
-# The one tuple kept for each letter: at most two per generator ever used.
-# Tuples are immutable and equal keys are equal letters, so sharing them
-# changes no result, only the memory a word takes.
-_LETTERS: dict[Letter, Letter] = {}
-
-
-def _letter(gen: int, sign: int) -> Letter:
-    key = (gen, sign)
-    return _LETTERS.setdefault(key, key)
-
-
-def _free_reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
-    stack: list[Letter] = []
-    for letter in letters:
-        if stack and stack[-1][0] == letter[0] and stack[-1][1] == -letter[1]:
-            stack.pop()
-        else:
-            stack.append(letter)
-    return tuple(stack)
-
 
 class Word:
-    """An immutable, freely reduced word over nonnegative generator indices."""
+    """An immutable word: a tuple of nonnegative generator indices."""
 
     __slots__ = ("letters",)
 
-    def __init__(self, letters: Iterable[Letter] = ()):
-        checked = []
-        for letter in letters:
-            try:
-                gen, sign = letter
-            except (TypeError, ValueError):
-                raise InvalidWordError(f"letter {letter!r} is not a (gen, sign) pair")
+    def __init__(self, letters: Iterable[int] = ()):
+        letters = tuple(letters)
+        for gen in letters:
             if not isinstance(gen, int) or isinstance(gen, bool) or gen < 0:
                 raise InvalidWordError(f"generator index {gen!r} must be a nonnegative int")
-            if type(sign) is not int or sign not in (1, -1):
-                raise InvalidWordError(f"sign {sign!r} must be +1 or -1")
-            checked.append(_letter(int(gen), sign))
-        object.__setattr__(self, "letters", _free_reduce(checked))
+        object.__setattr__(self, "letters", tuple(map(int, letters)))
 
     @classmethod
-    def _of_checked(cls, letters: Iterable[Letter]) -> "Word":
-        """The word of shared letters taken from words already checked."""
+    def _of_checked(cls, letters: tuple[int, ...]) -> "Word":
+        """The word of letters taken from words already checked."""
         w = object.__new__(cls)
-        object.__setattr__(w, "letters", _free_reduce(letters))
+        object.__setattr__(w, "letters", letters)
         return w
 
     def __setattr__(self, name, value):
@@ -97,7 +70,7 @@ class Word:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __iter__(self) -> Iterator[Letter]:
+    def __iter__(self) -> Iterator[int]:
         return iter(self.letters)
 
     def __getitem__(self, i):
@@ -117,15 +90,13 @@ class Word:
             return NotImplemented
         return Word._of_checked(self.letters + other.letters)
 
-    def __invert__(self) -> "Word":
-        return self.inverse()
-
     def inverse(self) -> "Word":
-        return Word._of_checked([_letter(g, -s) for g, s in reversed(self.letters)])
+        """The word reversed: every generator is an involution."""
+        return Word._of_checked(self.letters[::-1])
 
     def max_generator(self) -> int:
         """Largest generator index used, or -1 for the empty word."""
-        return max((g for g, _ in self.letters), default=-1)
+        return max(self.letters, default=-1)
 
     def __repr__(self) -> str:
         return f"Word({word_to_text(self)!r})"
@@ -133,16 +104,16 @@ class Word:
 
 def generator(i: int) -> Word:
     """The one-letter word ``r<i>``."""
-    return Word([(i, 1)])
+    return Word((i,))
 
 
 def pair(i: int, j: int) -> Word:
     """The two-letter word ``r<i> r<j>``."""
-    return Word([(i, 1), (j, 1)])
+    return Word((i, j))
 
 
 def power(w: Word, e: int) -> Word:
-    """``w`` concatenated ``e`` times (``e >= 0``), freely reduced; raises
+    """``w`` concatenated ``e`` times (``e >= 0``); raises
     ``CapacityError`` beyond ``MAX_WORD_LETTERS`` letters."""
     if e < 0:
         raise InvalidWordError("power exponent must be nonnegative")
@@ -164,21 +135,17 @@ def two_power(e: int) -> int:
 
 
 def commutator(a: Word, b: Word) -> Word:
-    """``a^-1 b^-1 a b``, freely reduced."""
-    return Word._of_checked(a.inverse().letters + b.inverse().letters
-                            + a.letters + b.letters)
+    """``a^-1 b^-1 a b``, each inverse the word reversed."""
+    return Word._of_checked(a.letters[::-1] + b.letters[::-1] + a.letters + b.letters)
 
 
-_TOKEN_RE = re.compile(r"^r(\d+)(\^-1)?$")
+_TOKEN_RE = re.compile(r"^r(\d+)$")
 
 
 def word_to_text(w: Word) -> str:
     if not w.letters:
         return "1"
-    parts = []
-    for gen, sign in w.letters:
-        parts.append(f"r{gen}" if sign > 0 else f"r{gen}^-1")
-    return " ".join(parts)
+    return " ".join(f"r{gen}" for gen in w.letters)
 
 
 def word_from_text(text: str) -> Word:
@@ -190,7 +157,7 @@ def word_from_text(text: str) -> Word:
         m = _TOKEN_RE.match(token)
         if m is None:
             raise InvalidWordError(f"bad word token {token!r}")
-        letters.append((int(m.group(1)), -1 if m.group(2) else 1))
+        letters.append(int(m.group(1)))
     return Word(letters)
 
 
@@ -217,13 +184,7 @@ class Presentation:
 
     def involutory_generators(self) -> frozenset[int]:
         """Generators ``i`` with an explicit square relator ``r_i r_i``."""
-        out = set()
-        for r in self.relators:
-            if len(r) == 2:
-                (g1, s1), (g2, s2) = r.letters
-                if g1 == g2 and s1 == s2:
-                    out.add(g1)
-        return frozenset(out)
+        return frozenset(r[0] for r in self.relators if len(r) == 2 and r[0] == r[1])
 
     def require_involutions(self) -> None:
         """Raise ``ParameterError`` unless every generator has a square

@@ -321,7 +321,7 @@ def cyclic_ids(rg: RealizedGroup, w: Word) -> set[int]:
 
 
 def conjugate(w: Word, by: Word) -> Word:
-    """``by^-1 w by``, freely reduced."""
+    """``by^-1 w by``."""
     return by.inverse() * w * by
 
 
@@ -353,8 +353,8 @@ def check_homomorphism(source: Presentation, target: Presentation, images) -> No
     rt = realize(target)
     for rel in source.relators:
         substituted = Word()
-        for g, s in rel:
-            substituted = substituted * (images[g] if s > 0 else images[g].inverse())
+        for g in rel.letters:
+            substituted = substituted * images[g]
         if rt.element_of(substituted) != 0:
             raise NotAHomomorphism(rel)
 

@@ -210,6 +210,19 @@ def test_verify_from_presentation_file(capsys, tmp_path):
     assert "cannot read presentation file" in err
 
 
+def test_raw_inverse_letters_are_refused(capsys, tmp_path):
+    # read as r0, r0^-1 would make the trivial relator "r0 r0^-1" pass as
+    # the square that declares r0 an involution
+    path = tmp_path / "group.txt"
+    path.write_text("gens 2\nrel r0 r0\nrel r1^-1 r1^-1\n")
+    for argv, token in (
+            (("--relators", "r0 r0; r0^-1 r0^-1", "--generators", "1"), "r0^-1"),
+            (("--presentation-file", str(path)), "r1^-1")):
+        code, out, err = run(capsys, "verify", "--family", "raw", *argv)
+        assert (code, out) == (4, "")
+        assert err.splitlines() == [f"polycert: param-invalid: bad word token '{token}'"]
+
+
 @pytest.mark.parametrize("argv, message", [
     (("verify", "--family", "raw", "--presentation-file", "{latin1}"),
      "cannot read presentation file: 'utf-8' codec can't decode"),

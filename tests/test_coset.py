@@ -10,7 +10,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import polycert.coset as coset_mod
 from polycert import (
@@ -50,7 +50,7 @@ def dihedral(m):
 REVERSAL_NOT_A_ROTATION = Presentation(3, (
     power(generator(0), 2), power(generator(1), 2), power(generator(2), 2),
     power(pair(0, 1), 3), power(pair(1, 2), 3), power(pair(0, 2), 2),
-    power(Word([(0, 1), (1, 1), (2, 1)]), 4),
+    power(Word([0, 1, 2]), 4),
 ))
 
 
@@ -346,7 +346,7 @@ def test_a_wrong_mark_can_only_raise(monkeypatch):
     # that claims every offset makes HLT skip scans that would not close,
     # and the post-hoc check refuses the table it leaves
     p = Presentation(2, (power(generator(0), 2), power(generator(1), 2),
-                         Word([(1, 1), (0, 1), (1, 1)])))
+                         Word([1, 0, 1])))
     assert enumerate_cosets(p).live_count == 2
     assert coset_mod._closed_offsets((1, 0, 1)) == (0,)
     monkeypatch.setattr(coset_mod, "_closed_offsets",
@@ -530,16 +530,14 @@ def small_presentations(draw):
     """2-4 generators, each a declared involution; a few short relators; and
     maybe one subgroup generator. Many of these groups are infinite."""
     n = draw(st.integers(2, 4))
-    letters = st.tuples(st.integers(0, n - 1), st.sampled_from((1, -1)))
+    letters = st.integers(0, n - 1)
     relators = [power(generator(g), 2) for g in range(n)]
     for _ in range(draw(st.integers(1, 4))):
         w = Word(draw(st.lists(letters, min_size=1, max_size=3)))
         relators.append(power(w, draw(st.integers(1, 4))))
-    relators = [r for r in relators if len(r)]
     subgroup = []
     if draw(st.booleans()):
-        w = Word(draw(st.lists(letters, min_size=1, max_size=3)))
-        subgroup = [w] if len(w) else []
+        subgroup = [Word(draw(st.lists(letters, min_size=1, max_size=3)))]
     return Presentation(n, relators), subgroup
 
 
@@ -557,8 +555,8 @@ def sympy_order(p):
     relators = []
     for r in p.relators:
         w = free.identity
-        for g, s in r:
-            w = w * gens[g] ** s
+        for g in r.letters:
+            w = w * gens[g]
         relators.append(w)
     return len(FpGroup(free, relators).coset_enumeration([]).table)
 
@@ -593,10 +591,9 @@ def involutory_presentations(draw):
             if draw(st.integers(0, 3)):
                 relators.append(power(pair(i, j), draw(st.integers(1, 6))))
     for _ in range(draw(st.integers(0, 2))):
-        w = Word(draw(st.lists(st.tuples(st.integers(0, n - 1), st.just(1)),
-                               min_size=1, max_size=4)))
+        w = Word(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4)))
         relators.append(power(w, draw(st.integers(1, 4))))
-    return Presentation(n, [r for r in relators if len(r)])
+    return Presentation(n, relators)
 
 
 @settings(max_examples=200, deadline=None)
@@ -608,3 +605,56 @@ def test_random_realized_tables_equal_plain_enumeration(p):
         assume(False)
     rg = RealizedGroup(p, EnumerationLimits(max_cosets=1 << 16))
     assert np.array_equal(rg.table.matrix, plain.matrix)
+
+
+@st.composite
+def rewritten_presentations(draw):
+    """An involutory presentation and a rewrite of it, on the same generators
+    and with the same normal closure of its relators: one to four steps,
+    each reordering the relators, rotating one, replacing one by its inverse
+    (its reversal) or appending the product of two of them."""
+    p = draw(involutory_presentations())
+    rels = list(p.relators)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(rels) - 1))
+        step = draw(st.sampled_from(("reorder", "rotate", "invert", "product")))
+        if step == "reorder":
+            rels = draw(st.permutations(rels))
+        elif step == "rotate":
+            k = draw(st.integers(0, len(rels[i]) - 1))
+            rels[i] = Word(rels[i].letters[k:] + rels[i].letters[:k])
+        elif step == "invert":
+            rels[i] = rels[i].inverse()
+        else:
+            rels.append(rels[i] * rels[draw(st.integers(0, len(rels) - 1))])
+    return p, Presentation(p.generator_count, rels)
+
+
+# The orbit route reads its bound off the relators in r0 and r1 alone, which
+# none of the four rewrites can move. A consequence can: in the tight {4,4}
+# group of order 32, with (r0 r1)^4 stated only as its conjugate by r2, no
+# relator bounds a rotation and the route is off; with (r0 r1)^4 appended, it
+# is on.
+TIGHT44 = tight_quotient_presentation((4, 4)).relators
+ROUTE_OFF = Presentation(3, TIGHT44[:3] + (generator(2) * TIGHT44[3] * generator(2),)
+                         + TIGHT44[4:])
+ROUTE_ON = Presentation(3, ROUTE_OFF.relators + (TIGHT44[3],))
+
+
+def test_an_added_consequence_switches_the_orbit_route_on():
+    assert [RealizedGroup(p).stats["enumerations"] for p in (ROUTE_OFF, ROUTE_ON)] == [1, 2]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rewritten_presentations())
+@example((ROUTE_OFF, ROUTE_ON))
+def test_rewritten_presentations_give_the_same_tables(case):
+    # a standardized table depends only on the action and the base coset
+    # (Holt, Eick and O'Brien, ch. 5), not on how the relators are written
+    limits = EnumerationLimits(max_cosets=10 ** 4)
+    try:
+        tables = [[enumerate_cosets(p, (), limits, s).matrix for s in ("hlt", "felsch")]
+                  + [RealizedGroup(p, limits).table.matrix] for p in case]
+    except LimitExceededError:
+        assume(False)
+    assert len({m.tobytes() for ms in tables for m in ms}) == 1

@@ -5,6 +5,7 @@ walk of the subgroup's element set, a Python stack search that shares no code
 with the numpy partition under test.
 """
 
+import importlib
 import itertools
 from collections import Counter
 
@@ -31,6 +32,9 @@ from polycert.words import (
     power,
     presentation_from_text,
 )
+
+# the module, which the package's ``realize`` function hides
+realize_mod = importlib.import_module("polycert.realize")
 
 ORACLE_PRESENTATIONS = [
     tight_quotient_presentation((4, 4)),
@@ -239,6 +243,24 @@ def test_a_wrong_character_is_caught_by_validate():
                         "hlt", Counter()) is None
     rg = RealizedGroup(hemicube)
     assert rg.stats["enumerations"] == 1 and rg.order == 24
+
+
+def test_an_orbit_block_that_is_not_closed_is_refused(monkeypatch):
+    # block 0 keeps its size B = 8 but trades its last point for one of the
+    # other 248, so the points it spans are no orbit, and some generator
+    # leaves them
+    p = family_g(3, 10, (2, 2))
+    labels_of = realize_mod.orbit_labels
+
+    def corrupt(gens, n):
+        labels = labels_of(gens, n).copy()
+        inside, outside = np.flatnonzero(labels == 0), np.flatnonzero(labels != 0)
+        labels[[inside[-1], outside[0]]] = labels[outside[0]], 0
+        return labels
+
+    monkeypatch.setattr(realize_mod, "orbit_labels", corrupt)
+    with pytest.raises(TableNotClosedError, match="the orbit of the base point is not closed"):
+        RealizedGroup(p)
 
 
 def test_failing_intersection_property_falls_back():

@@ -109,9 +109,18 @@ MUTANTS = (
     Mutant("block-from-every-point", "src/polycert/realize.py",
            "block = np.flatnonzero(labels == 0)", "block = np.flatnonzero(labels >= 0)",
            ("tests/test_realize.py",)),
-    Mutant("block-under-r0-alone", "src/polycert/realize.py",
-           "for g in (0, 1)], n0 * 2)", "for g in (0,)], n0 * 2)",
+    Mutant("block-under-r_i-alone", "src/polycert/realize.py",
+           "for g in (i, i + 1)], ng * 2)", "for g in (i,)], ng * 2)",
            ("tests/test_realize.py",)),
+    # the route's pair and G' read off the bounds: always <r0, r1> and G_0,
+    # or always G' without r_i
+    Mutant("route-always-first-pair", "src/polycert/realize.py",
+           "        i = bounds.index(max(bounds))\n", "        i = 0\n",
+           ("tests/test_realize.py::test_the_route_takes_the_pair_with_the_largest_bound",)),
+    Mutant("route-always-leaves-out-r_i", "src/polycert/realize.py",
+           "            hidden = i if bounds[i - 1] <= bounds[i + 1] else i + 1\n",
+           "            hidden = i\n",
+           ("tests/test_realize.py::test_the_route_takes_the_pair_with_the_largest_bound",)),
     Mutant("orbit-without-closure-check", "src/polycert/realize.py",
            "        if not np.array_equal(keys[pos], image):\n",
            "        if False:\n",

@@ -10,44 +10,59 @@ table without further enumerations.
 Every generator is a declared involution, as ``coset.enumerate_cosets``
 requires. The table is built as the orbit of one point when the
 presentation allows it: the rank d is at least 3, every relator has even
-length, and some relator in r0 and r1 alone is a rotation. Let
-H = <r0, r1> and G_0 = <r1, ..., r_{d-1}>. Each relator in r0 and r1 alone
-reduces in the infinite dihedral group <r0, r1 | r0^2, r1^2> to
-a reflection or to a rotation (r0 r1)^(+-j); if m is the gcd of the rotation
-exponents, H is a quotient of the dihedral group of order 2m. Every relator
-has even length exactly when r_i -> -1 is a character G -> C2; its kernel K
-is then the rotation subgroup G+ of the products of an even number of
-generators, which has index 2 and does not contain r1 (McMullen and
-Schulte, *Abstract Regular Polytopes*, 2B). An odd relator means that G+ is
-all of G: the group of a non-orientable polytope is one such. Two
-enumerations, in this order, give N = [G:H] with a transversal (the first
-entry of each coset in row-major order of the standardized table over H)
-and the coset action of G on G_0; every generator swaps the two cosets of
-K. A completed enumeration proves an index (Holt, Eick and O'Brien,
-*Handbook of Computational Group Theory*, ch. 5), so |G| = N |H| <= B = 2mN.
-The orbit O of the point (H, G_0, K) in the product of the three coset
-actions is the H-orbit of that point carried along the transversal: N
-disjoint blocks, one per coset of H. The first block is the H-orbit of
-(G_0, K) in the product of the two small actions, labelled by
-``perms.orbit_labels``; the others follow with one numpy gather per level
-of the transversal tree. |O| = [G : H n G_0 n K] <= |G|, so |O| = B proves
-that G acts regularly on O. The points are numbered with one sort, the image
-columns read with ``searchsorted``, and the action handed to
-``coset.closed_table``, which standardizes and validates it as it does every
-enumerated table; standardization is canonical, so it is the enumerated
-table byte for byte. The validated table is an action of G, transitive on
-B >= |G| points, so it is regular: were the swap of the cosets of K no
-action of G, the table could only raise or fall back. A bound above |G| can
-only fall back; a bound below |G| is the one error that would give a wrong
-table, and the 2m above is a proof that it cannot happen. In a string
-C-group H n G_0 = <r1> (McMullen and Schulte, 2E), and <r1> n K = 1, so
-|O| < B means that the group is not a string C-group or that H is smaller
-than 2m. Then, and whenever the route does not apply, the table comes from
-one enumeration over the trivial subgroup. The limits and the strategy
-apply to every enumeration, and the first one to hit a limit raises. The
-coset limit also bounds B, the rows of the regular table, as it bounds the
-rows that plain enumeration defines. The table's ``stats`` sum the counts
-of the two enumerations, and a limit on B reports their total.
+length, and some adjacent pair (r_i, r_{i+1}) has a relator in those two
+generators alone that is a rotation. Each such relator reduces in the
+infinite dihedral group <r_i, r_{i+1} | r_i^2, r_{i+1}^2> to a reflection
+or to a rotation (r_i r_{i+1})^(+-j); if m is the gcd of the rotation
+exponents, H = <r_i, r_{i+1}> is a quotient of the dihedral group of order
+2m. Let G' be generated by every generator but r_x, one of the pair, and
+r_y the other. Every relator has even length exactly when sending every
+generator to -1 is a character G -> C2; its kernel K is then the rotation
+subgroup G+ of the products of an even number of generators, which has
+index 2 and contains no generator (McMullen and Schulte, *Abstract Regular
+Polytopes*, 2B). An
+odd relator means that G+ is all of G: the group of a non-orientable
+polytope is one such. Two enumerations, in this order, give N = [G:H] with
+a transversal (the first entry of each coset in row-major order of the
+standardized table over H) and the coset action of G on G'; every
+generator swaps the two cosets of K. A completed enumeration proves an
+index (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*,
+ch. 5), so |G| = N |H| <= B = 2mN. The orbit O of the point (H, G', K) in
+the product of the three coset actions is the H-orbit of that point carried
+along the transversal: N disjoint blocks, one per coset of H. The first
+block is the H-orbit of (G', K) in the product of the two small actions,
+labelled by ``perms.orbit_labels`` under columns i and i+1; the others
+follow with one numpy gather per level of the transversal tree.
+|O| = [G : H n G' n K] <= |G|, so |O| = B proves that G acts regularly on
+O. The points are numbered with one sort, the image columns read with
+``searchsorted``, and the action handed to ``coset.closed_table``, which
+standardizes and validates it as it does every enumerated table;
+standardization is canonical, so it is the enumerated table byte for byte.
+The validated table is an action of G, transitive on B >= |G| points, so
+it is regular: were the swap of the cosets of K no action of G, the table
+could only raise or fall back. A bound above |G| can only fall back; a
+bound below |G| is the one error that would give a wrong table, and the 2m
+above is a proof that it cannot happen. In a string C-group H n G' = <r_y>
+(McMullen and Schulte, 2E), and <r_y> n K = 1, so |O| < B means that the
+group is not a string C-group or that H is smaller than 2m. Then, and
+whenever the route does not apply, the table comes from one enumeration
+over the trivial subgroup.
+
+The proof holds for every adjacent pair, so the route picks the pair and
+r_x by a rule that reads only the relators and keeps the two enumerations
+small. H is the pair with the largest bound 2m, the first such pair on a
+tie: a larger 2m means a smaller index N = |G|/|H| to enumerate. G' leaves
+out r_i when the bound of the pair (i-1, i) is at most that of (i+1, i+2),
+and r_{i+1} otherwise, counting a pair that does not exist as 0: G' then
+keeps the neighbouring pair with the larger bound, and a larger G' has
+fewer cosets. A presentation whose first pair has the largest bound takes
+<r0, r1> and G_0 = <r1, ..., r_{d-1}>.
+
+The limits and the strategy apply to every enumeration, and the first one
+to hit a limit raises. The coset limit also bounds B, the rows of the
+regular table, as it bounds the rows that plain enumeration defines. The
+table's ``stats`` sum the counts of the two enumerations, and a limit on B
+reports their total.
 
 For a generator subset S, the orbits of right multiplication by S are the
 left cosets w<S>, and the orbit of the identity is <S> itself. The library's
@@ -79,14 +94,15 @@ from .perms import orbit_labels
 from .words import Presentation, Word, generator
 
 
-def _rotation_bound(p: Presentation) -> int:
-    """2m, where m is the gcd of the exponents j of the relators in r0 and r1
-    alone that reduce to a rotation (r0 r1)^(+-j) of the infinite dihedral
-    group <r0, r1 | r0^2, r1^2>; 0 when no relator does. <r0, r1 | those
-    relators> is then a quotient of the dihedral group of order 2m."""
+def _rotation_bound(p: Presentation, pair: tuple[int, int]) -> int:
+    """2m, where m is the gcd of the exponents j of the relators in the two
+    generators r_a, r_b of ``pair`` alone that reduce to a rotation
+    (r_a r_b)^(+-j) of the infinite dihedral group <r_a, r_b | r_a^2, r_b^2>;
+    0 when no relator does. <r_a, r_b | those relators> is then a quotient
+    of the dihedral group of order 2m."""
     m = 0
     for r in p.relators:
-        if r.max_generator() > 1:
+        if not set(r.letters) <= set(pair):
             continue
         stack: list[int] = []  # the reduced form: its letters alternate
         for g in r.letters:
@@ -99,29 +115,31 @@ def _rotation_bound(p: Presentation) -> int:
     return 2 * m
 
 
-def _orbit_table(p: Presentation, bound_h: int, limits: EnumerationLimits,
-                 strategy: str, stats: Counter) -> CosetTable | None:
+def _orbit_table(p: Presentation, i: int, hidden: int, bound_h: int,
+                 limits: EnumerationLimits, strategy: str, stats: Counter) -> CosetTable | None:
     """The regular table as the orbit of one point, or None when |O| < B.
 
-    ``bound_h`` bounds |<r0, r1>|. The module docstring states the
-    construction and why it is a proof.
+    H = <r_i, r_{i+1}>, ``bound_h`` bounds |H|, and G' is generated by every
+    generator but r_hidden, one of that pair. The module docstring states
+    the construction and why it is a proof.
     """
     d = p.generator_count
     parts = [enumerate_cosets(p, subgroup, limits, strategy)
-             for subgroup in ([generator(0), generator(1)], [generator(i) for i in range(1, d)])]
+             for subgroup in ([generator(i), generator(i + 1)],
+                              [generator(g) for g in range(d) if g != hidden])]
     stats["enumerations"] += len(parts)
     counts = EnumerationStats(strategy, **{
         name: sum(getattr(t.stats, name) for t in parts)
         for name in ("cosets_created", "compactions", "lookaheads", "deductions")})
-    th, t0 = (t.matrix for t in parts)
+    th, tg = (t.matrix for t in parts)
     bound = len(th) * bound_h
-    n, n0 = len(th), len(t0)
-    # Block 0 is the <r0, r1>-orbit of the point (0, 0) in the product of
-    # the actions on G_0 and on the two cosets of K, which every generator
-    # swaps: point (a, b) is numbered 2a + b. The order of the points in a
-    # block is irrelevant: they are numbered by one sort.
+    n, ng = len(th), len(tg)
+    # Block 0 is the H-orbit of the point (0, 0) in the product of the
+    # actions on G' and on the two cosets of K, which every generator swaps:
+    # point (a, b) is numbered 2a + b. The order of the points in a block is
+    # irrelevant: they are numbered by one sort.
     swap = np.array([1, 0], dtype=np.intc)
-    labels = orbit_labels([(t0[:, g, None] * 2 + swap).ravel() for g in (0, 1)], n0 * 2)
+    labels = orbit_labels([(tg[:, g, None] * 2 + swap).ravel() for g in (i, i + 1)], ng * 2)
     block = np.flatnonzero(labels == 0)
     if n * len(block) != bound:
         return None
@@ -142,16 +160,16 @@ def _orbit_table(p: Presentation, bound_h: int, limits: EnumerationLimits,
     while lo < n:
         hi = 1 + int(np.searchsorted(parent, lo))
         par, g = parent[lo - 1:hi - 1], gen[lo - 1:hi - 1, None]
-        a[lo:hi] = t0[a[par], g]
+        a[lo:hi] = tg[a[par], g]
         b[lo:hi] = b[par] ^ 1
         lo = hi
     beta = np.repeat(np.arange(n, dtype=np.int64), len(block))
-    keys = (beta * n0 + a.ravel()) * 2 + b.ravel()
+    keys = (beta * ng + a.ravel()) * 2 + b.ravel()
     order = np.argsort(keys)
     keys, beta, a, b = keys[order], beta[order], a.ravel()[order], b.ravel()[order]
     images = np.empty((len(keys), d), dtype=np.intc)
     for g in range(d):
-        image = (th[beta, g].astype(np.int64) * n0 + t0[a, g]) * 2 + (b ^ 1)
+        image = (th[beta, g].astype(np.int64) * ng + tg[a, g]) * 2 + (b ^ 1)
         pos = np.minimum(np.searchsorted(keys, image), len(keys) - 1)
         if not np.array_equal(keys[pos], image):
             raise TableNotClosedError(f"the orbit of the base point is not closed under r{g}")
@@ -165,9 +183,13 @@ def _regular_table(p: Presentation, limits: EnumerationLimits, strategy: str,
     d = p.generator_count
     table = None
     if d >= 3 and all(len(r) % 2 == 0 for r in p.relators):
-        bound_h = _rotation_bound(p)
-        if bound_h:
-            table = _orbit_table(p, bound_h, limits, strategy, stats)
+        # the bound of each adjacent pair; the one 0 appended stands for the
+        # pairs (-1, 0) and (d-1, d), which do not exist
+        bounds = [_rotation_bound(p, (i, i + 1)) for i in range(d - 1)] + [0]
+        i = bounds.index(max(bounds))
+        if bounds[i]:
+            hidden = i if bounds[i - 1] <= bounds[i + 1] else i + 1
+            table = _orbit_table(p, i, hidden, bounds[i], limits, strategy, stats)
     if table is None:
         stats["enumerations"] += 1
         table = enumerate_cosets(p, (), limits, strategy)

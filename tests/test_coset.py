@@ -528,16 +528,15 @@ def test_orders_against_closure_and_known_values():
 @st.composite
 def small_presentations(draw):
     """2-4 generators, each a declared involution; a few short relators; and
-    maybe one subgroup generator. Many of these groups are infinite."""
+    up to three subgroup generators. Many of these groups are infinite."""
     n = draw(st.integers(2, 4))
     letters = st.integers(0, n - 1)
     relators = [power(generator(g), 2) for g in range(n)]
     for _ in range(draw(st.integers(1, 4))):
         w = Word(draw(st.lists(letters, min_size=1, max_size=3)))
         relators.append(power(w, draw(st.integers(1, 4))))
-    subgroup = []
-    if draw(st.booleans()):
-        subgroup = [Word(draw(st.lists(letters, min_size=1, max_size=3)))]
+    subgroup = [Word(draw(st.lists(letters, min_size=1, max_size=3)))
+                for _ in range(draw(st.integers(0, 3)))]
     return Presentation(n, relators), subgroup
 
 
@@ -580,19 +579,18 @@ def test_random_presentations_agree_across_enumerators(case):
 
 @st.composite
 def involutory_presentations(draw):
-    """Rank 3-4 with every generator a declared involution, most pairs of
-    generators with a power of their product, and a few other short powers.
-    Many of these groups are infinite; among the finite ones, some take the
-    orbit route, some fall back from it and some take the plain path."""
+    """Rank 3-4 with every generator a declared involution, a short rotation
+    power (r_i r_{i+1})^e for every adjacent pair, commuting non-adjacent
+    pairs, and a few other short powers. Some of these groups are infinite;
+    the finite ones reach orders in the hundreds, and the orbit route takes
+    every adjacent pair, falls back from it or does not apply."""
     n = draw(st.integers(3, 4))
     relators = [power(generator(g), 2) for g in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if draw(st.integers(0, 3)):
-                relators.append(power(pair(i, j), draw(st.integers(1, 6))))
+    relators += [power(pair(i, i + 1), draw(st.integers(2, 6))) for i in range(n - 1)]
+    relators += [power(pair(i, j), 2) for i in range(n) for j in range(i + 2, n)]
     for _ in range(draw(st.integers(0, 2))):
-        w = Word(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4)))
-        relators.append(power(w, draw(st.integers(1, 4))))
+        w = Word(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=4)))
+        relators.append(power(w, draw(st.integers(1, 6))))
     return Presentation(n, relators)
 
 
@@ -608,16 +606,18 @@ def test_random_realized_tables_equal_plain_enumeration(p):
 
 
 @st.composite
-def rewritten_presentations(draw):
-    """An involutory presentation and a rewrite of it, on the same generators
-    and with the same normal closure of its relators: one to four steps,
-    each reordering the relators, rotating one, replacing one by its inverse
-    (its reversal) or appending the product of two of them."""
-    p = draw(involutory_presentations())
-    rels = list(p.relators)
+def rewritten_presentations(draw, cases):
+    """A presentation with subgroup generators, drawn from ``cases``, and a
+    rewrite of both: the same generators, the same normal closure of the
+    relators and the same subgroup. One to four steps, each reordering the
+    relators, rotating one, replacing one by its inverse (its reversal),
+    appending the product of two of them or reordering the subgroup
+    generators."""
+    p, subgroup = draw(cases)
+    rels, sub = list(p.relators), list(subgroup)
     for _ in range(draw(st.integers(1, 4))):
         i = draw(st.integers(0, len(rels) - 1))
-        step = draw(st.sampled_from(("reorder", "rotate", "invert", "product")))
+        step = draw(st.sampled_from(("reorder", "rotate", "invert", "product", "subgroup")))
         if step == "reorder":
             rels = draw(st.permutations(rels))
         elif step == "rotate":
@@ -625,19 +625,22 @@ def rewritten_presentations(draw):
             rels[i] = Word(rels[i].letters[k:] + rels[i].letters[:k])
         elif step == "invert":
             rels[i] = rels[i].inverse()
-        else:
+        elif step == "product":
             rels.append(rels[i] * rels[draw(st.integers(0, len(rels) - 1))])
-    return p, Presentation(p.generator_count, rels)
+        else:
+            sub = draw(st.permutations(sub))
+    return (p, subgroup), (Presentation(p.generator_count, rels), sub)
 
 
-# The orbit route reads its bound off the relators in r0 and r1 alone, which
-# none of the four rewrites can move. A consequence can: in the tight {4,4}
-# group of order 32, with (r0 r1)^4 stated only as its conjugate by r2, no
-# relator bounds a rotation and the route is off; with (r0 r1)^4 appended, it
-# is on.
+# The orbit route reads its bounds off the relators in each adjacent pair
+# alone, which none of the other rewrites can move. A consequence can: in the
+# tight {4,4} group of order 32, with (r0 r1)^4 stated only as its conjugate
+# by r2 and (r1 r2)^4 only as its conjugate by r0, no relator bounds a
+# rotation and the route is off; with (r0 r1)^4 appended, it is on.
 TIGHT44 = tight_quotient_presentation((4, 4)).relators
-ROUTE_OFF = Presentation(3, TIGHT44[:3] + (generator(2) * TIGHT44[3] * generator(2),)
-                         + TIGHT44[4:])
+ROUTE_OFF = Presentation(3, TIGHT44[:3] + (generator(2) * TIGHT44[3] * generator(2),
+                                           generator(0) * TIGHT44[4] * generator(0))
+                         + TIGHT44[5:])
 ROUTE_ON = Presentation(3, ROUTE_OFF.relators + (TIGHT44[3],))
 
 
@@ -645,16 +648,20 @@ def test_an_added_consequence_switches_the_orbit_route_on():
     assert [RealizedGroup(p).stats["enumerations"] for p in (ROUTE_OFF, ROUTE_ON)] == [1, 2]
 
 
-@settings(max_examples=100, deadline=None)
-@given(rewritten_presentations())
-@example((ROUTE_OFF, ROUTE_ON))
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(rewritten_presentations(involutory_presentations().map(lambda p: (p, []))),
+                 rewritten_presentations(small_presentations())))
+@example(((ROUTE_OFF, []), (ROUTE_ON, [])))
 def test_rewritten_presentations_give_the_same_tables(case):
     # a standardized table depends only on the action and the base coset
-    # (Holt, Eick and O'Brien, ch. 5), not on how the relators are written
+    # (Holt, Eick and O'Brien, ch. 5), not on how the relators or the
+    # subgroup generators are written; without subgroup generators the
+    # regular table is also built by RealizedGroup
     limits = EnumerationLimits(max_cosets=10 ** 4)
     try:
-        tables = [[enumerate_cosets(p, (), limits, s).matrix for s in ("hlt", "felsch")]
-                  + [RealizedGroup(p, limits).table.matrix] for p in case]
+        tables = [[enumerate_cosets(p, subgroup, limits, s).matrix for s in ("hlt", "felsch")]
+                  + ([] if subgroup else [RealizedGroup(p, limits).table.matrix])
+                  for p, subgroup in case]
     except LimitExceededError:
         assume(False)
     assert len({m.tobytes() for ms in tables for m in ms}) == 1

@@ -53,9 +53,11 @@ ORACLE_PRESENTATIONS = [
 
 # Enumerations behind each oracle table: 2 on the orbit route, 1 where it
 # does not apply (rank 2, or the odd relator r2 (r0 r1)^2 of the hidden
-# centre). Where r0 = r1, <r0, r1> n <r1, r2> = <r1> meets the rotation
-# subgroup in the identity, so the route holds.
-ORACLE_ENUMERATIONS = [2, 2, 2, 1, 2, 1]
+# centre). Where r0 = r1, the route takes <r1, r2>, whose bound 8 is the
+# largest, but r0 = r1 and (r0 r2)^2 make (r1 r2)^2 trivial: |<r1, r2>| = 4,
+# the orbit has fewer than B points, and the route falls back, at the cost
+# of a third enumeration. That group is not a string C-group.
+ORACLE_ENUMERATIONS = [2, 2, 2, 1, 3, 1]
 
 # Order 8, with r2 = (r0 r1)^2 central: <r0, r1> n <r1, r2> n <r0, r2> has
 # order 2, so the group fails the intersection property.
@@ -207,8 +209,9 @@ def test_bad_generator_subsets(tight44):
     tight_quotient_presentation((4, 4, 4)),
     tight_quotient_presentation((8, 8, 8)),
     family_g(3, 12, (2, 9)),
-    # 2m = 1024 and 512 cosets of G_0: the largest <r0, r1>-orbit block on
-    # the sweep grid, where G3 above has 8 points
+    # 2m = 1024 and 512 cosets of G_0: the largest orbit block on the sweep
+    # grid; G3 above is its mirror image, whose route takes <r1, r2> and
+    # G' = <r0, r1>
     family_g(3, 12, (9, 2)),
     family_g(4, 12, (3, 3, 3)),
     family_g(5, 12, (2, 2, 2, 3)),
@@ -226,6 +229,29 @@ def test_orbit_route_gives_the_enumerated_table(p):
     assert 0 < rg.table.stats.cosets_created < plain.stats.cosets_created
 
 
+@pytest.mark.parametrize("p, h, hidden", [
+    # bounds 8, 64, 8 and 8, 8, 32, 8: H is the pair with the largest bound,
+    # and as the pairs beside it tie, G' leaves out r_i
+    (family_g(4, 12, (2, 5, 2)), (1, 2), 1),
+    (family_g(5, 12, (2, 2, 4, 2)), (2, 3), 2),
+    # bounds 16, 64, 8: G' leaves out r2 and keeps the larger pair (0, 1)
+    (family_g(4, 12, (3, 5, 2)), (1, 2), 2),
+    # every pair ties at 16, so the first pair and G_0, as for every
+    # presentation whose first pair has the largest bound
+    (tight_quotient_presentation((8, 8, 8)), (0, 1), 0),
+], ids=["G4-middle", "G5-third", "G4-keeps-r1", "tight888"])
+def test_the_route_takes_the_pair_with_the_largest_bound(p, h, hidden):
+    # the table's counts are the sums of those of the two enumerations
+    # that the rule names: H = <r_i, r_{i+1}> and G' without r_hidden
+    d = p.generator_count
+    subgroups = ([generator(g) for g in h], [generator(g) for g in range(d) if g != hidden])
+    rg = RealizedGroup(p)
+    assert rg.stats["enumerations"] == 2
+    assert rg.table.stats.cosets_created == sum(
+        enumerate_cosets(p, subgroup).stats.cosets_created for subgroup in subgroups)
+    assert np.array_equal(rg.table.matrix, enumerate_cosets(p).matrix)
+
+
 def test_a_wrong_character_is_caught_by_validate():
     # With an odd relator the swap of the cosets of K is no action of G. The
     # route, entered past its even-length test, must then fall back or raise.
@@ -236,11 +262,13 @@ def test_a_wrong_character_is_caught_by_validate():
         "rel r1 r2 r1 r2 r1 r2\nrel r0 r2 r0 r2\nrel r0 r1 r2 r0 r1 r2 r0 r1 r2\n")
     for p in (hemicube, HIDDEN_CENTRE):
         assert not even(p)
+    # both take H = <r0, r1>, whose bound is the largest, and G' = G_0
     with pytest.raises(TableNotClosedError, match="does not close"):
-        _orbit_table(hemicube, _rotation_bound(hemicube), EnumerationLimits(), "hlt", Counter())
+        _orbit_table(hemicube, 0, 0, _rotation_bound(hemicube, (0, 1)), EnumerationLimits(),
+                     "hlt", Counter())
     # the hidden centre's orbit has fewer than B = 8 points
-    assert _orbit_table(HIDDEN_CENTRE, _rotation_bound(HIDDEN_CENTRE), EnumerationLimits(),
-                        "hlt", Counter()) is None
+    assert _orbit_table(HIDDEN_CENTRE, 0, 0, _rotation_bound(HIDDEN_CENTRE, (0, 1)),
+                        EnumerationLimits(), "hlt", Counter()) is None
     rg = RealizedGroup(hemicube)
     assert rg.stats["enumerations"] == 1 and rg.order == 24
 
@@ -289,7 +317,7 @@ def test_failing_intersection_property_falls_back():
 def test_no_character_or_no_rotation_takes_the_plain_path(text, bound, order):
     p = presentation_from_text("gens 3\nrel r0 r0\nrel r1 r1\nrel r2 r2\n" + text)
     assert not even(p)
-    assert _rotation_bound(p) == bound
+    assert _rotation_bound(p, (0, 1)) == bound
     rg = RealizedGroup(p)
     assert rg.stats["enumerations"] == 1
     assert rg.order == order
@@ -297,20 +325,33 @@ def test_no_character_or_no_rotation_takes_the_plain_path(text, bound, order):
 
 
 def test_no_bounding_relator_takes_the_plain_path():
-    # S3 with r2 = r0: (r0 r1)^3 holds but no relator in r0 and r1 alone says
-    # so, so <r0, r1 | r0^2, r1^2> is infinite and the route must not start
+    # S3 with r2 = r0: (r0 r1)^3 holds, but it is written r0 r1 r2 r1 r0 r1,
+    # so no relator in an adjacent pair alone bounds a rotation, both
+    # <r0, r1 | r0^2, r1^2> and <r1, r2 | r1^2, r2^2> are infinite, and the
+    # route must not start
     p = presentation_from_text(
-        "gens 3\nrel r0 r0\nrel r1 r1\nrel r2 r2\nrel r0 r2\nrel r1 r2 r1 r2 r1 r2\n")
-    assert even(p) and _rotation_bound(p) == 0
+        "gens 3\nrel r0 r0\nrel r1 r1\nrel r2 r2\nrel r0 r2\nrel r0 r1 r2 r1 r0 r1\n")
+    assert even(p) and _rotation_bound(p, (0, 1)) == _rotation_bound(p, (1, 2)) == 0
     rg = RealizedGroup(p, EnumerationLimits(max_cosets=50))
     assert rg.order == 6
     assert rg.stats["enumerations"] == 1
 
 
-def test_orbit_route_limits_report_progress():
-    # the infinite Coxeter group {4,4,4}: the enumeration over <r0, r1> never closes
+def test_orbit_route_limits_report_progress(monkeypatch):
+    # the infinite Coxeter group {4,4,4}: every pair ties, so the route takes
+    # <r0, r1>, and the enumeration over it never closes; no table shows the
+    # choice, so the subgroups asked for are recorded
+    asked = []
+    enumerate_in_realize = realize_mod.enumerate_cosets
+
+    def record(p, subgroup, *args):
+        asked.append(subgroup)
+        return enumerate_in_realize(p, subgroup, *args)
+
+    monkeypatch.setattr(realize_mod, "enumerate_cosets", record)
     with pytest.raises(LimitExceededError) as info:
         RealizedGroup(coxeter_string_presentation((4, 4, 4)), EnumerationLimits(20_000))
+    assert asked == [[generator(0), generator(1)]]
     assert info.value.cosets_created == 20_000
     assert 0 < info.value.live_cosets <= 20_000
     assert info.value.table_bytes > 0

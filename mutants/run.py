@@ -152,6 +152,22 @@ MUTANTS = (
            "        orbit = self.orbit\n        pos = np.full(",
            "        return True\n        orbit = self.orbit\n        pos = np.full(",
            ("tests/test_perms.py",)),
+    # each check of the full chain re-check, its raise left a bare expression
+    *(Mutant(f"verify-chain-without-{name}-check", "src/polycert/perms.py",
+             f"raise CheckFailedError({message}", f"({message}",
+             ("tests/test_perms.py::test_verify_chain_reaches_every_check",))
+      for name, message in (
+          ("base-root", 'f"level {i}: the base is not the root'),
+          ("orbit-list", 'f"level {i}: orbit list and Schreier vector disagree'),
+          ("earlier-base", 'f"level {i}: generator moves an earlier base'),
+          ("level-above", 'f"level {i + 1}: generator missing'),
+          ("inverses", 'f"level {i}: stored inverses'),
+          ("label-range", 'f"level {i}: Schreier vector names an unknown generator'),
+          ("tree-edge", 'f"level {i}: Schreier vector edge'),
+          ("tree-root", 'f"level {i}: Schreier vector does not lead back'),
+          ("orbit-closed", '\n                            f"level {i}: orbit is not closed'),
+          ("schreier-sift", '\n                            f"level {i}: Schreier element'),
+          ("generator-sift", '"an original generator does not sift'))),
     Mutant("permutation-group-without-bijection-check", "src/polycert/perms.py",
            "    if arr.min() < 0 or arr.max() >= n or np.bincount(arr, minlength=n).max() != 1:\n",
            "    if False:\n",
@@ -177,16 +193,17 @@ MUTANTS = (
            ("tests/test_cli.py::test_sweep_ip_both_skips_a_tuple_whose_verdicts_disagree",)),
     Mutant("paper-tables-without-mismatch-exit", "src/polycert/cli.py",
            "    if not all_ok:\n"
-           "        print(\"polycert: check-failed: table values did not reproduce\", "
-           "file=sys.stderr)\n        return EXIT_CHECK_FAILED\n",
+           "        raise CheckFailedError(\"table values did not reproduce\")\n",
            "",
            ("tests/test_cli.py::test_paper_tables_report_a_wrong_order",)),
-    Mutant("main-without-check-failed-handler", "src/polycert/cli.py",
-           "    except (TableNotClosedError, UncertifiedInputError) as exc:\n"
-           "        print(f\"polycert: check-failed: {exc}\", file=sys.stderr)\n"
-           "        return EXIT_CHECK_FAILED\n",
-           "",
-           ("tests/test_cli.py::test_a_failed_table_or_certificate_check_exits_3",)),
+    # a failed check that main's one handler does not catch
+    Mutant("main-without-check-failed-handler", "src/polycert/errors.py",
+           "class CheckFailedError(PolycertError):", "class CheckFailedError(Exception):",
+           ("tests/test_cli.py::test_every_error_class_has_its_category_and_exit_code",)),
+    Mutant("main-with-a-fixed-category", "src/polycert/cli.py",
+           "print(f\"polycert: {exc.category}: {exc}\"",
+           "print(f\"polycert: param-invalid: {exc}\"",
+           ("tests/test_cli.py::test_every_error_class_has_its_category_and_exit_code",)),
     # export has no early writability check: only the write reports it
     Mutant("write-error-swallowed", "src/polycert/cli.py",
            "            fh.write(text)\n    except OSError as exc:\n"

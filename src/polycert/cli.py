@@ -13,9 +13,10 @@ Subcommands:
   flag connectivity, the diamond condition, section connectivity) and print
   it as dot or edge list.
 
-Exit codes are stable: 0 pass, 3 a mathematical check failed, 4 invalid
-parameters or formats, 5 a resource limit was hit. Failures print one
-machine-readable ``polycert: <category>: <message>`` line on stderr.
+A command returns 0 when everything passes and reports any failure by
+raising a ``PolycertError``, a failed check included. ``main`` has the one
+handler: it prints the error's ``polycert: <category>: <message>`` line on
+stderr and returns its exit code, both declared in `polycert.errors`.
 """
 
 from __future__ import annotations
@@ -34,13 +35,10 @@ from . import families
 from .coset import DEFAULT_MAX_COSETS, EnumerationLimits
 from .errors import (
     CapacityError,
-    FormatError,
-    InvalidGeneratorError,
-    InvalidWordError,
+    CheckFailedError,
     LimitExceededError,
     ParameterError,
-    TableNotClosedError,
-    UncertifiedInputError,
+    PolycertError,
 )
 from .polytope import (
     build_lattice,
@@ -56,9 +54,6 @@ from .verify import SggiCertificate, SggiSpec, certify
 from .words import Presentation, presentation_from_text, word_from_text
 
 EXIT_OK = 0
-EXIT_CHECK_FAILED = 3
-EXIT_PARAM_INVALID = 4
-EXIT_LIMIT_EXCEEDED = 5
 
 
 def _two_powers(ks: tuple[int, ...]) -> tuple[int, ...]:
@@ -226,8 +221,7 @@ def _cmd_verify(args) -> int:
     ]
     print("\n".join(lines))
     if not cert.passed:
-        print("polycert: check-failed: certification did not pass", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        raise CheckFailedError("certification did not pass")
     return EXIT_OK
 
 
@@ -254,12 +248,10 @@ def _sweep_one(task) -> dict:
             cert = certify(spec, mode=mode, limits=limits, strategy=strategy)
             verdicts.append(cert.intersection_ok)
         if len(set(verdicts)) > 1:
-            raise TableNotClosedError(
-                "recursive and full intersection checks disagree")
+            raise CheckFailedError("recursive and full intersection checks disagree")
         result["row"] = certs.row_from_document(
             _document(cert, "G", result["params"]), seconds=time.perf_counter() - started)
-    except (ParameterError, LimitExceededError, CapacityError,
-            TableNotClosedError) as exc:
+    except (ParameterError, LimitExceededError, CapacityError, CheckFailedError) as exc:
         result["skip"] = f"{type(exc).__name__}: {exc}"
     return result
 
@@ -307,9 +299,7 @@ def _cmd_sweep(args) -> int:
     _write_text(text, args.out)
     failed = [r for r in rows if not r.passed]
     if failed or skipped:
-        print(f"polycert: check-failed: {len(failed)} failing rows, "
-              f"{len(skipped)} skipped", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        raise CheckFailedError(f"{len(failed)} failing rows, {len(skipped)} skipped")
     return EXIT_OK
 
 
@@ -345,8 +335,7 @@ def _cmd_paper_tables(args) -> int:
     lines.append("all verified" if all_ok else "MISMATCHES FOUND")
     _write_text("\n".join(lines) + "\n", args.out)
     if not all_ok:
-        print("polycert: check-failed: table values did not reproduce", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        raise CheckFailedError("table values did not reproduce")
     return EXIT_OK
 
 
@@ -388,9 +377,7 @@ def _cmd_hasse(args) -> int:
         raise
     cert = certify(spec, limits=limits, strategy=args.strategy)
     if not cert.passed:
-        print("polycert: check-failed: group is not a certified string C-group",
-              file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        raise CheckFailedError("group is not a certified string C-group")
     graph = flag_graph(rg, cert)
     verdicts = (
         ("flag matching", check_flag_matchings(graph)[0]),
@@ -401,9 +388,7 @@ def _cmd_hasse(args) -> int:
     )
     for name, ok in verdicts:
         if not ok:
-            print(f"polycert: check-failed: face lattice fails the {name} check",
-                  file=sys.stderr)
-            return EXIT_CHECK_FAILED
+            raise CheckFailedError(f"face lattice fails the {name} check")
     lattice = build_lattice(rg, cert)
     _write_text(export_hasse(lattice, args.format), args.out)
     return EXIT_OK
@@ -459,18 +444,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, InvalidWordError, InvalidGeneratorError) as exc:
-        print(f"polycert: param-invalid: {exc}", file=sys.stderr)
-        return EXIT_PARAM_INVALID
-    except FormatError as exc:
-        print(f"polycert: format-invalid: {exc}", file=sys.stderr)
-        return EXIT_PARAM_INVALID
-    except (LimitExceededError, CapacityError) as exc:
-        print(f"polycert: limit-exceeded: {exc}", file=sys.stderr)
-        return EXIT_LIMIT_EXCEEDED
-    except (TableNotClosedError, UncertifiedInputError) as exc:
-        print(f"polycert: check-failed: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    except PolycertError as exc:
+        print(f"polycert: {exc.category}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -280,7 +280,8 @@ class _Engine:
         # square r r on column c holds exactly when c is defined, so HLT
         # defines c instead of scanning it, and the lookahead and deduction
         # scans, which could only find it closed or open by two letters,
-        # skip it.
+        # skip it. Every column has its square, so HLT's steps define every
+        # column at each coset they reach.
         #
         # Every other relator is a step (-1, rel, bit, walk). A relator that
         # reads as itself from more than one offset of its cycles gets its
@@ -563,10 +564,6 @@ class _Engine:
                             for col in cols:
                                 f = col[f]
                             marks[f] |= bit
-                else:
-                    for c, col in enumerate(t):
-                        if col[alpha] < 0:
-                            define(alpha, c)
             alpha += 1
             if self.created >= lookahead_at:
                 self._lookahead(alpha)

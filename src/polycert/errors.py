@@ -1,13 +1,20 @@
 """Exception types shared across the package.
 
-Each error that a command-line run can hit maps to a stable machine-readable
-reason string (see `polycert.cli`); keeping them as distinct classes lets the
-library raise precise failures while the CLI translates them uniformly.
+This module is the one place that maps a failure to its exit code. Each
+class declares a stable machine-readable ``category`` and the process
+``exit_code`` as class attributes, and a subclass inherits both or
+overrides them: 3 a mathematical check failed, 4 invalid parameters or
+formats, 5 a resource limit was hit. `polycert.cli.main` reports any
+``PolycertError`` the same way, as one ``polycert: <category>: <message>``
+line on stderr and its exit code.
 """
 
 
 class PolycertError(Exception):
     """Base class for all package-specific errors."""
+
+    category = "param-invalid"
+    exit_code = 4
 
 
 class InvalidWordError(PolycertError):
@@ -22,6 +29,13 @@ class ParameterError(PolycertError):
     """Construction parameters violate their documented preconditions."""
 
 
+class FormatError(PolycertError):
+    """An unsupported serialization or export format name, or certificate or
+    atlas text that is malformed or whose digest does not match."""
+
+    category = "format-invalid"
+
+
 class LimitExceededError(PolycertError):
     """An enumeration or search blew past its configured resource limits.
 
@@ -29,6 +43,9 @@ class LimitExceededError(PolycertError):
     cosets created and still live and the bytes allocated to the table's
     columns.
     """
+
+    category = "limit-exceeded"
+    exit_code = 5
 
     def __init__(self, message: str, *, cosets_created: int | None = None,
                  deductions: int | None = None, live_cosets: int | None = None,
@@ -40,19 +57,25 @@ class LimitExceededError(PolycertError):
         self.table_bytes = table_bytes
 
 
-class TableNotClosedError(PolycertError):
-    """A coset table operation needs a closed table but got a partial one."""
-
-
 class CapacityError(PolycertError):
     """A permutation domain exceeds the supported point cap, or a word built
     by ``words.power`` would exceed the word-length cap."""
 
+    category = "limit-exceeded"
+    exit_code = 5
 
-class UncertifiedInputError(PolycertError):
+
+class CheckFailedError(PolycertError):
+    """A mathematical check failed: a group, table, chain or lattice is not
+    what it was claimed or required to be."""
+
+    category = "check-failed"
+    exit_code = 3
+
+
+class TableNotClosedError(CheckFailedError):
+    """A coset table operation needs a closed table but got a partial one."""
+
+
+class UncertifiedInputError(CheckFailedError):
     """A construction that requires a passing certificate got none."""
-
-
-class FormatError(PolycertError):
-    """An unsupported serialization or export format name, or certificate or
-    atlas text that is malformed or whose digest does not match."""

@@ -148,8 +148,6 @@ def family_h(n: int, s: int, t: int, unsafe: bool = False) -> Presentation:
 def family_g(d: int, n: int, k: Sequence[int], unsafe: bool = False) -> Presentation:
     """Rank-d member: order 2**n, adjacent-product orders 2**k[i]."""
     ks = _check_rank(d, k)
-    if d == 3:
-        return family_h(n, ks[0], ks[1], unsafe)
     slack = _check_total(n, ks, unsafe)
     return _scheme(d, ks, slack)
 

@@ -61,7 +61,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, CheckFailedError
 
 MAX_DEGREE = 1 << 22
 # Cells of the level batch built at once; larger point sets X go in chunks.
@@ -349,7 +349,7 @@ class PermutationGroup:
         return tuple(self._levels[0].gens) if self._levels else ()
 
     def verify_chain(self) -> None:
-        """Re-check the chain after the fact; raises RuntimeError on any defect.
+        """Re-check the chain after the fact; raises CheckFailedError on any defect.
 
         First checks each level's layout: the Schreier vector leads from
         every orbit point back to the base along generator edges, the
@@ -367,48 +367,48 @@ class PermutationGroup:
                 for g in lv.gens:
                     img = int(g[pt])
                     if lv.pred[img] < 0:
-                        raise RuntimeError(
+                        raise CheckFailedError(
                             f"level {i}: orbit is not closed at point {pt}")
                     h = _inverse(lv.trace(img))[g[u]]
                     residue, _ = self._strip(h, levels, i + 1)
                     if residue is not None:
-                        raise RuntimeError(
+                        raise CheckFailedError(
                             f"level {i}: Schreier element at point {pt} does not sift")
         for g in self._generators:
             residue, _ = self._strip(g, levels)
             if residue is not None:
-                raise RuntimeError("an original generator does not sift through the chain")
+                raise CheckFailedError("an original generator does not sift through the chain")
 
     def _check_layout(self, levels: list[_Level], i: int) -> None:
         lv = levels[i]
         n = self._degree
         on = lv.pred >= 0
         if lv.pred[lv.base] != lv.base or lv.label[lv.base] != -1:
-            raise RuntimeError(f"level {i}: the base is not the root of its Schreier vector")
+            raise CheckFailedError(f"level {i}: the base is not the root of its Schreier vector")
         if (lv.orbit.size != np.count_nonzero(on) or not on[lv.orbit].all()
                 or lv.orbit[0] != lv.base):
-            raise RuntimeError(f"level {i}: orbit list and Schreier vector disagree")
+            raise CheckFailedError(f"level {i}: orbit list and Schreier vector disagree")
         for g in lv.gens:
             for j in range(i):
                 if g[levels[j].base] != levels[j].base:
-                    raise RuntimeError(f"level {i}: generator moves an earlier base")
+                    raise CheckFailedError(f"level {i}: generator moves an earlier base")
         if i + 1 < len(levels):
             mine = {g.tobytes() for g in lv.gens}
             if any(g.tobytes() not in mine for g in levels[i + 1].gens):
-                raise RuntimeError(f"level {i + 1}: generator missing from the level above")
+                raise CheckFailedError(f"level {i + 1}: generator missing from the level above")
         if len(lv.inverses) != len(lv.gens) or any(
                 not np.array_equal(g[inv], np.arange(n, dtype=np.int32))
                 for g, inv in zip(lv.gens, lv.inverses)):
-            raise RuntimeError(f"level {i}: stored inverses do not match the generators")
+            raise CheckFailedError(f"level {i}: stored inverses do not match the generators")
         pts = lv.orbit[1:]
         labels = lv.label[pts]
         if labels.size and (labels.min() < 0 or labels.max() >= len(lv.gens)):
-            raise RuntimeError(f"level {i}: Schreier vector names an unknown generator")
+            raise CheckFailedError(f"level {i}: Schreier vector names an unknown generator")
         images = np.array(lv.gens, dtype=np.int32).reshape(-1, n)
         if labels.size and not np.array_equal(images[labels, lv.pred[pts]], pts):
-            raise RuntimeError(f"level {i}: Schreier vector edge is not a generator step")
+            raise CheckFailedError(f"level {i}: Schreier vector edge is not a generator step")
         root = np.where(on, lv.pred, np.arange(n, dtype=np.int32))
         for _ in range(n.bit_length()):
             root = root[root]
         if not (root[on] == lv.base).all():
-            raise RuntimeError(f"level {i}: Schreier vector does not lead back to the base")
+            raise CheckFailedError(f"level {i}: Schreier vector does not lead back to the base")

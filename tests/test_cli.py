@@ -25,7 +25,7 @@ import polycert.coset as coset_mod
 import polycert.words as words_mod
 from polycert.certificates import certificate_from_json, format_atlas, parse_atlas
 from polycert.cli import main
-from polycert.errors import TableNotClosedError, UncertifiedInputError
+import polycert.errors as errors_mod
 from polycert.families import tight_quotient_presentation
 
 HIDDEN_CENTER_RELATORS = (
@@ -531,7 +531,7 @@ def test_sweep_ip_both_skips_a_tuple_whose_verdicts_disagree(capsys, monkeypatch
     rows, skipped = parse_atlas((tmp_path / "atlas.tsv").read_text())
     assert rows == []
     assert skipped == [("G", f"d=3;n=10;k={k}",
-                        "TableNotClosedError: recursive and full intersection checks disagree")
+                        "CheckFailedError: recursive and full intersection checks disagree")
                        for k in ("4,4", "4,5", "5,4")]
 
 
@@ -550,15 +550,39 @@ def test_paper_tables_report_a_wrong_order(capsys, monkeypatch):
     assert err.splitlines() == ["polycert: check-failed: table values did not reproduce"]
 
 
-@pytest.mark.parametrize("error", [TableNotClosedError, UncertifiedInputError])
-def test_a_failed_table_or_certificate_check_exits_3(capsys, monkeypatch, error):
+# README's exit codes, class by class: every error class needs its row here.
+EXIT_CODES = {
+    "PolycertError": ("param-invalid", 4),
+    "ParameterError": ("param-invalid", 4),
+    "InvalidWordError": ("param-invalid", 4),
+    "InvalidGeneratorError": ("param-invalid", 4),
+    "FormatError": ("format-invalid", 4),
+    "LimitExceededError": ("limit-exceeded", 5),
+    "CapacityError": ("limit-exceeded", 5),
+    "CheckFailedError": ("check-failed", 3),
+    "TableNotClosedError": ("check-failed", 3),
+    "UncertifiedInputError": ("check-failed", 3),
+}
+# The table's rows and the module's error classes: a row whose class left
+# the hierarchy fails as surely as a class without a row.
+ERROR_CLASSES = sorted({*EXIT_CODES, *(
+    name for name, c in vars(errors_mod).items()
+    if isinstance(c, type) and issubclass(c, errors_mod.PolycertError))})
+
+
+@pytest.mark.parametrize("name", ERROR_CLASSES)
+def test_every_error_class_has_its_category_and_exit_code(capsys, monkeypatch, name):
+    error = getattr(errors_mod, name)
+    assert issubclass(error, errors_mod.PolycertError)
+
     def fails(*args, **kwargs):
-        raise error("the check failed")
+        raise error("the failure")
 
     monkeypatch.setattr(cli, "certify", fails)
     code, out, err = run(capsys, "verify", "--family", "tight", "--k", "4,4")
-    assert (code, out) == (3, "")
-    assert err.splitlines() == ["polycert: check-failed: the check failed"]
+    category, exit_code = EXIT_CODES[name]
+    assert (code, out) == (exit_code, "")
+    assert err.splitlines() == [f"polycert: {category}: the failure"]
 
 
 def _environment_reads(source: str) -> list[str]:

@@ -1,5 +1,6 @@
 """Permutations and deterministic stabilizer chains."""
 
+import signal
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import polycert.perms as perms_mod
-from polycert import CapacityError, PermutationGroup
+from polycert import CapacityError, CheckFailedError, PermutationGroup
 from polycert.coset import enumerate_cosets
 from polycert.families import family_g, tight_quotient_presentation
 from polycert.perms import orbit_labels
@@ -139,8 +140,87 @@ def test_verify_chain_catches_corruption():
     g.verify_chain()  # the sound chain passes
     intruder = np.array([0, 2, 1, 3], dtype=np.int32)
     g._levels[-1].gens.append(intruder)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(CheckFailedError):
         g.verify_chain()
+
+
+def _set(level, field, at, value):
+    """A corruption: entry ``at`` of chain level ``level``'s ``field`` := ``value``."""
+    def corrupt(g):
+        getattr(g._levels[level], field)[at] = value
+    return corrupt
+
+
+def _add_generator(level, images):
+    """A corruption: one more generator, and its inverse, on chain level ``level``."""
+    def corrupt(g):
+        gen = np.array(images, dtype=np.int32)
+        g._levels[level].gens.append(gen)
+        g._levels[level].inverses.append(perms_mod._inverse(gen))
+    return corrupt
+
+
+def _cycle_off_the_base(g):
+    # 1 and 2 reached from each other by (1 2), and neither from the base
+    level = g._levels[0]
+    level.pred[1], level.label[1] = 2, 1
+
+
+def _drop_the_deepest_level(g):
+    g._levels.pop()
+
+
+def _foreign_generator(g):
+    g._generators = (np.array([0, 1, 3, 2], dtype=np.int32),)
+
+
+def _too_slow(signum, frame):
+    raise TimeoutError("verify_chain did not return")
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    pytest.param(_set(0, "label", 0, 0),
+                 "level 0: the base is not the root of its Schreier vector", id="base-root"),
+    pytest.param(_set(0, "orbit", 2, 3),
+                 "level 0: orbit list and Schreier vector disagree", id="orbit-list"),
+    pytest.param(_add_generator(1, [1, 0, 2, 3]),
+                 "level 1: generator moves an earlier base", id="earlier-base"),
+    pytest.param(_add_generator(1, [0, 1, 3, 2]),
+                 "level 1: generator missing from the level above", id="level-above"),
+    pytest.param(_set(0, "inverses", 0, np.arange(4, dtype=np.int32)),
+                 "level 0: stored inverses do not match the generators", id="inverses"),
+    pytest.param(_set(0, "label", 2, 2),
+                 "level 0: Schreier vector names an unknown generator", id="label-range"),
+    pytest.param(_set(0, "label", 2, 0),
+                 "level 0: Schreier vector edge is not a generator step", id="tree-edge"),
+    pytest.param(_cycle_off_the_base,
+                 "level 0: Schreier vector does not lead back to the base", id="tree-root"),
+    pytest.param(_add_generator(0, [3, 1, 2, 0]),
+                 "level 0: orbit is not closed at point 0", id="orbit-closed"),
+    pytest.param(_drop_the_deepest_level,
+                 "level 0: Schreier element at point 0 does not sift", id="schreier-sift"),
+    pytest.param(_foreign_generator,
+                 "an original generator does not sift through the chain", id="generator-sift"),
+])
+def test_verify_chain_reaches_every_check(corrupt, message):
+    # S3 = <(0 1), (1 2)> on four points has two levels: base 0 with orbit
+    # {0, 1, 2} and tree 0 -(0 1)-> 1 -(1 2)-> 2, and base 1 with orbit
+    # {1, 2} under (1 2). Each corruption is seen first by its own check.
+    g = PermutationGroup([[1, 0, 2, 3], [0, 2, 1, 3]])
+    assert g.base() == (0, 1) and g.order() == 6
+    g.verify_chain()
+    corrupt(g)
+    # past a missing check, a Schreier vector with a cycle sends the
+    # transversal trace round it for ever: a time bound turns that into a
+    # failure
+    previous = signal.signal(signal.SIGALRM, _too_slow)
+    signal.alarm(5)
+    try:
+        with pytest.raises(CheckFailedError, match=f"^{message}$"):
+            g.verify_chain()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_capacity_guard(monkeypatch):

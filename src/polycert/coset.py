@@ -33,11 +33,12 @@ in capacity when full, so they hold at most twice as many slots as cosets
 were ever defined. Dead cosets produced by coincidences are compacted away
 whenever they outnumber live ones 3 to 1: compaction renumbers the columns
 in place with numpy gathers over views of the arrays. The finished table is
-handed out as one read-only int32 matrix, with a row per coset and the same
-columns. ``closed_table`` is the one constructor of a table: it numbers the
-rows with ``_standardize``, for an enumeration and for the regular action
-that ``realize`` builds another way alike, so every route to a table gives
-the same bytes.
+those columns stacked: one read-only int32 array ``perms`` of shape
+(generators, cosets), whose row g is generator g's image array, the
+generators' permutations of the cosets. ``closed_table`` is the one
+constructor of a table: it numbers the cosets with ``_standardize``, for an
+enumeration and for the regular action that ``realize`` builds another way
+alike, so every route to a table gives the same bytes.
 
 HLT (with its lookahead, as in Holt, Eick and O'Brien, ch. 5) skips the
 scans that it knows would change nothing. Once a fill scan has closed a
@@ -77,7 +78,7 @@ from .words import Presentation, Word, word_to_text
 
 DEFAULT_MAX_COSETS = 1 << 22
 
-# Compact when dead rows exceed this multiple of live rows.
+# Compact when dead cosets exceed this multiple of live ones.
 COMPACTION_DEAD_LIVE_RATIO = 3
 
 # First HLT lookahead pass once this many cosets have been created; doubles after.
@@ -126,78 +127,78 @@ class EnumerationStats:
 class CosetTable:
     """A closed coset table plus enough context to interpret it.
 
+    ``perms`` is the table: a read-only int32 array of shape (generators,
+    cosets) whose row g maps each coset to its image under generator g.
     Built only by ``closed_table``, which validates it; frozen, so no field
     changes after that.
     """
 
     presentation: Presentation
     subgroup_generators: tuple[Word, ...]
-    matrix: np.ndarray
+    perms: np.ndarray
     stats: EnumerationStats
 
     @property
     def table(self) -> list[list[int]]:
-        """The matrix as one Python list per coset, ``matrix.tolist()``.
+        """One Python list per coset, of its images under each generator.
 
         Kept for the benchmark's ``perfbench/workloads.py``, which stays
         unchanged while the library changes: it compares
         ``rg.table.table != felsch.table``, and ``!=`` between two arrays
         gives an array whose truth value raises.
         """
-        return self.matrix.tolist()
+        return self.perms.T.tolist()
 
     @property
     def live_count(self) -> int:
-        return self.matrix.shape[0]
+        return self.perms.shape[1]
 
     def trace(self, coset: int, w: Word) -> int:
         """Image of ``coset`` under a whole word (letters applied in order).
 
-        Reads the matrix unchecked: on a validated table every entry is a
+        Reads the table unchecked: on a validated table every entry is a
         coset, and ``validate`` itself traces only after its range check.
         """
-        t = self.matrix
+        t = self.perms
         for g in w.letters:
-            coset = t[coset, g]
+            coset = t[g, coset]
         return int(coset)
 
     def to_permutations(self) -> np.ndarray:
-        """The generators' permutations of the cosets: one read-only,
-        C-contiguous image array per row, of shape (generators, cosets).
+        """The generators' permutations of the cosets: ``perms`` itself, no copy.
 
         ``validate()`` has proved each row an involution, so no second check
         is made. A table over the whole group yields identity permutations on
         a single point.
         """
-        perms = np.ascontiguousarray(self.matrix.T)
-        perms.setflags(write=False)
-        return perms
+        return self.perms
 
     def validate(self) -> None:
         """Exhaustive post-hoc closure check, independent of the run's bookkeeping.
 
-        Confirms every entry is defined and back-linked (each column is an
-        involution of the cosets), every relator traces to a closed cycle
-        from every live coset, and every subgroup generator word fixes coset
-        0. A relator u^k, with u its root, is traced as the k-th power of u's
+        Confirms every entry is defined and back-linked (each generator's
+        row is an involution of the cosets), every relator traces to a
+        closed cycle from every live coset, and every subgroup generator word
+        fixes coset 0. A relator u^k, with u its root, is traced as the k-th power of u's
         map of the cosets, by repeated squaring: |u| + about 2 log k gathers
         instead of k|u|, with the same result at every coset, so a failure
         names the same first open coset as a letter-by-letter trace.
         """
-        t = self.matrix
-        n = len(t)
+        t = self.perms
         ncols = self.presentation.generator_count
-        if t.shape != (n, ncols):
-            raise TableNotClosedError(f"table has shape {t.shape}, expected ({n}, {ncols})")
+        n = t.shape[-1]
+        if t.shape != (ncols, n):
+            raise TableNotClosedError(f"table has shape {t.shape}, expected ({ncols}, {n})")
         ids = np.arange(n)
         out_of_range = (t < 0) | (t >= n)
         safe = np.where(out_of_range, 0, t)
-        bad = out_of_range | (safe[safe, np.arange(ncols)] != ids[:, None])
+        bad = out_of_range | (np.take_along_axis(safe, safe, axis=1) != ids)
         if bad.any():
-            i, c = divmod(int(np.argmax(bad)), ncols)
-            if out_of_range[i, c]:
+            # the first bad entry in coset-major order
+            i, c = divmod(int(np.argmax(bad.T)), ncols)
+            if out_of_range[c, i]:
                 raise TableNotClosedError(
-                    f"entry ({i}, col {c}) = {t[i, c]} undefined or out of range")
+                    f"entry ({i}, col {c}) = {t[c, i]} undefined or out of range")
             raise TableNotClosedError(f"entry ({i}, col {c}) lacks a consistent back link")
         for r in self.presentation.relators:
             seq = r.letters
@@ -206,7 +207,7 @@ class CosetTable:
                 root = _root_length(seq)
                 step = ids
                 for c in seq[:root]:
-                    step = t[step, c]
+                    step = t[c, step]
                 k = len(seq) // root
                 while k:
                     if k & 1:
@@ -265,7 +266,7 @@ class _Engine:
     as entries are defined or deduced, since both only fill undefined
     slots; through a coincidence, since the quotient keeps every defined entry,
     mapped to the surviving cosets; and through compaction, which moves the
-    marks with their rows and clears the freed slots. A Felsch engine
+    marks with their cosets and clears the freed slots. A Felsch engine
     scans each cycle once per deduction and keeps no marks.
     """
 
@@ -472,7 +473,7 @@ class _Engine:
         return self.n - self.dead
 
     def _compact(self, boundary: int) -> int:
-        """Drop dead rows, renumber live ones in order; return the new boundary.
+        """Drop dead cosets, renumber live ones in order; return the new boundary.
 
         ``boundary`` is the index of the next unprocessed coset; its new value
         (the count of live ids below it) is returned so the caller's sweep can
@@ -652,22 +653,22 @@ class _Engine:
     def finalize(self, subgroup_generators: tuple[Word, ...]) -> CosetTable:
         self._compact(0)
         self.stats.cosets_created = self.created
-        rows = np.stack([np.frombuffer(col, dtype=np.intc, count=self.n) for col in self.t],
-                        axis=1)
-        return closed_table(self.presentation, subgroup_generators, rows, self.stats)
+        perms = np.stack([np.frombuffer(col, dtype=np.intc, count=self.n) for col in self.t])
+        return closed_table(self.presentation, subgroup_generators, perms, self.stats)
 
 
-def _standardize(table: np.ndarray) -> np.ndarray:
-    """Canonical renumbering of a closed table: first-visit order scanning rows by column.
+def _standardize(perms: np.ndarray) -> np.ndarray:
+    """Canonical renumbering of a closed table: first-visit order, each coset's
+    images read generator by generator.
 
-    ``table`` has a row per coset and a column per generator, with
-    row 0 the subgroup. The numbering depends only on the action and that
-    base row, not on how the rows were found, so both strategies and every
+    ``perms`` has a row per generator and a column per coset, with coset 0
+    the subgroup. The numbering depends only on the action and that base
+    coset, not on how the cosets were found, so both strategies and every
     route to a table give byte-identical tables for the same input. Returns
-    the table as a read-only int32 matrix of shape (cosets, columns).
+    the table as a read-only int32 array of shape (generators, cosets).
     """
-    n = len(table)
-    cols = table.T.tolist()
+    n = perms.shape[1]
+    cols = perms.tolist()
     new_of = [-1] * n
     old_of = [0] * n
     new_of[0] = 0
@@ -684,26 +685,27 @@ def _standardize(table: np.ndarray) -> np.ndarray:
         cur += 1
     if nxt != n:
         raise TableNotClosedError("coset graph is not connected; table corrupt")
-    # the trailing -1 maps an undefined entry to -1
+    # the trailing -1 maps an undefined entry to -1; ``take`` keeps each
+    # generator's row contiguous, where ``perms[:, old_of]`` would not
     new_id = np.array(new_of + [-1], dtype=np.intc)
-    std = new_id[table[old_of]]
+    std = new_id[perms.take(old_of, axis=1)]
     std.setflags(write=False)
     return std
 
 
 def closed_table(presentation: Presentation, subgroup_generators: tuple[Word, ...],
-                 rows: np.ndarray, stats: EnumerationStats) -> CosetTable:
-    """The table of the coset action ``rows``, numbered, validated and frozen.
+                 perms: np.ndarray, stats: EnumerationStats) -> CosetTable:
+    """The table of the coset action ``perms``, numbered, validated and frozen.
 
-    ``rows`` has a row per coset and a column per generator of
-    ``presentation``, and its row 0 stands for the subgroup that
+    ``perms`` has a row per generator of ``presentation`` and a column per
+    coset, and its coset 0 stands for the subgroup that
     ``subgroup_generators`` generate: an enumeration's compacted table, or a
     regular action found another way (its point 0 the identity). Every
-    table is built here, so every one is standardized from that row and
-    validated like any other. Sets ``stats.live_count`` to the count of rows.
+    table is built here, so every one is standardized from that coset and
+    validated like any other. Sets ``stats.live_count`` to the count of cosets.
     """
-    stats.live_count = len(rows)
-    table = CosetTable(presentation, subgroup_generators, _standardize(rows), stats)
+    stats.live_count = perms.shape[1]
+    table = CosetTable(presentation, subgroup_generators, _standardize(perms), stats)
     table.validate()
     return table
 

@@ -1,9 +1,9 @@
 """Permutation groups with verified stabilizer chains.
 
 A permutation of {0, ..., n-1} is its image array: a read-only int32 array
-whose entry x is the image of x, the form in which a coset table hands out
-its generators (``CosetTable.to_permutations``). Products are numpy gathers:
-``b[a]`` applies ``a`` first, then ``b``.
+whose entry x is the image of x, the form in which a coset table keeps its
+generators (row g of ``CosetTable.perms`` is generator g). Products are
+numpy gathers: ``b[a]`` applies ``a`` first, then ``b``.
 
 ``PermutationGroup`` keeps a base and strong generating set built by a
 deterministic Schreier-Sims pass (Holt, Eick and O'Brien, *Handbook of
@@ -229,7 +229,7 @@ class PermutationGroup:
     """Group generated by permutations of a common degree.
 
     Each generator is a sequence of images (a list, an array, or a row of a
-    2-D array such as ``CosetTable.to_permutations()``), checked once and
+    2-D array such as ``CosetTable.perms``), checked once and
     kept as a read-only int32 copy, the form that ``generators`` and
     ``strong_generators()`` hand out. The stabilizer chain is built here,
     once.

@@ -9,8 +9,8 @@ incidence between faces of two ranks is a pair of labels that some flag
 carries, coded as one int64 a n + b over n flags. Moving to the i-adjacent
 flag is right multiplication by r_i, which is a fixed-point-free involution
 on flags whenever the generators are genuine involutions. The flag graph is
-therefore the realization's own arrays: ``flag_graph`` returns
-``RealizedGroup.right``, row i the i-adjacency.
+therefore the realization's table itself: ``flag_graph`` returns its one
+array, ``CosetTable.perms``, row i the i-adjacency.
 
 Everything here refuses uncertified input: a face lattice only means what it
 claims when the group is a verified string C-group, so ``build_lattice``,
@@ -143,9 +143,9 @@ def build_lattice(realized: RealizedGroup, certificate: SggiCertificate) -> Face
 
 def flag_graph(realized: RealizedGroup, certificate: SggiCertificate) -> np.ndarray:
     """The flag adjacencies of a certified group: row i maps each flag to its
-    i-adjacent flag, and is ``realized.right[i]``."""
+    i-adjacent flag. It is the table's array itself, not a copy."""
     _require_certificate(realized, certificate)
-    return realized.right
+    return realized.table.perms
 
 
 def check_flag_matchings(moves: np.ndarray) -> tuple[bool, tuple[int, ...]]:

@@ -2,10 +2,10 @@
 
 A ``RealizedGroup`` holds the regular coset table of its group, so group
 elements are coset ids (0 is the identity) and each generator is a
-right-multiplication array over the elements: row g of ``right``, which is
-the table's ``to_permutations()``, the same read-only image arrays that a
-stabilizer chain is built from. Everything else is derived from that single
-table without further enumerations.
+right-multiplication array over the elements: row g of the table's one
+array ``perms``, the same read-only image arrays that a stabilizer chain is
+built from and that the flag graph is. Everything else is derived from that
+single table without further enumerations.
 
 Every generator is a declared involution, as ``coset.enumerate_cosets``
 requires. The table is built as the orbit of one point when the
@@ -23,18 +23,18 @@ index 2 and contains no generator (McMullen and Schulte, *Abstract Regular
 Polytopes*, 2B). An
 odd relator means that G+ is all of G: the group of a non-orientable
 polytope is one such. Two enumerations, in this order, give N = [G:H] with
-a transversal (the first entry of each coset in row-major order of the
-standardized table over H) and the coset action of G on G'; every
+a transversal (the first entry of each coset, reading the standardized
+table over H coset by coset) and the coset action of G on G'; every
 generator swaps the two cosets of K. A completed enumeration proves an
 index (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*,
 ch. 5), so |G| = N |H| <= B = 2mN. The orbit O of the point (H, G', K) in
 the product of the three coset actions is the H-orbit of that point carried
 along the transversal: N disjoint blocks, one per coset of H. The first
 block is the H-orbit of (G', K) in the product of the two small actions,
-labelled by ``perms.orbit_labels`` under columns i and i+1; the others
+labelled by ``perms.orbit_labels`` under generators i and i+1; the others
 follow with one numpy gather per level of the transversal tree.
 |O| = [G : H n G' n K] <= |G|, so |O| = B proves that G acts regularly on
-O. The points are numbered with one sort, the image columns read with
+O. The points are numbered with one sort, the image arrays read with
 ``searchsorted``, and the action handed to ``coset.closed_table``, which
 standardizes and validates it as it does every enumerated table;
 standardization is canonical, so it is the enumerated table byte for byte.
@@ -59,8 +59,8 @@ fewer cosets. A presentation whose first pair has the largest bound takes
 <r0, r1> and G_0 = <r1, ..., r_{d-1}>.
 
 The limits and the strategy apply to every enumeration, and the first one
-to hit a limit raises. The coset limit also bounds B, the rows of the
-regular table, as it bounds the rows that plain enumeration defines. The
+to hit a limit raises. The coset limit also bounds B, the cosets of the
+regular table, as it bounds the cosets that plain enumeration defines. The
 table's ``stats`` sum the counts of the two enumerations, and a limit on B
 reports their total.
 
@@ -131,15 +131,15 @@ def _orbit_table(p: Presentation, i: int, hidden: int, bound_h: int,
     counts = EnumerationStats(strategy, **{
         name: sum(getattr(t.stats, name) for t in parts)
         for name in ("cosets_created", "compactions", "lookaheads", "deductions")})
-    th, tg = (t.matrix for t in parts)
-    bound = len(th) * bound_h
-    n, ng = len(th), len(tg)
+    th, tg = (t.perms for t in parts)
+    n, ng = th.shape[1], tg.shape[1]
+    bound = n * bound_h
     # Block 0 is the H-orbit of the point (0, 0) in the product of the
     # actions on G' and on the two cosets of K, which every generator swaps:
     # point (a, b) is numbered 2a + b. The order of the points in a block is
     # irrelevant: they are numbered by one sort.
     swap = np.array([1, 0], dtype=np.intc)
-    labels = orbit_labels([(tg[:, g, None] * 2 + swap).ravel() for g in (i, i + 1)], ng * 2)
+    labels = orbit_labels([(tg[g, :, None] * 2 + swap).ravel() for g in (i, i + 1)], ng * 2)
     block = np.flatnonzero(labels == 0)
     if n * len(block) != bound:
         return None
@@ -148,11 +148,12 @@ def _orbit_table(p: Presentation, i: int, hidden: int, bound_h: int,
             f"coset limit {limits.max_cosets} exceeded (the regular table has {bound} "
             f"cosets; {counts.cosets_created} cosets created in {len(parts)} enumerations)",
             cosets_created=counts.cosets_created)
-    # Coset beta of H is first entered, in row-major order of the
-    # standardized table, from a smaller coset parent[beta - 1] by generator
-    # gen[beta - 1]; parents never decrease, so each level of that tree is
-    # one range of cosets, and block beta is block parent moved by gen.
-    parent, gen = np.divmod(np.unique(th, return_index=True)[1][1:], d)
+    # Coset beta of H is first entered, reading the standardized table coset
+    # by coset (``th.T`` in row-major order), from a smaller coset
+    # parent[beta - 1] by generator gen[beta - 1]; parents never decrease, so
+    # each level of that tree is one range of cosets, and block beta is block
+    # parent moved by gen.
+    parent, gen = np.divmod(np.unique(th.T, return_index=True)[1][1:], d)
     a = np.empty((n, len(block)), dtype=np.intc)
     b = np.empty_like(a)
     a[0], b[0] = np.divmod(block, 2)
@@ -160,20 +161,20 @@ def _orbit_table(p: Presentation, i: int, hidden: int, bound_h: int,
     while lo < n:
         hi = 1 + int(np.searchsorted(parent, lo))
         par, g = parent[lo - 1:hi - 1], gen[lo - 1:hi - 1, None]
-        a[lo:hi] = tg[a[par], g]
+        a[lo:hi] = tg[g, a[par]]
         b[lo:hi] = b[par] ^ 1
         lo = hi
     beta = np.repeat(np.arange(n, dtype=np.int64), len(block))
     keys = (beta * ng + a.ravel()) * 2 + b.ravel()
     order = np.argsort(keys)
     keys, beta, a, b = keys[order], beta[order], a.ravel()[order], b.ravel()[order]
-    images = np.empty((len(keys), d), dtype=np.intc)
+    images = np.empty((d, len(keys)), dtype=np.intc)
     for g in range(d):
-        image = (th[beta, g].astype(np.int64) * ng + tg[a, g]) * 2 + (b ^ 1)
+        image = (th[g, beta].astype(np.int64) * ng + tg[g, a]) * 2 + (b ^ 1)
         pos = np.minimum(np.searchsorted(keys, image), len(keys) - 1)
         if not np.array_equal(keys[pos], image):
             raise TableNotClosedError(f"the orbit of the base point is not closed under r{g}")
-        images[:, g] = pos
+        images[g] = pos
     return closed_table(p, (), images, counts)
 
 
@@ -207,7 +208,6 @@ class RealizedGroup:
         self.table = _regular_table(presentation, limits or EnumerationLimits(), strategy,
                                     self.stats)
         self.order = self.table.live_count
-        self.right = self.table.to_permutations()
         self._partitions: dict[frozenset[int], np.ndarray] = {}
 
     @property
@@ -248,7 +248,7 @@ class RealizedGroup:
         labels = self._partitions.get(fs)
         if labels is None:
             self.stats["quotient_actions"] += 1
-            labels = orbit_labels([self.right[g] for g in sorted(fs)], self.order)
+            labels = orbit_labels([self.table.perms[g] for g in sorted(fs)], self.order)
             labels.setflags(write=False)
             self._partitions[fs] = labels
         return labels

@@ -1,6 +1,7 @@
 import pytest
 
-from polycert import SggiSpec, certify, realize, tight_quotient_presentation
+from polycert import SggiSpec, certify, tight_quotient_presentation
+from polycert.realize import realize
 
 
 def pytest_addoption(parser):

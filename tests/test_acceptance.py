@@ -566,7 +566,7 @@ def test_criterion_6_three_way_order_agreement(registry):
             problems.append(f"{entry.key}: chain order {chain.order()}")
         # a different algorithm: Felsch over the trivial subgroup, not the orbit route
         felsch = enumerate_cosets(entry.presentation, (), None, "felsch")
-        if not np.array_equal(felsch.matrix, rg.table.matrix):
+        if not np.array_equal(felsch.perms, rg.table.perms):
             problems.append(f"{entry.key}: plain Felsch disagrees")
     ok = not problems
     report(6, "three-way order agreement", ok,
@@ -767,7 +767,8 @@ def test_outputs_match_golden_digests(registry, sweep_results, tables_run, tmp_p
     keys that moved. Rewrite the file, after an intended change, with
     ``python -m pytest tests/test_acceptance.py -k golden --write-golden``.
     """
-    found = {f"table {entry.key}": digest(entry.realized.table.matrix.tobytes())
+    # the coset-major bytes, one coset's images after another
+    found = {f"table {entry.key}": digest(entry.realized.table.perms.T.tobytes())
              for entry in registry}
     assert len(found) == len(registry) == 322
     found["atlas default grid"] = digest(sweep_atlas(sweep_results[0], tmp_path / "atlas.tsv",

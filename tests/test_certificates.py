@@ -179,6 +179,19 @@ def test_atlas_rejects_malformed_text():
         parse_atlas(header + "\n# skipped\tG\n")
 
 
+def test_atlas_skips_blank_lines():
+    cells = ["G", "d=4", "4", "16", "-", "4,4", "true", "true",
+             "true", "true", "false", "false", "true", "-", "-"]
+    lines = ["# atlas-version 1", "\t".join(ATLAS_COLUMNS), "\t".join(cells),
+             "\t".join(cells[:1] + ["d=5"] + cells[2:]), "# skipped\tG\td=6\tcoset limit"]
+    plain = parse_atlas("\n".join(lines) + "\n")
+    assert len(plain[0]) == 2 and len(plain[1]) == 1
+    # blank and whitespace-only lines before the version line and between rows
+    version, header, first, second, skipped = lines
+    spaced = ["", " ", version, "", header, first, "", "\t ", second, "", skipped]
+    assert parse_atlas("\n".join(spaced) + "\n") == plain
+
+
 @pytest.mark.parametrize("column, cell", [
     ("order", " 1_0_2_4 "),
     ("order", "+32"),

@@ -33,6 +33,7 @@ from polycert import (
     generator,
     pair,
     power,
+    presentation_from_text,
     tight_quotient_presentation,
 )
 
@@ -90,6 +91,21 @@ def test_dihedral_groups():
             assert enumerate_cosets(dihedral(m), strategy=strategy).live_count == 2 * m
 
 
+def test_an_empty_relator_changes_no_table():
+    # ``rel 1`` is the empty word, which the engine skips: the tables,
+    # enumerated and realized, and their counts are what they are without it
+    p = tight_quotient_presentation((4, 4))
+    gens, *rels = p.to_text().splitlines()
+    q = presentation_from_text("\n".join([gens, "rel 1", *rels, "rel 1"]) + "\n")
+    assert [len(r) for r in q.relators].count(0) == 2
+    for strategy in coset_mod.STRATEGIES:
+        for build in (lambda x: enumerate_cosets(x, (), None, strategy),
+                      lambda x: RealizedGroup(x, strategy=strategy).table):
+            with_empty, without = build(q), build(p)
+            assert with_empty.perms.tobytes() == without.perms.tobytes()
+            assert with_empty.stats == without.stats
+
+
 def test_a_generator_that_is_no_declared_involution_is_refused():
     # one message, from the one check that SggiSpec makes too, before any work
     message = ("generators [0] have no square relator; "
@@ -126,12 +142,12 @@ def test_table_shape_and_permutations():
     p = dihedral(4)
     t = enumerate_cosets(p)
     assert t.live_count == 8
-    assert t.matrix.shape == (8, 2) and t.matrix.dtype == np.int32
-    assert not t.matrix.flags.writeable
-    assert t.table == t.matrix.tolist()
+    # the table is one array, a row per generator, handed out as it is
     perms = t.to_permutations()
+    assert perms is t.perms
     assert perms.shape == (2, 8) and perms.dtype == np.int32
     assert perms.flags.c_contiguous and not perms.flags.writeable
+    assert t.table == perms.T.tolist()
     a, b = perms
     assert np.array_equal(a[a], np.arange(8))
     assert np.array_equal(b[b], np.arange(8))
@@ -399,21 +415,28 @@ def test_validate_catches_corruption():
     enumerate_cosets(dihedral(4)).validate()
 
     def set_entry(t, i, c, value):
-        corrupt = t.matrix.copy()
-        corrupt[i, c] = value
-        return dataclasses.replace(t, matrix=corrupt)
+        """The table with the image of coset i under generator c set to value."""
+        corrupt = t.perms.copy()
+        corrupt[c, i] = value
+        return dataclasses.replace(t, perms=corrupt)
 
     def wrong_arrow(t):
-        return set_entry(t, 2, 0, t.matrix[2, 0] ^ 1)
+        return set_entry(t, 2, 0, t.perms[0, 2] ^ 1)
 
     def undefined_entry(t):
         return set_entry(t, 0, 1, -1)
 
     def out_of_range_entry(t):
-        return set_entry(t, 0, 1, len(t.matrix))
+        return set_entry(t, 0, 1, t.live_count)
 
-    def missing_column(t):
-        return dataclasses.replace(t, matrix=t.matrix[:, :-1].copy())
+    def two_undefined_entries(t):
+        # read coset by coset, the first bad entry is (1, col 1); read
+        # generator by generator it would be (3, col 0), whose back link
+        # through the undefined (5, col 0) breaks
+        return set_entry(set_entry(t, 5, 0, -1), 1, 1, -1)
+
+    def missing_generator(t):
+        return dataclasses.replace(t, perms=t.perms[:-1].copy())
 
     def open_relator(t):
         # (r0 r1)^2 is the central rotation of the dihedral group of order 8,
@@ -429,7 +452,8 @@ def test_validate_catches_corruption():
         (wrong_arrow, r"entry \(2, col 0\) lacks a consistent back link"),
         (undefined_entry, r"entry \(0, col 1\) = -1 undefined"),
         (out_of_range_entry, r"entry \(0, col 1\) = 8 undefined or out of range"),
-        (missing_column, r"table has shape \(8, 1\), expected \(8, 2\)"),
+        (two_undefined_entries, r"entry \(1, col 1\) = -1 undefined"),
+        (missing_generator, r"table has shape \(1, 8\), expected \(2, 8\)"),
         (open_relator, "does not close at coset 0"),
         (moving_subgroup_generator, "moves coset 0"),
     ]
@@ -444,9 +468,9 @@ def test_validate_catches_corruption():
     # coset must be the one a letter-by-letter trace finds
     square_and_triangle = [[1, 0], [0, 2], [3, 1], [2, 3], [5, 4], [4, 6], [6, 5]]
     relabel = np.array([0, 3, 1, 5, 2, 6, 4])
-    matrix = np.empty((7, 2), dtype=np.intc)
-    matrix[relabel] = relabel[square_and_triangle]
-    t = dataclasses.replace(enumerate_cosets(dihedral(4)), matrix=matrix)
+    perms = np.empty((2, 7), dtype=np.intc)
+    perms[:, relabel] = relabel[square_and_triangle].T
+    t = dataclasses.replace(enumerate_cosets(dihedral(4)), perms=perms)
     relator = power(pair(0, 1), 4)
     first_open = next(x for x in range(7) if t.trace(x, relator) != x)
     assert first_open == 2
@@ -456,19 +480,19 @@ def test_validate_catches_corruption():
 
 def test_a_disconnected_coset_graph_is_refused():
     # <r0 | r0^2> on two disjoint 2-cycles: every entry is back-linked and
-    # every relator closes, but only two of the four rows are reachable
+    # every relator closes, but only two of the four cosets are reachable
     p = Presentation(1, (power(generator(0), 2),))
-    rows = np.array([[1], [0], [3], [2]], dtype=np.intc)
+    perms = np.array([[1, 0, 3, 2]], dtype=np.intc)
     with pytest.raises(TableNotClosedError,
                        match="^coset graph is not connected; table corrupt$"):
-        coset_mod.closed_table(p, (), rows, coset_mod.EnumerationStats())
+        coset_mod.closed_table(p, (), perms, coset_mod.EnumerationStats())
 
 
 def test_tables_are_frozen():
     # every table is built and validated by closed_table, then frozen
     for t in (enumerate_cosets(dihedral(4)), RealizedGroup(family_k(3, (2, 2))).table):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            t.matrix = t.matrix.copy()
+            t.perms = t.perms.copy()
         with pytest.raises(dataclasses.FrozenInstanceError):
             t.subgroup_generators = (generator(0),)
 
@@ -602,7 +626,7 @@ def test_random_realized_tables_equal_plain_enumeration(p):
     except LimitExceededError:
         assume(False)
     rg = RealizedGroup(p, EnumerationLimits(max_cosets=1 << 16))
-    assert np.array_equal(rg.table.matrix, plain.matrix)
+    assert np.array_equal(rg.table.perms, plain.perms)
 
 
 @st.composite
@@ -659,8 +683,8 @@ def test_rewritten_presentations_give_the_same_tables(case):
     # regular table is also built by RealizedGroup
     limits = EnumerationLimits(max_cosets=10 ** 4)
     try:
-        tables = [[enumerate_cosets(p, subgroup, limits, s).matrix for s in ("hlt", "felsch")]
-                  + ([] if subgroup else [RealizedGroup(p, limits).table.matrix])
+        tables = [[enumerate_cosets(p, subgroup, limits, s).perms for s in ("hlt", "felsch")]
+                  + ([] if subgroup else [RealizedGroup(p, limits).table.perms])
                   for p, subgroup in case]
     except LimitExceededError:
         assume(False)

@@ -125,7 +125,8 @@ def test_node_addressing(tight44):
 def test_flag_graph_structure(tight44):
     _, rg, cert = tight44
     g = flag_graph(rg, cert)
-    assert g is rg.right
+    assert g is rg.table.to_permutations() is rg.table.perms
+    assert not hasattr(rg, "right")
     assert g.shape == (3, 32)
     assert g.flags.c_contiguous and not g.flags.writeable
     ok, bad = check_flag_matchings(g)
@@ -136,14 +137,14 @@ def test_flag_graph_structure(tight44):
 
 
 def test_certify_and_polytope_checks_build_no_permutation():
-    # the realization's generator rows are the table's own image arrays, and
+    # the realization's generators are the table's own image arrays, and
     # certifying and every polytope check read them as they are
     _realize_cached.cache_clear()
     p = tight_quotient_presentation((4, 4))
     cert = certify(p)
     rg = realize(p)
-    assert np.array_equal(rg.right, rg.table.to_permutations())
     graph = flag_graph(rg, cert)
+    assert graph is rg.table.perms
     assert cert.passed and check_flag_matchings(graph)[0] and check_flag_connectivity(graph)
     assert check_diamond(rg, cert, max_order=rg.order)[0]
     assert check_section_connectivity(rg, cert, max_order=rg.order)
@@ -203,7 +204,7 @@ def test_each_subset_is_partitioned_once(monkeypatch):
         counts.append(rg.stats["quotient_actions"])
     assert counts == [len(read)] * 2
     for s in read:
-        fresh = orbit_labels([rg.right[g] for g in sorted(s)], rg.order)
+        fresh = orbit_labels([rg.table.perms[g] for g in sorted(s)], rg.order)
         assert np.array_equal(rg.cosets(s), fresh)
     assert rg.stats["quotient_actions"] == len(read)
 

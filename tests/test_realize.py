@@ -5,13 +5,14 @@ walk of the subgroup's element set, a Python stack search that shares no code
 with the numpy partition under test.
 """
 
-import importlib
 import itertools
+import types
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import polycert.realize as realize_mod
 from polycert.coset import EnumerationLimits, enumerate_cosets
 from polycert.errors import InvalidGeneratorError, LimitExceededError, TableNotClosedError
 from polycert.families import (
@@ -32,9 +33,6 @@ from polycert.words import (
     power,
     presentation_from_text,
 )
-
-# the module, which the package's ``realize`` function hides
-realize_mod = importlib.import_module("polycert.realize")
 
 ORACLE_PRESENTATIONS = [
     tight_quotient_presentation((4, 4)),
@@ -76,7 +74,7 @@ def span_elements(rg, subset):
     Walks the orbit of the identity under right multiplication, so it is
     independent of the quotient partitions used by ``parabolic_order``.
     """
-    rights = [rg.right[g] for g in subset]
+    rights = [rg.table.perms[g] for g in subset]
     seen = {0}
     stack = [0]
     while stack:
@@ -151,7 +149,7 @@ def test_quotient_partition_consistency():
         assert len(reps) * block == rg.order and set(sizes.tolist()) == {block}
         # right multiplication by a generator of the subset stays in the coset
         for g in subset:
-            assert np.array_equal(labels[rg.right[g]], labels)
+            assert np.array_equal(labels[rg.table.perms[g]], labels)
 
 
 def test_realize_returns_shared_instances():
@@ -162,8 +160,8 @@ def test_realize_returns_shared_instances():
     f = realize(p, strategy="felsch")
     assert f is not a
     felsch = enumerate_cosets(p, (), None, "felsch")
-    assert np.array_equal(felsch.matrix, a.table.matrix)
-    assert np.array_equal(felsch.matrix, f.table.matrix)
+    assert np.array_equal(felsch.perms, a.table.perms)
+    assert np.array_equal(felsch.perms, f.table.perms)
 
 
 def test_element_of_and_element_order(tight44):
@@ -184,15 +182,20 @@ def test_strategies_realize_identically():
     f = RealizedGroup(p, strategy="felsch")
     assert h.order == f.order == 256
     felsch = enumerate_cosets(p, (), None, "felsch")
-    assert np.array_equal(felsch.matrix, h.table.matrix)
-    assert np.array_equal(felsch.matrix, f.table.matrix)
+    assert np.array_equal(felsch.perms, h.table.perms)
+    assert np.array_equal(felsch.perms, f.table.perms)
 
 
 def test_regular_permutation_group():
     rg = RealizedGroup(family_a(3, 1, (2, 2)))
     g = PermutationGroup(rg.table.to_permutations(), degree=rg.order)
     assert g.order() == rg.order == 32
-    assert not orbit_labels(rg.right, rg.order).any()  # one orbit: the action is transitive
+    assert not orbit_labels(rg.table.perms, rg.order).any()  # one orbit: the action is transitive
+
+
+def test_the_realize_module_keeps_its_name():
+    # the package exports no function under the submodule's name
+    assert isinstance(realize_mod, types.ModuleType) and realize_mod.orbit_labels is orbit_labels
 
 
 def test_bad_generator_subsets(tight44):
@@ -224,7 +227,7 @@ def test_orbit_route_gives_the_enumerated_table(p):
     rg = RealizedGroup(p)
     plain = enumerate_cosets(p)
     assert rg.stats["enumerations"] == 2
-    assert np.array_equal(rg.table.matrix, plain.matrix)
+    assert np.array_equal(rg.table.perms, plain.perms)
     assert rg.table.stats.live_count == rg.order == plain.live_count
     assert 0 < rg.table.stats.cosets_created < plain.stats.cosets_created
 
@@ -249,7 +252,7 @@ def test_the_route_takes_the_pair_with_the_largest_bound(p, h, hidden):
     assert rg.stats["enumerations"] == 2
     assert rg.table.stats.cosets_created == sum(
         enumerate_cosets(p, subgroup).stats.cosets_created for subgroup in subgroups)
-    assert np.array_equal(rg.table.matrix, enumerate_cosets(p).matrix)
+    assert np.array_equal(rg.table.perms, enumerate_cosets(p).perms)
 
 
 def test_a_wrong_character_is_caught_by_validate():
@@ -303,7 +306,7 @@ def test_failing_intersection_property_falls_back():
     assert rg.stats["enumerations"] == 3
     assert rg.order == plain.live_count == 16
     assert rg.intersection_order((0, 1), (1, 2)) == 4
-    assert np.array_equal(rg.table.matrix, plain.matrix)
+    assert np.array_equal(rg.table.perms, plain.perms)
 
 
 @pytest.mark.parametrize("text, bound, order", [
@@ -321,7 +324,7 @@ def test_no_character_or_no_rotation_takes_the_plain_path(text, bound, order):
     rg = RealizedGroup(p)
     assert rg.stats["enumerations"] == 1
     assert rg.order == order
-    assert np.array_equal(rg.table.matrix, enumerate_cosets(p).matrix)
+    assert np.array_equal(rg.table.perms, enumerate_cosets(p).perms)
 
 
 def test_no_bounding_relator_takes_the_plain_path():

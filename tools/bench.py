@@ -40,7 +40,8 @@ CAVEATS = (
     "realize.left_arrays is always 0: nothing in src/ writes that key",
     "cli.self_s is not meaningful on limit: limit_op moves a separately probed enumeration "
     "time out of the cli.main span, so it reads below zero",
-    "audit compares tables through matrix.tolist() copies, about 4 ms per op at order 4096",
+    "audit compares tables through CosetTable.table, one list copy per coset, about 4 ms "
+    "per op at order 4096",
     "perfbench/calibrate.py's reference kernel runs in the worker's heap, so a library "
     "change can move the speed factor and with it every reported time",
 )

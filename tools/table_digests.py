@@ -4,7 +4,8 @@
 
 For each of the 251 G tuples of ``polycert sweep``'s default grid, and for
 the K groups and tight groups below, it builds a ``RealizedGroup`` under
-both strategies and prints the sha256 of its table's matrix, every
+both strategies and prints the sha256 of its table in coset-major order
+(``perms.T``, one coset's images after another), every
 ``EnumerationStats`` field and ``stats["enumerations"]``. Every tenth group
 is also enumerated plainly over the trivial subgroup. Run it on two
 checkouts and compare the outputs with ``cmp``: a change to the engine that
@@ -37,7 +38,7 @@ def groups():
 
 
 def line(name, table, enumerations="-") -> str:
-    digest = hashlib.sha256(table.matrix.tobytes()).hexdigest()
+    digest = hashlib.sha256(table.perms.T.tobytes()).hexdigest()
     return f"{name}\t{digest}\t{dataclasses.astuple(table.stats)}\t{enumerations}"
 
 

@@ -184,6 +184,21 @@ MUTANTS = (
            "    if e >= MAX_WORD_LETTERS.bit_length():\n", "    if False:\n",
            ("tests/test_families.py::test_exponents_are_bounded_before_the_shift",
             "tests/test_cli.py::test_huge_exponent_is_a_limit")),
+    # the certification checks: the one intersection routine, the recursive
+    # mode's pair list, the string check and the involution verdict
+    Mutant("intersection-rows-always-ok", "src/polycert/verify.py",
+           "    return all(row.ok for row in rows), rows\n", "    return True, rows\n",
+           ("tests/test_verify.py::test_hidden_center_fails_intersection_only",)),
+    # the hidden centre's one bad row is the whole-string interval
+    Mutant("recursive-without-the-whole-string", "src/polycert/verify.py",
+           "for length in range(2, rank + 1)", "for length in range(2, rank)",
+           ("tests/test_verify.py::test_hidden_center_fails_intersection_only",)),
+    Mutant("string-check-skips-the-last-pair", "src/polycert/verify.py",
+           "range(i + 2, realized.rank)", "range(i + 2, realized.rank - 1)",
+           ("tests/test_verify.py::test_string_property_failure_detected",)),
+    Mutant("collapsed-generator-counts-as-involution", "src/polycert/verify.py",
+           "all(o == 2 for o in inv_orders)", "all(o <= 2 for o in inv_orders)",
+           ("tests/test_verify.py::test_collapsed_generator_warns",)),
     Mutant("hasse-without-polytope-checks", "src/polycert/cli.py",
            "    for name, ok in verdicts:\n", "    for name, ok in ():\n",
            ("tests/test_cli.py",)),

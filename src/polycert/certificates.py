@@ -8,7 +8,9 @@ Loading a JSON document checks every value against its field's declared
 type, refuses keys that no field declares, and recomputes the sha256 digest
 over the intersection evidence rows.
 The digest covers only those rows; checking a certificate by replaying it
-arrives with ROADMAP item 2. Orders are stored exactly, with a convenience
+arrives with ROADMAP item 1. A built document holds the certificate's
+``IntersectionEvidence`` rows as they are; a loaded one holds plain tuples,
+which compare equal to them. Orders are stored exactly, with a convenience
 log2 field that is null whenever the order is not a power of two (tight
 groups of non-2-power type exist, so this cannot be assumed).
 
@@ -140,8 +142,7 @@ def build_certificate_document(cert: SggiCertificate,
                                params: str | None = None,
                                unsafe_params: bool = False,
                                f_vector: Sequence[int] | None = None) -> CertificateDocument:
-    evidence = tuple((row.left, row.right, row.got, row.expected)
-                     for row in cert.intersection_evidence)
+    evidence = cert.intersection_evidence
     return _copy(
         CertificateDocument, cert, family=family, params=params,
         log2_order=order_log2(cert.order), unsafe_params=unsafe_params,

@@ -13,10 +13,11 @@ Subcommands:
   flag connectivity, the diamond condition, section connectivity) and print
   it as dot or edge list.
 
-A command returns 0 when everything passes and reports any failure by
-raising a ``PolycertError``, a failed check included. ``main`` has the one
-handler: it prints the error's ``polycert: <category>: <message>`` line on
-stderr and returns its exit code, both declared in `polycert.errors`.
+A command returns nothing when everything passes and reports any failure
+by raising a ``PolycertError``, a failed check included. ``main`` returns 0
+after the command returns, and has the one handler: it prints the error's
+``polycert: <category>: <message>`` line on stderr and returns its exit
+code, both declared in `polycert.errors`.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from . import certificates as certs
 from . import families
 from .coset import DEFAULT_MAX_COSETS, EnumerationLimits
 from .errors import (
-    CapacityError,
     CheckFailedError,
     LimitExceededError,
     ParameterError,
@@ -52,8 +52,6 @@ from .polytope import (
 from .realize import realize
 from .verify import SggiCertificate, SggiSpec, certify
 from .words import Presentation, presentation_from_text, word_from_text
-
-EXIT_OK = 0
 
 
 def _two_powers(ks: tuple[int, ...]) -> tuple[int, ...]:
@@ -194,7 +192,7 @@ def _document(cert: SggiCertificate, family: str, params: str,
         cert, family=family, params=params, unsafe_params=unsafe_params, f_vector=f_vector)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> None:
     presentation, declared, params_text = build_presentation(args)
     limits = _limits(args)
     mode = "full" if args.full_ip else "recursive"
@@ -222,7 +220,6 @@ def _cmd_verify(args) -> int:
     print("\n".join(lines))
     if not cert.passed:
         raise CheckFailedError("certification did not pass")
-    return EXIT_OK
 
 
 def _all_exponents(d: int, n: int, k_min: int) -> list[tuple[int, ...]]:
@@ -251,12 +248,12 @@ def _sweep_one(task) -> dict:
             raise CheckFailedError("recursive and full intersection checks disagree")
         result["row"] = certs.row_from_document(
             _document(cert, "G", result["params"]), seconds=time.perf_counter() - started)
-    except (ParameterError, LimitExceededError, CapacityError, CheckFailedError) as exc:
+    except PolycertError as exc:
         result["skip"] = f"{type(exc).__name__}: {exc}"
     return result
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> None:
     limits = _limits(args)
     jobs = args.jobs
     if jobs < 1:
@@ -300,10 +297,9 @@ def _cmd_sweep(args) -> int:
     failed = [r for r in rows if not r.passed]
     if failed or skipped:
         raise CheckFailedError(f"{len(failed)} failing rows, {len(skipped)} skipped")
-    return EXIT_OK
 
 
-def _cmd_paper_tables(args) -> int:
+def _cmd_paper_tables(args) -> None:
     limits = _limits(args)
     _check_writable(args.out)
     lines = []
@@ -336,14 +332,13 @@ def _cmd_paper_tables(args) -> int:
     _write_text("\n".join(lines) + "\n", args.out)
     if not all_ok:
         raise CheckFailedError("table values did not reproduce")
-    return EXIT_OK
 
 
 def _tight_types(rank: int) -> list[tuple[int, ...]]:
     return sorted(itertools.product((4, 8), repeat=rank - 1))
 
 
-def _cmd_export(args) -> int:
+def _cmd_export(args) -> None:
     rows, skipped = certs.parse_atlas(_read_text(args.infile, "atlas"))
     if args.format == "tsv":
         out = certs.format_atlas(rows, skipped)
@@ -356,10 +351,9 @@ def _cmd_export(args) -> int:
         }
         out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     _write_text(out, args.out)
-    return EXIT_OK
 
 
-def _cmd_hasse(args) -> int:
+def _cmd_hasse(args) -> None:
     presentation, declared, _ = build_presentation(args)
     max_cosets = _limits(args).max_cosets
     if args.max_order < 1:
@@ -391,7 +385,6 @@ def _cmd_hasse(args) -> int:
             raise CheckFailedError(f"face lattice fails the {name} check")
     lattice = build_lattice(rg, cert)
     _write_text(export_hasse(lattice, args.format), args.out)
-    return EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -443,10 +436,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except PolycertError as exc:
         print(f"polycert: {exc.category}: {exc}", file=sys.stderr)
         return exc.exit_code
+    return 0
 
 
 if __name__ == "__main__":

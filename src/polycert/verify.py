@@ -8,6 +8,8 @@ check comes in two modes that must agree: ``full`` compares every pair of
 generator subsets, ``recursive`` walks intervals of the generator string and
 checks one boundary intersection per interval, which is equivalent for
 groups that pass the involution and commutation checks and far cheaper.
+The modes differ only in the subset pairs they give ``_check_pairs``, the
+one routine that evaluates the identity and writes its evidence rows.
 
 ``certify`` bundles the checks into a ``SggiCertificate``; downstream
 consumers (face lattices, the atlas) refuse uncertified input.
@@ -18,6 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import prod
+from typing import NamedTuple
 
 from .coset import EnumerationLimits
 from .errors import ParameterError
@@ -49,9 +52,9 @@ class SggiSpec:
             object.__setattr__(self, "declared_type", declared)
 
 
-@dataclass(frozen=True)
-class IntersectionEvidence:
-    """One checked identity |<left> n <right>| == expected."""
+class IntersectionEvidence(NamedTuple):
+    """One checked identity |<left> n <right>| == expected; the certificate
+    document stores the row as it is, a plain 4-tuple once loaded."""
 
     left: tuple[int, ...]
     right: tuple[int, ...]
@@ -84,9 +87,14 @@ def schlafli_type(realized: RealizedGroup) -> tuple[int, ...]:
                  for i in range(realized.rank - 1))
 
 
-def _all_subsets(rank: int) -> list[tuple[int, ...]]:
-    return [s for r in range(rank + 1)
-            for s in itertools.combinations(range(rank), r)]
+def _check_pairs(realized: RealizedGroup,
+                 pairs) -> tuple[bool, tuple[IntersectionEvidence, ...]]:
+    """The one evaluation of the identity |G_a n G_b| == |G_{a n b}|: one
+    row per subset pair (a, b), in the order given, and whether all hold."""
+    rows = tuple(IntersectionEvidence(a, b, realized.intersection_order(a, b),
+                                      realized.parabolic_order(set(a).intersection(b)))
+                 for a, b in pairs)
+    return all(row.ok for row in rows), rows
 
 
 def check_intersection_property_full(
@@ -95,21 +103,14 @@ def check_intersection_property_full(
 
     Comparable pairs are skipped: when I is contained in J the identity
     holds by definition, so only incomparable pairs carry information.
+    Evidence is ordered by |I| + |J|, then I, then J.
     """
-    subsets = _all_subsets(realized.rank)
-    evidence = []
-    ok = True
-    for a, b in itertools.combinations(subsets, 2):
-        sa, sb = set(a), set(b)
-        if sa <= sb or sb <= sa:
-            continue
-        got = realized.intersection_order(a, b)
-        expected = realized.parabolic_order(sa & sb)
-        row = IntersectionEvidence(a, b, got, expected)
-        evidence.append(row)
-        ok = ok and row.ok
-    evidence.sort(key=lambda r: (len(r.left) + len(r.right), r.left, r.right))
-    return ok, tuple(evidence)
+    subsets = {s: set(s) for r in range(realized.rank + 1)
+               for s in itertools.combinations(range(realized.rank), r)}
+    pairs = sorted(((a, b) for a, b in itertools.combinations(subsets, 2)
+                    if not subsets[a] <= subsets[b] and not subsets[b] <= subsets[a]),
+                   key=lambda ab: (len(ab[0]) + len(ab[1]), ab))
+    return _check_pairs(realized, pairs)
 
 
 def check_intersection_property_recursive(
@@ -123,20 +124,9 @@ def check_intersection_property_recursive(
     emitted shortest interval first, left to right.
     """
     rank = realized.rank
-    evidence = []
-    ok = True
-    for length in range(2, rank + 1):
-        for i in range(rank - length + 1):
-            j = i + length - 1
-            left = tuple(range(i, j))
-            right = tuple(range(i + 1, j + 1))
-            middle = tuple(range(i + 1, j))
-            got = realized.intersection_order(left, right)
-            expected = realized.parabolic_order(middle)
-            row = IntersectionEvidence(left, right, got, expected)
-            evidence.append(row)
-            ok = ok and row.ok
-    return ok, tuple(evidence)
+    return _check_pairs(realized, [
+        (tuple(range(i, i + length - 1)), tuple(range(i + 1, i + length)))
+        for length in range(2, rank + 1) for i in range(rank - length + 1)])
 
 
 @dataclass(frozen=True)

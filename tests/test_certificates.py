@@ -37,6 +37,12 @@ def test_json_round_trip(tight44):
     text = certificate_to_json(doc)
     assert text.endswith("\n")
     assert certificate_from_json(text) == doc
+    # the rows are stored as the certificate holds them, and load as plain
+    # tuples that compare equal to them
+    assert doc.evidence is cert.intersection_evidence
+    loaded = certificate_from_json(text).evidence
+    assert {type(row) for row in loaded} == {tuple}
+    assert loaded == doc.evidence
     assert doc.log2_order == 5
     assert doc.f_vector == (4, 8, 4)
     assert doc.evidence_digest.startswith("sha256:")

@@ -585,6 +585,25 @@ def test_every_error_class_has_its_category_and_exit_code(capsys, monkeypatch, n
     assert err.splitlines() == [f"polycert: {category}: the failure"]
 
 
+@pytest.mark.parametrize("name", ERROR_CLASSES)
+def test_sweep_skips_a_tuple_on_any_documented_failure(capsys, monkeypatch, tmp_path, name):
+    error = getattr(errors_mod, name)
+
+    def fails(*args, **kwargs):
+        raise error("the failure")
+
+    monkeypatch.setattr(cli, "certify", fails)
+    atlas = tmp_path / "atlas.tsv"
+    code, out, err = run(capsys, "sweep", "--d-min", "3", "--d-max", "3", "--n-min", "10",
+                         "--n-max", "10", "--k-min", "4", "--out", str(atlas))
+    assert (code, out) == (3, "")
+    assert err.splitlines() == ["polycert: check-failed: 0 failing rows, 3 skipped"]
+    rows, skipped = parse_atlas(atlas.read_text())
+    assert rows == []
+    assert skipped == [("G", f"d=3;n=10;k={k}", f"{name}: the failure")
+                       for k in ("4,4", "4,5", "5,4")]
+
+
 def _environment_reads(source: str) -> list[str]:
     """Names and literals in ``source`` through which it could read the
     environment: ``environ``, ``getenv`` or a ``POLYCERT_`` string."""

@@ -12,7 +12,7 @@ import itertools
 import pytest
 
 from polycert.errors import ParameterError
-from polycert.families import family_a, family_g, family_h
+from polycert.families import family_a, family_g, family_h, tight_quotient_presentation
 from polycert.realize import RealizedGroup, _realize_cached, realize
 from polycert.verify import (
     IntersectionEvidence,
@@ -139,6 +139,34 @@ def test_recursive_evidence_layout(tight44):
         ((1,), (2,)),
         ((0, 1), (1, 2)),
     ]
+
+
+@pytest.mark.parametrize("ks", [(4, 4), (4, 6, 4), (4, 4, 4, 4)])
+def test_each_mode_checks_its_pair_list(ks):
+    """The full mode's rows are the incomparable subset pairs, ordered by
+    |a| + |b|, then a, then b; the recursive mode's are the d(d-1)/2 interval
+    boundaries, shortest first, left to right; every row is measured against
+    the parabolic order of a n b."""
+    rg = RealizedGroup(tight_quotient_presentation(ks))
+    d = rg.rank
+    subsets = [s for r in range(d + 1) for s in itertools.combinations(range(d), r)]
+    # each pair (a, b) with a listed before b: smaller first, then lexicographic
+    incomparable = [(a, b) for a, b in itertools.combinations(subsets, 2)
+                    if set(a) - set(b) and set(b) - set(a)]
+    incomparable.sort(key=lambda ab: (len(ab[0]) + len(ab[1]), ab[0], ab[1]))
+    # the interval [i, j] has boundary pair ([i, j-1], [i+1, j])
+    boundaries = sorted(((tuple(range(i, j)), tuple(range(i + 1, j + 1)))
+                         for i, j in itertools.combinations(range(d), 2)),
+                        key=lambda ab: (len(ab[0]), ab[0]))
+    assert len(boundaries) == d * (d - 1) // 2
+    for check, pairs in ((check_intersection_property_full, incomparable),
+                         (check_intersection_property_recursive, boundaries)):
+        ok, rows = check(rg)
+        assert ok
+        assert [(row.left, row.right) for row in rows] == pairs
+        for a, b, got, expected in rows:
+            assert got == rg.intersection_order(a, b)
+            assert expected == rg.parabolic_order(set(a) & set(b))
 
 
 def test_basic_checks(tight44):

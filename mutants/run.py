@@ -237,10 +237,17 @@ MUTANTS = (
            '        raise IndexError("node id out of range")\n',
            '        return "out of range"\n',
            ("tests/test_polytope.py::test_node_addressing",)),
+    # the one check of a word where it enters: its letters' types, bools
+    # among them, and their range
     Mutant("word-without-index-check", "src/polycert/words.py",
-           "            if not isinstance(gen, int) or isinstance(gen, bool) or gen < 0:\n",
-           "            if False:\n",
-           ("tests/test_words.py::test_word_rejects_garbage",)),
+           "    if not set(map(type, w)) <= {int}:\n", "    if False:\n",
+           ("tests/test_words.py::test_every_entry_point_refuses_garbage_letters",)),
+    Mutant("word-accepts-bool-letters", "src/polycert/words.py",
+           "set(map(type, w)) <= {int}", "set(map(type, w)) <= {int, bool}",
+           ("tests/test_words.py::test_every_entry_point_refuses_garbage_letters",)),
+    Mutant("word-accepts-negative-letters", "src/polycert/words.py",
+           "(min(used) < 0 or max(used) >= generator_count)", "max(used) >= generator_count",
+           ("tests/test_words.py::test_every_entry_point_refuses_garbage_letters",)),
     Mutant("any-two-letter-relator-declares-an-involution", "src/polycert/words.py",
            "if len(r) == 2 and r[0] == r[1])", "if len(r) == 2)",
            ("tests/test_words.py::test_involutory_generators_ignores_other_shapes",)),

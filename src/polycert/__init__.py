@@ -76,7 +76,6 @@ from .verify import (
 )
 from .words import (
     Presentation,
-    Word,
     commutator,
     generator,
     pair,
@@ -114,7 +113,6 @@ __all__ = [
     "SggiSpec",
     "TableNotClosedError",
     "UncertifiedInputError",
-    "Word",
     "a_parameter_tuples",
     "build_certificate_document",
     "build_lattice",

@@ -69,12 +69,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    InvalidGeneratorError,
-    LimitExceededError,
-    TableNotClosedError,
-)
-from .words import Presentation, Word, word_to_text
+from .errors import LimitExceededError, TableNotClosedError
+from .words import Presentation, Word, check_word, word_to_text
 
 DEFAULT_MAX_COSETS = 1 << 22
 
@@ -160,7 +156,7 @@ class CosetTable:
         coset, and ``validate`` itself traces only after its range check.
         """
         t = self.perms
-        for g in w.letters:
+        for g in w:
             coset = t[g, coset]
         return int(coset)
 
@@ -200,8 +196,7 @@ class CosetTable:
                 raise TableNotClosedError(
                     f"entry ({i}, col {c}) = {t[c, i]} undefined or out of range")
             raise TableNotClosedError(f"entry ({i}, col {c}) lacks a consistent back link")
-        for r in self.presentation.relators:
-            seq = r.letters
+        for seq in self.presentation.relators:
             cur = ids
             if seq:
                 root = _root_length(seq)
@@ -218,7 +213,7 @@ class CosetTable:
             open_at = np.flatnonzero(cur != ids)
             if open_at.size:
                 raise TableNotClosedError(
-                    f"relator {word_to_text(r)!r} does not close at coset {open_at[0]}")
+                    f"relator {word_to_text(seq)!r} does not close at coset {open_at[0]}")
         for w in self.subgroup_generators:
             if self.trace(0, w) != 0:
                 raise TableNotClosedError(
@@ -291,11 +286,10 @@ class _Engine:
         # and is always scanned.
         self.steps: list[tuple[int, _Relator, int, tuple[tuple[array, ...], ...]]] = []
         symmetric = 0
-        for r in presentation.relators:
-            if len(r) == 0:
+        for seq in presentation.relators:
+            if not seq:
                 continue
-            rel = self._relator(r.letters)
-            seq = rel[0]
+            rel = self._relator(seq)
             if len(seq) == 2 and seq[0] == seq[1]:
                 self.steps.append((seq[0], rel, 0, ()))
                 continue
@@ -307,7 +301,7 @@ class _Engine:
             cols = rel[1]
             walk = tuple(cols[a:b] for a, b in zip(offsets, offsets[1:]))
             self.steps.append((-1, rel, bit, walk))
-        self.subs = [self._relator(w.letters) for w in subgroup_generators if len(w) > 0]
+        self.subs = [self._relator(w) for w in subgroup_generators if w]
         self.created = 1
         self.dead = 0
         self.dedstack: list[tuple[int, int]] = []
@@ -725,14 +719,8 @@ def enumerate_cosets(presentation: Presentation,
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     presentation.require_involutions()
     limits = limits or EnumerationLimits()
-    subgens = tuple(subgroup_generators)
-    for w in subgens:
-        if not isinstance(w, Word):
-            raise InvalidGeneratorError(f"subgroup generator {w!r} is not a Word")
-        if w.max_generator() >= presentation.generator_count:
-            raise InvalidGeneratorError(
-                f"subgroup generator {word_to_text(w)!r} uses r{w.max_generator()} "
-                f"but the presentation has {presentation.generator_count} generators")
+    subgens = tuple(check_word(w, presentation.generator_count, "subgroup generator")
+                    for w in subgroup_generators)
     engine = _Engine(presentation, subgens, limits, strategy)
     if strategy == "hlt":
         engine.run_hlt()

@@ -89,9 +89,9 @@ import numpy as np
 
 from .coset import (CosetTable, EnumerationLimits, EnumerationStats, closed_table,
                     enumerate_cosets)
-from .errors import InvalidGeneratorError, LimitExceededError, TableNotClosedError
+from .errors import LimitExceededError, TableNotClosedError
 from .perms import orbit_labels
-from .words import Presentation, Word, generator
+from .words import Presentation, Word, check_word, generator
 
 
 def _rotation_bound(p: Presentation, pair: tuple[int, int]) -> int:
@@ -102,10 +102,10 @@ def _rotation_bound(p: Presentation, pair: tuple[int, int]) -> int:
     of the dihedral group of order 2m."""
     m = 0
     for r in p.relators:
-        if not set(r.letters) <= set(pair):
+        if not set(r) <= set(pair):
             continue
         stack: list[int] = []  # the reduced form: its letters alternate
-        for g in r.letters:
+        for g in r:
             if stack and stack[-1] == g:
                 stack.pop()
             else:
@@ -215,22 +215,18 @@ class RealizedGroup:
         return self.presentation.generator_count
 
     def _check_subset(self, subset: Iterable[int]) -> frozenset[int]:
-        fs = frozenset(subset)
-        for i in fs:
-            if not 0 <= i < self.rank:
-                raise InvalidGeneratorError(
-                    f"generator index {i} out of range for rank {self.rank}")
-        return fs
+        # checked before the set is made: frozenset({1, True}) is {1}
+        return frozenset(check_word(tuple(subset), self.rank, "generator subset"))
 
     # -- elements -------------------------------------------------------------
 
     def element_of(self, w: Word) -> int:
         """Element id of a word (the image of the identity under its trace)."""
-        return self.table.trace(0, w)
+        return self.table.trace(0, check_word(w, self.rank, "word"))
 
     def element_order(self, w: Word) -> int:
         """Multiplicative order of the element a word represents."""
-        cur = self.table.trace(0, w)
+        cur = self.element_of(w)
         n = 1
         while cur != 0:
             cur = self.table.trace(cur, w)

@@ -1,16 +1,13 @@
 """Words over indexed generators, and finite presentations built from them.
 
-A word is an immutable sequence of letters, each a nonnegative generator
-index, kept exactly as written. polycert presents string C-groups, which are
-generated by involutions (McMullen and Schulte, *Abstract Regular Polytopes*,
-2B), and every enumeration requires a square relator r_i r_i for each
-generator. So r_i^-1 is r_i, a letter needs no sign, and the inverse of a
-word is the word reversed. No letters cancel: ``r0 r0`` stays as written, so
-presentations are kept faithful to how their relators were written.
-
-``Word(...)`` checks every letter it is given; the word algebra (``*``,
-``inverse``, :func:`power`, :func:`commutator`) only recombines letters of
-words already checked, so it does not check them again.
+A word is a tuple of letters, each a generator index, kept exactly as
+written. polycert presents string C-groups, which are generated by
+involutions (McMullen and Schulte, *Abstract Regular Polytopes*, 2B), and
+every enumeration requires a square relator r_i r_i for each generator. So
+r_i^-1 is r_i, a letter needs no sign, and the inverse of a word ``w`` is
+``w[::-1]``. No letters cancel: ``r0 r0`` stays as written, so presentations
+are kept faithful to how their relators were written. A word is checked
+once, by :func:`check_word`, where it enters the library.
 
 Text form
 ---------
@@ -44,69 +41,42 @@ from .errors import CapacityError, InvalidGeneratorError, InvalidWordError, Para
 # exponent of 30 would ask for 2^31 letters before any enumeration limit.
 MAX_WORD_LETTERS = 1 << 22
 
+# A word: its letters, the generator indices, in order.
+Word = tuple[int, ...]
 
-class Word:
-    """An immutable word: a tuple of nonnegative generator indices."""
 
-    __slots__ = ("letters",)
+def check_word(w: Word, generator_count: int, what: str) -> Word:
+    """``w`` itself, once it is a word over ``generator_count`` generators.
 
-    def __init__(self, letters: Iterable[int] = ()):
-        letters = tuple(letters)
-        for gen in letters:
-            if not isinstance(gen, int) or isinstance(gen, bool) or gen < 0:
-                raise InvalidWordError(f"generator index {gen!r} must be a nonnegative int")
-        object.__setattr__(self, "letters", tuple(map(int, letters)))
-
-    @classmethod
-    def _of_checked(cls, letters: tuple[int, ...]) -> "Word":
-        """The word of letters taken from words already checked."""
-        w = object.__new__(cls)
-        object.__setattr__(w, "letters", letters)
-        return w
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __getitem__(self, i):
-        return self.letters[i]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Word) and self.letters == other.letters
-
-    def __hash__(self) -> int:
-        return hash(self.letters)
-
-    def __bool__(self) -> bool:
-        return bool(self.letters)
-
-    def __mul__(self, other: "Word") -> "Word":
-        if not isinstance(other, Word):
-            return NotImplemented
-        return Word._of_checked(self.letters + other.letters)
-
-    def inverse(self) -> "Word":
-        """The word reversed: every generator is an involution."""
-        return Word._of_checked(self.letters[::-1])
-
-    def max_generator(self) -> int:
-        """Largest generator index used, or -1 for the empty word."""
-        return max(self.letters, default=-1)
-
-    def __repr__(self) -> str:
-        return f"Word({word_to_text(self)!r})"
+    The one check of a word or generator subset from outside the library:
+    ``InvalidWordError`` unless ``w`` is a tuple of ints (a bool is no
+    letter), then ``InvalidGeneratorError`` unless each lies in
+    0..generator_count-1. Each pass over the letters runs in C: the set of
+    their types, then the set of the letters themselves, whose few members
+    give the range.
+    """
+    if not isinstance(w, tuple):
+        raise InvalidWordError(f"{what} {w!r} is not a tuple of generator indices")
+    if not set(map(type, w)) <= {int}:
+        bad = next(g for g in w if type(g) is not int)
+        raise InvalidWordError(f"{what}: generator index {bad!r} must be a nonnegative int")
+    used = set(w)
+    if used and (min(used) < 0 or max(used) >= generator_count):
+        bad = min(used) if min(used) < 0 else max(used)
+        raise InvalidGeneratorError(
+            f"{what} {word_to_text(w)!r} uses generator r{bad} "
+            f"but the presentation has {generator_count} generators")
+    return w
 
 
 def generator(i: int) -> Word:
     """The one-letter word ``r<i>``."""
-    return Word((i,))
+    return (i,)
 
 
 def pair(i: int, j: int) -> Word:
     """The two-letter word ``r<i> r<j>``."""
-    return Word((i, j))
+    return (i, j)
 
 
 def power(w: Word, e: int) -> Word:
@@ -118,7 +88,7 @@ def power(w: Word, e: int) -> Word:
         # the exponent is left out: it may have too many digits to print
         raise CapacityError(f"a power of a {len(w)}-letter word exceeds "
                             f"the {MAX_WORD_LETTERS}-letter cap")
-    return Word._of_checked(w.letters * e)
+    return w * e
 
 
 def two_power(e: int) -> int:
@@ -133,29 +103,29 @@ def two_power(e: int) -> int:
 
 def commutator(a: Word, b: Word) -> Word:
     """``a^-1 b^-1 a b``, each inverse the word reversed."""
-    return Word._of_checked(a.letters[::-1] + b.letters[::-1] + a.letters + b.letters)
+    return a[::-1] + b[::-1] + a + b
 
 
 _TOKEN_RE = re.compile(r"^r(\d+)$")
 
 
 def word_to_text(w: Word) -> str:
-    if not w.letters:
+    if not w:
         return "1"
-    return " ".join(f"r{gen}" for gen in w.letters)
+    return " ".join(f"r{gen}" for gen in w)
 
 
 def word_from_text(text: str) -> Word:
     text = text.strip()
     if text == "1" or text == "":
-        return Word()
+        return ()
     letters = []
     for token in text.split():
         m = _TOKEN_RE.match(token)
         if m is None:
             raise InvalidWordError(f"bad word token {token!r}")
         letters.append(int(m.group(1)))
-    return Word(letters)
+    return tuple(letters)
 
 
 @dataclass(frozen=True)
@@ -170,12 +140,7 @@ class Presentation:
             raise InvalidGeneratorError("a presentation needs at least one generator")
         rels = tuple(relators)
         for r in rels:
-            if not isinstance(r, Word):
-                raise InvalidWordError(f"relator {r!r} is not a Word")
-            if r.max_generator() >= generator_count:
-                raise InvalidGeneratorError(
-                    f"relator {word_to_text(r)!r} uses generator r{r.max_generator()} "
-                    f"but the presentation has {generator_count} generators")
+            check_word(r, generator_count, "relator")
         object.__setattr__(self, "generator_count", generator_count)
         object.__setattr__(self, "relators", rels)
 

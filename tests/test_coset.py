@@ -16,6 +16,7 @@ import polycert.coset as coset_mod
 from polycert import (
     EnumerationLimits,
     InvalidGeneratorError,
+    InvalidWordError,
     LimitExceededError,
     ParameterError,
     PermutationGroup,
@@ -23,7 +24,6 @@ from polycert import (
     RealizedGroup,
     SggiSpec,
     TableNotClosedError,
-    Word,
     commutator,
     coxeter_string_presentation,
     enumerate_cosets,
@@ -51,7 +51,7 @@ def dihedral(m):
 REVERSAL_NOT_A_ROTATION = Presentation(3, (
     power(generator(0), 2), power(generator(1), 2), power(generator(2), 2),
     power(pair(0, 1), 3), power(pair(1, 2), 3), power(pair(0, 2), 2),
-    power(Word([0, 1, 2]), 4),
+    power((0, 1, 2), 4),
 ))
 
 
@@ -362,7 +362,7 @@ def test_a_wrong_mark_can_only_raise(monkeypatch):
     # that claims every offset makes HLT skip scans that would not close,
     # and the post-hoc check refuses the table it leaves
     p = Presentation(2, (power(generator(0), 2), power(generator(1), 2),
-                         Word([1, 0, 1])))
+                         (1, 0, 1)))
     assert enumerate_cosets(p).live_count == 2
     assert coset_mod._closed_offsets((1, 0, 1)) == (0,)
     monkeypatch.setattr(coset_mod, "_closed_offsets",
@@ -406,7 +406,7 @@ def test_bad_inputs():
         enumerate_cosets(p, strategy="both")
     with pytest.raises(InvalidGeneratorError):
         enumerate_cosets(p, subgroup_generators=[generator(5)])
-    with pytest.raises(InvalidGeneratorError):
+    with pytest.raises(InvalidWordError):
         enumerate_cosets(p, subgroup_generators=["r0"])
 
 
@@ -498,11 +498,28 @@ def test_tables_are_frozen():
 
 
 def test_lookahead_is_exercised(monkeypatch):
-    monkeypatch.setattr(coset_mod, "FIRST_LOOKAHEAD", 64)
-    p = family_k(4, (2, 2, 2))  # needs 128 cosets, so the threshold trips
+    # with the threshold at 2, HLT's lookaheads on this group of order 1,024
+    # find coincidences, and some kill the coset the lookahead scans from;
+    # the table they leave is the one of the default threshold, which has
+    # no lookahead
+    p = family_g(3, 10, (2, 2))
+    baseline = enumerate_cosets(p)
+    assert baseline.stats.lookaheads == 0
+    killed = []
+    scan = coset_mod._Engine._scan
+
+    def recording(self, alpha, rel, fill):
+        merged = scan(self, alpha, rel, fill)
+        if not fill and self.p[alpha] != alpha:
+            killed.append(alpha)
+        return merged
+
+    monkeypatch.setattr(coset_mod._Engine, "_scan", recording)
+    monkeypatch.setattr(coset_mod, "FIRST_LOOKAHEAD", 2)
     t = enumerate_cosets(p)
-    assert t.live_count == 128
-    assert t.stats.lookaheads >= 1
+    assert t.stats.lookaheads >= 1 and killed
+    assert t.perms.tobytes() == baseline.perms.tobytes()
+    assert t.stats.cosets_created > t.live_count == 1024
 
 
 def test_aggressive_compaction_changes_nothing(monkeypatch):
@@ -557,9 +574,9 @@ def small_presentations(draw):
     letters = st.integers(0, n - 1)
     relators = [power(generator(g), 2) for g in range(n)]
     for _ in range(draw(st.integers(1, 4))):
-        w = Word(draw(st.lists(letters, min_size=1, max_size=3)))
+        w = tuple(draw(st.lists(letters, min_size=1, max_size=3)))
         relators.append(power(w, draw(st.integers(1, 4))))
-    subgroup = [Word(draw(st.lists(letters, min_size=1, max_size=3)))
+    subgroup = [tuple(draw(st.lists(letters, min_size=1, max_size=3)))
                 for _ in range(draw(st.integers(0, 3)))]
     return Presentation(n, relators), subgroup
 
@@ -578,7 +595,7 @@ def sympy_order(p):
     relators = []
     for r in p.relators:
         w = free.identity
-        for g in r.letters:
+        for g in r:
             w = w * gens[g]
         relators.append(w)
     return len(FpGroup(free, relators).coset_enumeration([]).table)
@@ -613,7 +630,7 @@ def involutory_presentations(draw):
     relators += [power(pair(i, i + 1), draw(st.integers(2, 6))) for i in range(n - 1)]
     relators += [power(pair(i, j), 2) for i in range(n) for j in range(i + 2, n)]
     for _ in range(draw(st.integers(0, 2))):
-        w = Word(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=4)))
+        w = tuple(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=4)))
         relators.append(power(w, draw(st.integers(1, 6))))
     return Presentation(n, relators)
 
@@ -646,11 +663,11 @@ def rewritten_presentations(draw, cases):
             rels = draw(st.permutations(rels))
         elif step == "rotate":
             k = draw(st.integers(0, len(rels[i]) - 1))
-            rels[i] = Word(rels[i].letters[k:] + rels[i].letters[:k])
+            rels[i] = rels[i][k:] + rels[i][:k]
         elif step == "invert":
-            rels[i] = rels[i].inverse()
+            rels[i] = rels[i][::-1]
         elif step == "product":
-            rels.append(rels[i] * rels[draw(st.integers(0, len(rels) - 1))])
+            rels.append(rels[i] + rels[draw(st.integers(0, len(rels) - 1))])
         else:
             sub = draw(st.permutations(sub))
     return (p, subgroup), (Presentation(p.generator_count, rels), sub)
@@ -662,8 +679,8 @@ def rewritten_presentations(draw, cases):
 # by r2 and (r1 r2)^4 only as its conjugate by r0, no relator bounds a
 # rotation and the route is off; with (r0 r1)^4 appended, it is on.
 TIGHT44 = tight_quotient_presentation((4, 4)).relators
-ROUTE_OFF = Presentation(3, TIGHT44[:3] + (generator(2) * TIGHT44[3] * generator(2),
-                                           generator(0) * TIGHT44[4] * generator(0))
+ROUTE_OFF = Presentation(3, TIGHT44[:3] + (generator(2) + TIGHT44[3] + generator(2),
+                                           generator(0) + TIGHT44[4] + generator(0))
                          + TIGHT44[5:])
 ROUTE_ON = Presentation(3, ROUTE_OFF.relators + (TIGHT44[3],))
 

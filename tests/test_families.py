@@ -250,7 +250,7 @@ def test_default_grid_letters_are_shared():
                      for ks in itertools.product(range(2, n), repeat=d - 1)
                      if sum(ks) <= n - 1]
     assert len(presentations) == 251
-    letters = [x for p in presentations for r in p.relators for x in r.letters]
+    letters = [x for p in presentations for r in p.relators for x in r]
     assert len(letters) == 46560
     assert all(type(x) is int for x in letters)
     assert len({id(x) for x in letters}) == len(set(letters)) == 5

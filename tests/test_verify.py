@@ -34,7 +34,7 @@ def hidden_center_presentation():
         power(generator(1), 2),
         power(generator(2), 2),
         power(pair(0, 1), 4),
-        generator(2) * power(pair(0, 1), 2),
+        generator(2) + power(pair(0, 1), 2),
         power(pair(0, 2), 2),
         power(pair(1, 2), 2),
     ))

@@ -1,4 +1,5 @@
-"""Word arithmetic, letters kept as written, and the text round trip."""
+"""Words as tuples of generator indices, kept as written; the one check of a
+word where it enters the library; and the text round trip."""
 
 import numpy as np
 import pytest
@@ -10,53 +11,82 @@ from polycert import (
     InvalidGeneratorError,
     InvalidWordError,
     Presentation,
-    Word,
+    RealizedGroup,
     commutator,
+    enumerate_cosets,
+    family_g,
     generator,
     pair,
     power,
     presentation_from_text,
+    tight_quotient_presentation,
     word_from_text,
     word_to_text,
 )
+from polycert.words import check_word
 
-words = st.lists(st.integers(min_value=0, max_value=7), max_size=64).map(Word)
+words = st.lists(st.integers(min_value=0, max_value=7), max_size=64).map(tuple)
 
 
 def test_words_keep_letters_as_written():
     # no letters cancel: r1 r1 is the identity only in a group that says so
-    w = Word([0, 1, 1, 0])
-    assert w.letters == (0, 1, 1, 0)
-    assert type(w.letters) is tuple and all(type(g) is int for g in w.letters)
-    assert w * w.inverse() == Word([0, 1, 1, 0] * 2)
-    assert Word(iter([3, 3])).letters == (3, 3)
+    w = word_from_text("r0 r1 r1 r0")
+    assert w == (0, 1, 1, 0)
+    assert type(w) is tuple and all(type(g) is int for g in w)
+    assert w + w[::-1] == (0, 1, 1, 0) * 2
 
 
 def test_word_basics():
     a, b = generator(0), generator(1)
-    assert len(a * b) == 2
-    assert (a * b).letters == (0, 1)
-    assert pair(0, 1) == a * b
-    assert (a * b).inverse() == Word([1, 0])
-    assert (a * b).max_generator() == 1
-    assert Word().max_generator() == -1
-    assert not Word()
-    assert a
-    assert a[0] == 0
+    assert a == (0,) and b == (1,)
+    assert pair(0, 1) == a + b == (0, 1)
+    assert pair(0, 1)[::-1] == (1, 0)
+    words_built = (a, pair(0, 1), power(a, 3), commutator(a, b), word_from_text("1"))
+    assert all(type(w) is tuple for w in words_built)
 
 
-def test_word_rejects_garbage():
-    for letter in (-1, True, 1.0, "0", (0, 1), None):
-        with pytest.raises(InvalidWordError, match="must be a nonnegative int"):
-            Word([0, letter])
-    with pytest.raises(AttributeError):
-        generator(0).letters = ()
+# each garbage letter, and the error it gets at every entry point: a letter
+# that is no int is no word, an int outside 0..2 no generator of a rank-3 group
+GARBAGE = ((-1, InvalidGeneratorError), (3, InvalidGeneratorError),
+           (True, InvalidWordError), (1.0, InvalidWordError),
+           ("0", InvalidWordError), (None, InvalidWordError))
+
+
+def test_every_entry_point_refuses_garbage_letters():
+    base = tight_quotient_presentation((4, 4))
+    rg = RealizedGroup(base)
+    for letter, error in GARBAGE:
+        w = (0, letter)
+        entry_points = {
+            "Presentation": lambda: Presentation(3, base.relators + (w,)),
+            "enumerate_cosets": lambda: enumerate_cosets(base, [w]),
+            "element_of": lambda: rg.element_of(w),
+            "element_order": lambda: rg.element_order(w),
+            "parabolic_order": lambda: rg.parabolic_order([letter]),
+            "intersection_order": lambda: rg.intersection_order([0], [1, letter]),
+        }
+        for name, call in entry_points.items():
+            with pytest.raises(error) as exc:
+                call()
+            assert type(exc.value) is error, (letter, name)
+    # a word is a tuple: a list or a text form is refused where it enters
+    for bad in ([0, 1], "r0 r1"):
+        for call in (lambda: Presentation(3, (bad,)), lambda: enumerate_cosets(base, [bad]),
+                     lambda: rg.element_of(bad)):
+            with pytest.raises(InvalidWordError, match="is not a tuple"):
+                call()
+    with pytest.raises(InvalidWordError, match="generator index True must be a nonnegative int"):
+        rg.element_of((1, True))
+    with pytest.raises(InvalidGeneratorError,
+                       match="word 'r0 r-1' uses generator r-1 but the presentation has 3"):
+        rg.element_of((0, -1))
+    assert rg.element_of(()) == 0 and rg.parabolic_order(range(3)) == rg.order == 32
 
 
 def test_power_and_commutator_shapes(monkeypatch):
     ab = pair(0, 1)
-    assert power(ab, 3).letters == (0, 1) * 3
-    assert power(ab, 0) == Word()
+    assert power(ab, 3) == (0, 1) * 3
+    assert power(ab, 0) == ()
     with pytest.raises(InvalidWordError):
         power(ab, -1)
     monkeypatch.setattr(words_mod, "MAX_WORD_LETTERS", 6)
@@ -66,16 +96,16 @@ def test_power_and_commutator_shapes(monkeypatch):
     with pytest.raises(CapacityError):
         power(ab, 1 << 20000)  # an exponent with too many digits to print
     c = commutator(generator(0), generator(1))
-    assert c.letters == (0, 1, 0, 1)
-    assert commutator(pair(0, 1), generator(2)).letters == (1, 0, 2, 0, 1, 2)
+    assert c == (0, 1, 0, 1)
+    assert commutator(pair(0, 1), generator(2)) == (1, 0, 2, 0, 1, 2)
 
 
 def test_text_round_trip_examples():
-    assert word_to_text(Word()) == "1"
-    assert word_from_text("1") == Word()
-    assert word_from_text("") == Word()
+    assert word_to_text(()) == "1"
+    assert word_from_text("1") == ()
+    assert word_from_text("") == ()
     w = word_from_text("r0 r1 r10")
-    assert w.letters == (0, 1, 10)
+    assert w == (0, 1, 10)
     assert word_to_text(w) == "r0 r1 r10"
     for bad in ("r0 x1", "r-1", "r0^-1", "r1 r1^-1", "r2^1", "r"):
         with pytest.raises(InvalidWordError, match="bad word token"):
@@ -94,22 +124,19 @@ def test_inverse_cancels(w):
         swap[[i, j]] = j, i
         act.append(swap)
     image = points
-    for g in (w * w.inverse()).letters:
+    for g in w + w[::-1]:
         image = act[g][image]
     assert np.array_equal(image, points)
-    assert w.inverse().inverse() == w
-    assert w.inverse().letters == w.letters[::-1]
 
 
 @given(words, words, st.integers(min_value=0, max_value=8))
-def test_word_algebra_equals_checked_construction(a, b, e):
-    # the algebra skips the letter checks; its words equal checked ones
-    assert a * b == Word(list(a.letters) + list(b.letters))
-    assert Word(a.letters) == a
-    assert a.inverse() == Word(reversed(a.letters))
-    assert power(a, e) == Word(list(a.letters) * e)
-    assert commutator(a, b) == Word([*reversed(a.letters), *reversed(b.letters),
-                                     *a.letters, *b.letters])
+def test_word_builders_are_tuple_operations(a, b, e):
+    # each builder returns the tuple of its letters; check_word hands a word
+    # over the 8 generators back as it is
+    assert power(a, e) == tuple(list(a) * e)
+    assert commutator(a, b) == (*reversed(a), *reversed(b), *a, *b)
+    for w in (a, power(a, e), commutator(a, b)):
+        assert check_word(w, 8, "word") is w
 
 
 @given(words)
@@ -129,12 +156,20 @@ def test_presentation_validation():
         Presentation(1, ("r0 r0",))
 
 
+def test_presentation_repr_counts_relators():
+    # a dataclass repr would print every letter: this group has a
+    # 1,024-letter relator, and a relator may have 2^22
+    p = family_g(3, 12, (9, 2))
+    assert max(map(len, p.relators)) == 1024
+    assert repr(p) == "Presentation(generators=3, relators=9)"
+
+
 def test_involutory_generators_ignores_other_shapes():
     p = Presentation(4, (
         power(generator(0), 2),
         pair(1, 2),                       # not a square
-        Word([3, 3, 3]),                  # a cube
-        Word([2, 2]),
+        (3, 3, 3),                        # a cube
+        (2, 2),
     ))
     assert p.involutory_generators() == frozenset({0, 2})
 

@@ -248,6 +248,12 @@ MUTANTS = (
     Mutant("word-accepts-negative-letters", "src/polycert/words.py",
            "(min(used) < 0 or max(used) >= generator_count)", "max(used) >= generator_count",
            ("tests/test_words.py::test_every_entry_point_refuses_garbage_letters",)),
+    # a subset or subgroup-generator list that is no iterable escapes as a
+    # bare TypeError
+    Mutant("non-iterable-subset-as-type-error", "src/polycert/words.py",
+           "        it = iter(items)\n    except TypeError:\n",
+           "        it = iter(items)\n    except LookupError:\n",
+           ("tests/test_words.py::test_every_entry_point_refuses_garbage_letters",)),
     Mutant("any-two-letter-relator-declares-an-involution", "src/polycert/words.py",
            "if len(r) == 2 and r[0] == r[1])", "if len(r) == 2)",
            ("tests/test_words.py::test_involutory_generators_ignores_other_shapes",)),

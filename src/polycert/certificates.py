@@ -33,7 +33,8 @@ from .errors import FormatError
 from .verify import SggiCertificate
 
 SCHEMA_VERSION = 1
-ATLAS_VERSION_LINE = "# atlas-version 1"
+ATLAS_VERSION = 1
+ATLAS_VERSION_LINE = f"# atlas-version {ATLAS_VERSION}"
 
 
 def order_log2(n: int) -> int | None:

@@ -33,7 +33,7 @@ from math import prod
 
 from . import certificates as certs
 from . import families
-from .coset import DEFAULT_MAX_COSETS, EnumerationLimits
+from .coset import DEFAULT_MAX_COSETS, STRATEGIES, EnumerationLimits
 from .errors import (
     CheckFailedError,
     LimitExceededError,
@@ -176,7 +176,7 @@ def _add_family_flags(sub) -> None:
 
 def _add_engine_flags(sub) -> None:
     sub.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS)
-    sub.add_argument("--strategy", choices=("hlt", "felsch"), default="hlt")
+    sub.add_argument("--strategy", choices=STRATEGIES, default="hlt")
     sub.add_argument("--out", help="write the primary output to this file")
 
 
@@ -344,7 +344,7 @@ def _cmd_export(args) -> None:
         out = certs.format_atlas(rows, skipped)
     else:
         payload = {
-            "atlas_version": 1,
+            "atlas_version": certs.ATLAS_VERSION,
             "rows": [dataclasses.asdict(r) for r in rows],
             "skipped": [{"family": f, "params": p, "reason": why}
                         for f, p, why in skipped],

@@ -69,8 +69,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import LimitExceededError, TableNotClosedError
-from .words import Presentation, Word, check_word, word_to_text
+from .errors import LimitExceededError, ParameterError, TableNotClosedError
+from .words import Presentation, Word, check_word, tuple_of, word_to_text
 
 DEFAULT_MAX_COSETS = 1 << 22
 
@@ -106,7 +106,7 @@ class EnumerationLimits:
 
     def __post_init__(self):
         if self.max_cosets < 1:
-            raise ValueError("max_cosets must be positive")
+            raise ParameterError("max_cosets must be positive")
 
 
 @dataclass
@@ -716,11 +716,11 @@ def enumerate_cosets(presentation: Presentation,
     whichever run or machine.
     """
     if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+        raise ParameterError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     presentation.require_involutions()
     limits = limits or EnumerationLimits()
     subgens = tuple(check_word(w, presentation.generator_count, "subgroup generator")
-                    for w in subgroup_generators)
+                    for w in tuple_of(subgroup_generators, "subgroup generators"))
     engine = _Engine(presentation, subgens, limits, strategy)
     if strategy == "hlt":
         engine.run_hlt()

@@ -229,10 +229,9 @@ class PermutationGroup:
     """Group generated by permutations of a common degree.
 
     Each generator is a sequence of images (a list, an array, or a row of a
-    2-D array such as ``CosetTable.perms``), checked once and
-    kept as a read-only int32 copy, the form that ``generators`` and
-    ``strong_generators()`` hand out. The stabilizer chain is built here,
-    once.
+    2-D array such as ``CosetTable.perms``), checked once and kept as a
+    read-only int32 copy, the form that ``strong_generators()`` hands out.
+    The stabilizer chain is built here, once.
     """
 
     def __init__(self, generators: Iterable = (), degree: int | None = None):
@@ -252,10 +251,6 @@ class PermutationGroup:
         self._generators = gens
         self._degree = degree
         self._levels = self._build()
-
-    @property
-    def generators(self) -> tuple[np.ndarray, ...]:
-        return self._generators
 
     # -- stabilizer chain ----------------------------------------------------
 

@@ -98,14 +98,6 @@ class FaceLattice:
     def node_count(self) -> int:
         return sum(self._rank_sizes)
 
-    def node_id(self, face_rank: int, index: int) -> int:
-        if not -1 <= face_rank <= self.rank:
-            raise IndexError(f"face rank {face_rank} out of range")
-        sizes = self._rank_sizes
-        if not 0 <= index < sizes[face_rank + 1]:
-            raise IndexError(f"face index {index} out of range at rank {face_rank}")
-        return sum(sizes[:face_rank + 1]) + index
-
     def node_label(self, node: int) -> str:
         for r, count in enumerate(self._rank_sizes, start=-1):
             if node < count:

@@ -91,7 +91,7 @@ from .coset import (CosetTable, EnumerationLimits, EnumerationStats, closed_tabl
                     enumerate_cosets)
 from .errors import LimitExceededError, TableNotClosedError
 from .perms import orbit_labels
-from .words import Presentation, Word, check_word, generator
+from .words import Presentation, Word, check_word, generator, tuple_of
 
 
 def _rotation_bound(p: Presentation, pair: tuple[int, int]) -> int:
@@ -216,7 +216,8 @@ class RealizedGroup:
 
     def _check_subset(self, subset: Iterable[int]) -> frozenset[int]:
         # checked before the set is made: frozenset({1, True}) is {1}
-        return frozenset(check_word(tuple(subset), self.rank, "generator subset"))
+        return frozenset(check_word(tuple_of(subset, "generator subset"), self.rank,
+                                    "generator subset"))
 
     # -- elements -------------------------------------------------------------
 

@@ -174,7 +174,7 @@ def certify(spec: SggiSpec | Presentation,
     if isinstance(spec, Presentation):
         spec = SggiSpec(spec)
     if mode not in ("recursive", "full"):
-        raise ValueError(f"unknown intersection mode {mode!r}")
+        raise ParameterError(f"unknown intersection mode {mode!r}")
     p = spec.presentation
     rank = p.generator_count
     rg = realize(p, limits, strategy)

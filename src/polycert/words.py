@@ -69,6 +69,15 @@ def check_word(w: Word, generator_count: int, what: str) -> Word:
     return w
 
 
+def tuple_of(items: Iterable, what: str) -> tuple:
+    """The tuple of ``items``; ``InvalidWordError`` when they are not iterable."""
+    try:
+        it = iter(items)
+    except TypeError:
+        raise InvalidWordError(f"{what} {items!r} is not iterable") from None
+    return tuple(it)
+
+
 def generator(i: int) -> Word:
     """The one-letter word ``r<i>``."""
     return (i,)

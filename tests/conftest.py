@@ -1,7 +1,8 @@
 import pytest
 
-from polycert import SggiSpec, certify, tight_quotient_presentation
+from polycert.families import tight_quotient_presentation
 from polycert.realize import realize
+from polycert.verify import SggiSpec, certify
 
 
 def pytest_addoption(parser):

@@ -658,7 +658,7 @@ def _unused_imports(source: str) -> list[str]:
 
 
 def test_library_imports_only_what_it_uses():
-    """Every imported name is referenced; ``__init__`` re-exports are exempt."""
+    """Every imported name is referenced."""
     assert _unused_imports(
         "from __future__ import annotations\nimport os.path, json as j\n"
         "from typing import Iterable, Sequence\nx: Sequence = j.loads(os.sep)\n"
@@ -667,8 +667,54 @@ def test_library_imports_only_what_it_uses():
     sources = sorted(Path(polycert.__file__).parent.glob("*.py"))
     assert len(sources) > 5, "no library sources found; the scan is broken"
     for path in sources:
-        if path.name != "__init__.py":
-            assert _unused_imports(path.read_text()) == [], path.name
+        assert _unused_imports(path.read_text()) == [], path.name
+
+
+def _references(source: str) -> set[str]:
+    """Names that ``source`` reads, as loaded names or attribute names,
+    outside the definition of the name itself: an import, an assignment
+    target, or a name read only inside its own top-level ``def``, ``class``
+    or assignment does not count."""
+    read = set()
+    for stmt in ast.parse(source).body:
+        names = {node.id if isinstance(node, ast.Name) else node.attr
+                 for node in ast.walk(stmt)
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                 or isinstance(node, ast.Attribute)}
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names.discard(stmt.name)
+        elif isinstance(stmt, ast.Assign):
+            names -= {t.id for t in stmt.targets if isinstance(t, ast.Name)}
+        read |= names
+    return read
+
+
+def _public_definitions(source: str) -> set[str]:
+    """The names without a leading underscore that ``source`` defines at
+    module level, by ``def``, ``class`` or assignment."""
+    names = set()
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names.add(stmt.name)
+        elif isinstance(stmt, ast.Assign):
+            names |= {t.id for t in stmt.targets if isinstance(t, ast.Name)}
+    return {name for name in names if not name.startswith("_")}
+
+
+def test_every_public_name_has_a_caller():
+    """Each public module-level name of the library is read in the library,
+    outside its own definition, or in the benchmark; API that only its own
+    tests call belongs in the tests."""
+    snippet = ("from m import a\nb = 1\n_i = b\ndef c(): return c()\n"
+               "class g:\n    h: g\nd(e.f, g)\n")
+    assert _references(snippet) == {"b", "d", "e", "f", "g"}
+    assert _public_definitions(snippet) == {"b", "c", "g"}
+    library = sorted(Path(polycert.__file__).parent.glob("*.py"))
+    perfbench = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
+    assert len(library) > 5 and len(perfbench) > 3, "no sources found; the scan is broken"
+    read = set().union(*(_references(p.read_text()) for p in library + perfbench))
+    for path in library:
+        assert sorted(_public_definitions(path.read_text()) - read) == [], path.name
 
 
 # Paths the generated argv point at: a file that does not exist, a file that

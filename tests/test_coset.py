@@ -13,29 +13,15 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import polycert.coset as coset_mod
-from polycert import (
-    EnumerationLimits,
-    InvalidGeneratorError,
-    InvalidWordError,
-    LimitExceededError,
-    ParameterError,
-    PermutationGroup,
-    Presentation,
-    RealizedGroup,
-    SggiSpec,
-    TableNotClosedError,
-    commutator,
-    coxeter_string_presentation,
-    enumerate_cosets,
-    family_a,
-    family_g,
-    family_k,
-    generator,
-    pair,
-    power,
-    presentation_from_text,
-    tight_quotient_presentation,
-)
+from polycert.coset import EnumerationLimits, enumerate_cosets
+from polycert.errors import (InvalidGeneratorError, InvalidWordError, LimitExceededError,
+                             ParameterError, TableNotClosedError)
+from polycert.families import (coxeter_string_presentation, family_a, family_g, family_k,
+                               tight_quotient_presentation)
+from polycert.perms import PermutationGroup
+from polycert.realize import RealizedGroup
+from polycert.verify import SggiSpec
+from polycert.words import Presentation, commutator, generator, pair, power, presentation_from_text
 
 
 def dihedral(m):
@@ -386,7 +372,7 @@ def test_closed_offsets():
 
 
 def test_limits_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError, match="max_cosets must be positive"):
         EnumerationLimits(max_cosets=0)
 
 
@@ -402,7 +388,7 @@ def test_lagrange_divisibility():
 
 def test_bad_inputs():
     p = dihedral(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError, match="unknown strategy 'both'"):
         enumerate_cosets(p, strategy="both")
     with pytest.raises(InvalidGeneratorError):
         enumerate_cosets(p, subgroup_generators=[generator(5)])

@@ -216,7 +216,7 @@ def test_spec_validation():
     good = family_h(10, 2, 2)
     with pytest.raises(ParameterError):
         SggiSpec(good, declared_type=(4,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError, match="unknown intersection mode 'sideways'"):
         certify(good, mode="sideways")
 
 

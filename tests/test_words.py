@@ -6,24 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 import polycert.words as words_mod
-from polycert import (
-    CapacityError,
-    InvalidGeneratorError,
-    InvalidWordError,
-    Presentation,
-    RealizedGroup,
-    commutator,
-    enumerate_cosets,
-    family_g,
-    generator,
-    pair,
-    power,
-    presentation_from_text,
-    tight_quotient_presentation,
-    word_from_text,
-    word_to_text,
-)
-from polycert.words import check_word
+from polycert.coset import enumerate_cosets
+from polycert.errors import CapacityError, InvalidGeneratorError, InvalidWordError
+from polycert.families import family_g, tight_quotient_presentation
+from polycert.realize import RealizedGroup
+from polycert.words import (Presentation, check_word, commutator, generator, pair, power,
+                            presentation_from_text, word_from_text, word_to_text)
 
 words = st.lists(st.integers(min_value=0, max_value=7), max_size=64).map(tuple)
 
@@ -81,6 +69,14 @@ def test_every_entry_point_refuses_garbage_letters():
                        match="word 'r0 r-1' uses generator r-1 but the presentation has 3"):
         rg.element_of((0, -1))
     assert rg.element_of(()) == 0 and rg.parabolic_order(range(3)) == rg.order == 32
+    # a subset or subgroup-generator list is any iterable, and nothing else
+    for call in (lambda: rg.parabolic_order(5), lambda: rg.cosets(None),
+                 lambda: rg.intersection_order([0], 5), lambda: enumerate_cosets(base, 5)):
+        with pytest.raises(InvalidWordError, match="is not iterable"):
+            call()
+    assert rg.parabolic_order([0, 1]) == rg.parabolic_order(j for j in (0, 1)) == 8
+    assert (enumerate_cosets(base, (w for w in [(0,), (1,)])).live_count
+            == enumerate_cosets(base, [(0,), (1,)]).live_count == 4)
 
 
 def test_power_and_commutator_shapes(monkeypatch):

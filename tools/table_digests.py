@@ -17,9 +17,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 
-from polycert import RealizedGroup, enumerate_cosets, families
+from polycert import families
 from polycert.cli import _all_exponents
-from polycert.coset import STRATEGIES
+from polycert.coset import STRATEGIES, enumerate_cosets
+from polycert.realize import RealizedGroup
 
 K_GROUPS = ((3, (2, 2)), (3, (2, 3)), (4, (2, 2, 2)), (4, (2, 3, 2)), (4, (3, 2, 2)),
             (5, (2, 2, 2, 2)), (5, (2, 3, 2, 2)), (5, (3, 3, 2, 2)))

@@ -138,8 +138,9 @@ MUTANTS = (
            ("tests/test_coset.py::test_felsch_groups_read_each_cycle_from_both_ends",)),
     # the one layout has no column for an inverse: a generator that is no
     # declared involution must be refused, not read as one
-    Mutant("enumeration-without-involution-check", "src/polycert/coset.py",
-           "    presentation.require_involutions()\n", "",
+    Mutant("presentation-without-involution-check", "src/polycert/words.py",
+           "        if missing:\n            raise ParameterError(",
+           "        if False:\n            raise ParameterError(",
            ("tests/test_coset.py::test_a_generator_that_is_no_declared_involution_is_refused",)),
     Mutant("standardize-without-connectivity-check", "src/polycert/coset.py",
            "    if nxt != n:\n"
@@ -255,8 +256,8 @@ MUTANTS = (
            "        it = iter(items)\n    except LookupError:\n",
            ("tests/test_words.py::test_every_entry_point_refuses_garbage_letters",)),
     Mutant("any-two-letter-relator-declares-an-involution", "src/polycert/words.py",
-           "if len(r) == 2 and r[0] == r[1])", "if len(r) == 2)",
-           ("tests/test_words.py::test_involutory_generators_ignores_other_shapes",)),
+           "if len(r) == 2 and r[0] == r[1]}", "if len(r) == 2}",
+           ("tests/test_words.py::test_only_a_square_relator_declares_an_involution",)),
     Mutant("atlas-without-blank-line-skip", "src/polycert/certificates.py",
            "        if not line.strip():\n            continue\n",
            "        if not line.strip():\n            pass\n",

@@ -79,8 +79,6 @@ FAMILIES = (*FAMILY_TABLE, "raw")
 
 
 def _limits(args) -> EnumerationLimits:
-    if args.max_cosets < 1:
-        raise ParameterError("--max-cosets must be at least 1")
     return EnumerationLimits(max_cosets=args.max_cosets)
 
 

@@ -14,8 +14,8 @@ Conventions:
 
 * Cosets are right cosets of the given subgroup, numbered from 0; coset 0 is
   the subgroup itself.
-* Every generator is a declared involution (a square relator r_i r_i is
-  required; ``enumerate_cosets`` refuses any other presentation): the groups
+* Every generator is a declared involution (a ``Presentation`` has the
+  square relator r_i r_i of each of its generators): the groups
   polycert certifies are string C-groups, which are generated by involutions
   (McMullen and Schulte, *Abstract Regular Polytopes*, 2B). So the table has
   one column per generator, each column is its own inverse, and a word's
@@ -710,14 +710,13 @@ def enumerate_cosets(presentation: Presentation,
                      strategy: str = "hlt") -> CosetTable:
     """Enumerate the cosets of ``<subgroup_generators>`` in the presented group.
 
-    Every generator must be a declared involution (``ParameterError``
-    otherwise). Returns a closed, compacted, standardized table or raises
+    Every generator is a declared involution, as in every ``Presentation``.
+    Returns a closed, compacted, standardized table or raises
     ``LimitExceededError``. Deterministic: the same inputs give the same table,
     whichever run or machine.
     """
     if strategy not in STRATEGIES:
         raise ParameterError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    presentation.require_involutions()
     limits = limits or EnumerationLimits()
     subgens = tuple(check_word(w, presentation.generator_count, "subgroup generator")
                     for w in tuple_of(subgroup_generators, "subgroup generators"))

@@ -7,11 +7,11 @@ array ``perms``, the same read-only image arrays that a stabilizer chain is
 built from and that the flag graph is. Everything else is derived from that
 single table without further enumerations.
 
-Every generator is a declared involution, as ``coset.enumerate_cosets``
-requires. The table is built as the orbit of one point when the
-presentation allows it: the rank d is at least 3, every relator has even
-length, and some adjacent pair (r_i, r_{i+1}) has a relator in those two
-generators alone that is a rotation. Each such relator reduces in the
+Every generator is a declared involution, as in every ``Presentation``.
+The table is built as the orbit of one point when the presentation allows
+it: the rank d is at least 3, every relator has even length, and some
+adjacent pair (r_i, r_{i+1}) has a relator in those two generators alone
+that is a rotation. Each such relator reduces in the
 infinite dihedral group <r_i, r_{i+1} | r_i^2, r_{i+1}^2> to a reflection
 or to a rotation (r_i r_{i+1})^(+-j); if m is the gcd of the rotation
 exponents, H = <r_i, r_{i+1}> is a quotient of the dihedral group of order

@@ -32,17 +32,15 @@ from .words import Presentation, commutator, generator, pair
 class SggiSpec:
     """A presentation put forward as a string group, with its declared type.
 
-    Requires an explicit square relator for every generator up front, so that
-    obviously malformed input fails early rather than after an enumeration.
-    The declared type entries are the intended orders of the adjacent
-    products; the certificate warns when the group disagrees.
+    Its presentation has a square relator for every generator, as every
+    ``Presentation`` does. The declared type entries are the intended orders
+    of the adjacent products; the certificate warns when the group disagrees.
     """
 
     presentation: Presentation
     declared_type: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        self.presentation.require_involutions()
         if self.declared_type is not None:
             declared = tuple(self.declared_type)
             if len(declared) != self.presentation.generator_count - 1:
@@ -202,7 +200,7 @@ def certify(spec: SggiSpec | Presentation,
         maximal.append((subset, rg.parabolic_order(subset)))
     degenerate = any(t < 3 for t in stype)
     tight = rank >= 2 and rg.order == 2 * prod(stype)
-    minimal = all(o < rg.order for _, o in maximal) if rank >= 1 else True
+    minimal = all(o < rg.order for _, o in maximal)
     return SggiCertificate(
         presentation=p,
         order=rg.order,

@@ -3,11 +3,12 @@
 A word is a tuple of letters, each a generator index, kept exactly as
 written. polycert presents string C-groups, which are generated by
 involutions (McMullen and Schulte, *Abstract Regular Polytopes*, 2B), and
-every enumeration requires a square relator r_i r_i for each generator. So
-r_i^-1 is r_i, a letter needs no sign, and the inverse of a word ``w`` is
-``w[::-1]``. No letters cancel: ``r0 r0`` stays as written, so presentations
-are kept faithful to how their relators were written. A word is checked
-once, by :func:`check_word`, where it enters the library.
+a :class:`Presentation` refuses a generator without its square relator
+r_i r_i, before any work. So r_i^-1 is r_i, a letter needs no sign, and the
+inverse of a word ``w`` is ``w[::-1]``. No letters cancel: ``r0 r0`` stays
+as written, so presentations are kept faithful to how their relators were
+written. A word is checked once, by :func:`check_word`, where it enters the
+library.
 
 Text form
 ---------
@@ -139,7 +140,9 @@ def word_from_text(text: str) -> Word:
 
 @dataclass(frozen=True)
 class Presentation:
-    """A finite presentation: ``generator_count`` generators and relator words."""
+    """A finite presentation: ``generator_count`` generators and relator words,
+    among them the square r_i r_i of every generator (``ParameterError``
+    otherwise)."""
 
     generator_count: int
     relators: tuple[Word, ...]
@@ -150,23 +153,14 @@ class Presentation:
         rels = tuple(relators)
         for r in rels:
             check_word(r, generator_count, "relator")
-        object.__setattr__(self, "generator_count", generator_count)
-        object.__setattr__(self, "relators", rels)
-
-    def involutory_generators(self) -> frozenset[int]:
-        """Generators ``i`` with an explicit square relator ``r_i r_i``."""
-        return frozenset(r[0] for r in self.relators if len(r) == 2 and r[0] == r[1])
-
-    def require_involutions(self) -> None:
-        """Raise ``ParameterError`` unless every generator has a square
-        relator: the one precondition of every enumeration and of every
-        string group candidate, checked before any work."""
-        involutory = self.involutory_generators()
-        missing = [i for i in range(self.generator_count) if i not in involutory]
+        squares = {r[0] for r in rels if len(r) == 2 and r[0] == r[1]}
+        missing = [i for i in range(generator_count) if i not in squares]
         if missing:
             raise ParameterError(
                 f"generators {missing} have no square relator; "
                 f"a string group candidate declares every generator an involution")
+        object.__setattr__(self, "generator_count", generator_count)
+        object.__setattr__(self, "relators", rels)
 
     def to_text(self) -> str:
         lines = [f"gens {self.generator_count}"]

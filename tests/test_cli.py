@@ -194,7 +194,7 @@ def test_max_cosets_must_be_positive(capsys, argv):
         code, out, err = run(capsys, *argv, "--max-cosets", value)
         assert (code, out) == (4, "")
         assert err.splitlines() == [
-            "polycert: param-invalid: --max-cosets must be at least 1"]
+            "polycert: param-invalid: max_cosets must be positive"]
 
 
 def test_verify_from_presentation_file(capsys, tmp_path):
@@ -273,18 +273,28 @@ def test_unwritable_out_fails_before_the_work(capsys, monkeypatch, tmp_path, arg
 @pytest.mark.parametrize("argv, message", [
     (("hasse", "--family", "raw", "--generators", "2", "--relators", "r0 r0 r0; r1 r1",
       "--max-cosets", "200000"), "generators [0] have no square relator"),
+    (("hasse", "--family", "raw", "--presentation-file", "{no_square}"),
+     "generators [1] have no square relator"),
+    (("verify", "--family", "raw", "--generators", "2", "--relators", "r0 r0; r1 r0 r1 r0"),
+     "generators [1] have no square relator"),
+    (("verify", "--family", "raw", "--presentation-file", "{no_square}"),
+     "generators [1] have no square relator"),
     (("hasse", "--family", "tight", "--k", "4,4", "--max-order", "0"),
      "--max-order must be at least 1"),
     (("sweep", "--d-min", "3", "--d-max", "3", "--n-min", "10", "--n-max", "10",
       "--k-min", "0"), "--k-min must be at least 2"),
-], ids=["hasse-spec", "hasse-max-order", "sweep-k-min"])
-def test_invalid_parameters_fail_before_the_work(capsys, monkeypatch, argv, message):
+], ids=["hasse-spec", "hasse-file-spec", "verify-spec", "verify-file-spec", "hasse-max-order",
+        "sweep-k-min"])
+def test_invalid_parameters_fail_before_the_work(capsys, monkeypatch, tmp_path, argv,
+                                                 message):
     def no_work(*args, **kwargs):
         raise AssertionError("the work started before the parameters were checked")
 
     monkeypatch.setattr(cli, "certify", no_work)
     monkeypatch.setattr(cli, "realize", no_work)
-    code, out, err = run(capsys, *argv)
+    no_square = tmp_path / "no_square.txt"
+    no_square.write_text("gens 2\nrel r0 r0\nrel r1 r0 r1 r0\n")
+    code, out, err = run(capsys, *(arg.format(no_square=no_square) for arg in argv))
     assert (code, out) == (4, "")
     assert len(err.splitlines()) == 1
     assert err.startswith(f"polycert: param-invalid: {message}")

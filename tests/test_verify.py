@@ -24,7 +24,7 @@ from polycert.verify import (
     check_string_property,
     schlafli_type,
 )
-from polycert.words import Presentation, generator, pair, power
+from polycert.words import Presentation, generator, pair, power, presentation_from_text
 
 
 def hidden_center_presentation():
@@ -208,11 +208,15 @@ def test_collapsed_generator_warns():
 
 
 def test_spec_validation():
-    missing_square = Presentation(2, (power(generator(0), 2),))
-    with pytest.raises(ParameterError):
-        SggiSpec(missing_square)
-    with pytest.raises(ParameterError):
-        certify(missing_square)
+    # a spec cannot hold a generator without its square: its presentation
+    # refuses it first
+    message = ("generators [1] have no square relator; "
+               "a string group candidate declares every generator an involution")
+    for build in (lambda: Presentation(2, (power(generator(0), 2),)),
+                  lambda: presentation_from_text("gens 2\nrel r0 r0\n")):
+        with pytest.raises(ParameterError) as info:
+            build()
+        assert str(info.value) == message
     good = family_h(10, 2, 2)
     with pytest.raises(ParameterError):
         SggiSpec(good, declared_type=(4,))

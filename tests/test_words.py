@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 import polycert.words as words_mod
 from polycert.coset import enumerate_cosets
-from polycert.errors import CapacityError, InvalidGeneratorError, InvalidWordError
+from polycert.errors import CapacityError, InvalidGeneratorError, InvalidWordError, ParameterError
 from polycert.families import family_g, tight_quotient_presentation
 from polycert.realize import RealizedGroup
 from polycert.words import (Presentation, check_word, commutator, generator, pair, power,
@@ -143,9 +143,14 @@ def test_text_round_trip(w):
 def test_presentation_validation():
     p = Presentation(2, (power(generator(0), 2), power(generator(1), 2)))
     assert p.generator_count == 2
-    assert p.involutory_generators() == frozenset({0, 1})
+    for build in (lambda: Presentation(2, ()), lambda: presentation_from_text("gens 2\n")):
+        with pytest.raises(ParameterError) as info:
+            build()
+        assert str(info.value) == ("generators [0, 1] have no square relator; a string "
+                                   "group candidate declares every generator an involution")
     with pytest.raises(InvalidGeneratorError):
         Presentation(0, ())
+    # each relator's letters are checked before the squares are
     with pytest.raises(InvalidGeneratorError):
         Presentation(1, (generator(3),))
     with pytest.raises(InvalidWordError):
@@ -160,14 +165,15 @@ def test_presentation_repr_counts_relators():
     assert repr(p) == "Presentation(generators=3, relators=9)"
 
 
-def test_involutory_generators_ignores_other_shapes():
-    p = Presentation(4, (
-        power(generator(0), 2),
-        pair(1, 2),                       # not a square
-        (3, 3, 3),                        # a cube
-        (2, 2),
-    ))
-    assert p.involutory_generators() == frozenset({0, 2})
+def test_only_a_square_relator_declares_an_involution():
+    # r1 has only a pair, r3 only a cube, r4 nothing
+    relators = (power(generator(0), 2), pair(1, 2), (3, 3, 3), (2, 2))
+    text = "gens 5\nrel r0 r0\nrel r1 r2\nrel r3 r3 r3\nrel r2 r2\n"
+    for build in (lambda: Presentation(5, relators), lambda: presentation_from_text(text)):
+        with pytest.raises(ParameterError) as info:
+            build()
+        assert str(info.value) == ("generators [1, 3, 4] have no square relator; a string "
+                                   "group candidate declares every generator an involution")
 
 
 def test_presentation_text_needs_a_gens_line():
@@ -178,13 +184,15 @@ def test_presentation_text_needs_a_gens_line():
 def test_presentation_text_round_trip():
     p = Presentation(3, (
         power(generator(0), 2),
+        power(generator(1), 2),
+        power(generator(2), 2),
         power(pair(0, 1), 4),
         commutator(pair(0, 1), generator(2)),
     ))
     q = presentation_from_text(p.to_text())
     assert q == p
     # comments and blank lines are tolerated
-    r = presentation_from_text("# header\n\ngens 2\nrel r0 r0\n")
+    r = presentation_from_text("# header\n\ngens 2\nrel r0 r0\n\nrel r1 r1\n")
     assert r.generator_count == 2
     with pytest.raises(InvalidWordError):
         presentation_from_text("gens two\n")

@@ -14,19 +14,23 @@ of each run:
 It then times, each in a fresh process: ``polycert sweep`` on the default
 grid, serial and with ``--jobs 2``; ``polycert paper-tables``; and the
 Tier-1 suite. The file also holds the commit, perfbench's machine line, the
-line counts of ``src/polycert`` and ``tests``, and the caveats that apply to
-the numbers. Nothing else is configurable, so every file is made the same
-way; run nothing else on the machine meanwhile.
+line counts of ``src/polycert`` and ``tests`` (every line, and the lines
+that hold code), and the caveats that apply to the numbers. Nothing else is
+configurable, so every file is made the same way; run nothing else on the
+machine meanwhile.
 """
 
 from __future__ import annotations
 
+import ast
+import io
 import json
 import os
 import statistics
 import subprocess
 import sys
 import time
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -86,6 +90,31 @@ def line_count(folder: Path) -> int:
                for p in sorted(folder.glob("*.py")))
 
 
+# Tokens that hold no code: a line with only these is blank or a comment.
+NO_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+           tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def code_lines(folder: Path) -> int:
+    """Lines of ``folder``'s Python files that hold code: neither blank, nor
+    only a comment, nor part of a docstring."""
+    total = 0
+    for p in sorted(folder.glob("*.py")):
+        text = p.read_text(encoding="utf-8")
+        lines = set()
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type not in NO_CODE:
+                lines.update(range(tok.start[0], tok.end[0] + 1))
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef))
+                    and ast.get_docstring(node, clean=False) is not None):
+                lines.difference_update(range(node.body[0].lineno,
+                                              node.body[0].end_lineno + 1))
+        total += len(lines)
+    return total
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
@@ -127,6 +156,8 @@ def main(argv: list[str]) -> int:
         "machine": machine,
         "lines": {"src/polycert": line_count(ROOT / "src" / "polycert"),
                   "tests": line_count(ROOT / "tests")},
+        "code_lines": {"src/polycert": code_lines(ROOT / "src" / "polycert"),
+                       "tests": code_lines(ROOT / "tests")},
         "perfbench": {"seconds": SECONDS, "seeds": list(SEEDS), "workloads": workloads},
         "wall": timings,
         "caveats": list(CAVEATS),

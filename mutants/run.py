@@ -197,9 +197,27 @@ MUTANTS = (
     Mutant("string-check-skips-the-last-pair", "src/polycert/verify.py",
            "range(i + 2, realized.rank)", "range(i + 2, realized.rank - 1)",
            ("tests/test_verify.py::test_string_property_failure_detected",)),
+    # the one derivation of the dependent fields, at each of its gates
     Mutant("collapsed-generator-counts-as-involution", "src/polycert/verify.py",
-           "all(o == 2 for o in inv_orders)", "all(o <= 2 for o in inv_orders)",
+           "all(o == 2 for o in primary.involution_orders)",
+           "all(o <= 2 for o in primary.involution_orders)",
            ("tests/test_verify.py::test_collapsed_generator_warns",)),
+    Mutant("tight-at-or-above-the-bound", "src/polycert/verify.py",
+           "order == 2 * prod(stype)", "order >= 2 * prod(stype)",
+           ("tests/test_verify.py::test_tight_holds_at_exactly_twice_the_type_product",)),
+    Mutant("minimal-with-le", "src/polycert/verify.py",
+           "all(o < order for _, o in parabolics)", "all(o <= order for _, o in parabolics)",
+           ("tests/test_verify.py::test_minimal_fails_when_a_corank_1_parabolic_is_the_whole_group",)),
+    Mutant("f-vector-on-a-failing-group", "src/polycert/verify.py",
+           "for _, o in parabolics) if passed else None,", "for _, o in parabolics),",
+           ("tests/test_verify.py::test_a_failing_group_has_no_f_vector",)),
+    # a loader that keeps the stored dependent fields instead of re-deriving them
+    Mutant("loader-keeps-stored-dependent-fields", "src/polycert/certificates.py",
+           "    doc = CertificateDocument(**{k: v for k, v in values.items() if k in _PRIMARY_FIELDS})\n",
+           "    doc = CertificateDocument(**{k: v for k, v in values.items() if k in _PRIMARY_FIELDS})\n"
+           "    for k, v in values.items():\n        object.__setattr__(doc, k, v)\n",
+           ("tests/test_certificates.py::test_a_contradicted_dependent_leaf_is_refused",
+            "tests/test_certificates.py::test_a_self_contradictory_square_group_is_refused")),
     Mutant("hasse-without-polytope-checks", "src/polycert/cli.py",
            "    for name, ok in verdicts:\n", "    for name, ok in ():\n",
            ("tests/test_cli.py",)),

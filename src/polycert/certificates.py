@@ -4,15 +4,24 @@ The fields of ``CertificateDocument`` and ``AtlasRow`` declare both formats:
 the JSON keys, the atlas columns and the types a loader accepts are all
 read off them.
 
-Loading a JSON document checks every value against its field's declared
-type, refuses keys that no field declares, and recomputes the sha256 digest
-over the intersection evidence rows.
-The digest covers only those rows; checking a certificate by replaying it
-arrives with ROADMAP item 1. A built document holds the certificate's
-``IntersectionEvidence`` rows as they are; a loaded one holds plain tuples,
-which compare equal to them. Orders are stored exactly, with a convenience
-log2 field that is null whenever the order is not a power of two (tight
-groups of non-2-power type exist, so this cannot be assumed).
+A document's ``DerivedFields`` (the verdicts ``passed`` and
+``involutions``, ``log2``, ``tight``, ``degenerate``, ``minimal`` and the
+f-vector) are derived from its primary fields when it is built, by
+``verify.derive_fields``, and are never passed in. Loading a JSON document
+checks every value against its field's declared type, refuses an order or
+parabolic order below 1, and builds the document from its primary fields
+alone; the document must then write back exactly the payload it was read
+from, which refuses both a key that no field declares and a stored value
+that the primary fields contradict. Last it recomputes the sha256 digest
+over the intersection evidence rows. Nothing checks the fields that
+constrain nothing else (``warnings``, ``declared_type``, ``family``,
+``params``, ``unsafe_params``), nor an edit of the primary fields that keeps
+them consistent; one digest over the whole document and checking a
+certificate by replaying it arrive with ROADMAP item 2.
+
+A built document holds the certificate's ``IntersectionEvidence`` rows as
+they are; a loaded one holds plain tuples, which compare equal to them.
+Orders are stored exactly.
 
 The atlas is a flat TSV with a fixed column set, after a '# atlas-version 1'
 first line; the wall-clock column comes last so determinism comparisons can
@@ -29,19 +38,12 @@ import typing
 from dataclasses import MISSING, dataclass, fields
 from typing import Sequence
 
-from .errors import FormatError
-from .verify import SggiCertificate
+from .errors import FormatError, ParameterError
+from .verify import DerivedFields, SggiCertificate
 
 SCHEMA_VERSION = 1
 ATLAS_VERSION = 1
 ATLAS_VERSION_LINE = f"# atlas-version {ATLAS_VERSION}"
-
-
-def order_log2(n: int) -> int | None:
-    """Exact log2 of a positive integer, or None when not a power of two."""
-    if n < 1 or n & (n - 1):
-        return None
-    return n.bit_length() - 1
 
 
 def canonical_json(obj) -> str:
@@ -53,29 +55,22 @@ def evidence_digest(evidence: Sequence[tuple[tuple[int, ...], tuple[int, ...], i
 
 
 @dataclass(frozen=True, eq=True)
-class CertificateDocument:
+class CertificateDocument(DerivedFields):
     """The serializable view of one certification run."""
 
     family: str | None
     params: str | None
     rank: int
     order: int
-    log2_order: int | None
     schlafli_type: tuple[int, ...]
     declared_type: tuple[int, ...] | None
     involution_orders: tuple[int, ...]
-    involutions_ok: bool
     string_ok: bool
     intersection_ok: bool
-    passed: bool
     intersection_mode: str
-    degenerate: bool
-    tight: bool
-    minimal: bool
     parabolic_orders: tuple[tuple[tuple[int, ...], int], ...]
     warnings: tuple[str, ...]
     unsafe_params: bool
-    f_vector: tuple[int, ...] | None
     evidence: tuple[tuple[tuple[int, ...], tuple[int, ...], int, int], ...]
     evidence_digest: str
     schema_version: int = SCHEMA_VERSION
@@ -126,15 +121,17 @@ def _optional(hint) -> tuple[typing.Any, bool]:
 _DOCUMENT_FIELDS = tuple(
     (name, _JSON_PATHS.get(name, (name,)), hint)
     for name, hint in typing.get_type_hints(CertificateDocument).items())
+_PRIMARY_FIELDS = frozenset(f.name for f in fields(CertificateDocument) if f.init)
 _ATLAS_HINTS = typing.get_type_hints(AtlasRow)
 ATLAS_COLUMNS = tuple(_ATLAS_HINTS)
 
 
 def _copy(cls, source, **own):
-    """A ``cls`` built from ``own`` plus every other field without a default,
-    read off the attribute of the same name on ``source``."""
+    """A ``cls`` built from ``own`` plus every other field that ``__init__``
+    takes without a default, read off the attribute of the same name on
+    ``source``."""
     shared = {f.name: getattr(source, f.name) for f in fields(cls)
-              if f.name not in own and f.default is MISSING}
+              if f.name not in own and f.init and f.default is MISSING}
     return cls(**own, **shared)
 
 
@@ -143,12 +140,14 @@ def build_certificate_document(cert: SggiCertificate,
                                params: str | None = None,
                                unsafe_params: bool = False,
                                f_vector: Sequence[int] | None = None) -> CertificateDocument:
+    """The document of ``cert``; ``f_vector``, when given, must be the one
+    it derives."""
     evidence = cert.intersection_evidence
-    return _copy(
-        CertificateDocument, cert, family=family, params=params,
-        log2_order=order_log2(cert.order), unsafe_params=unsafe_params,
-        f_vector=tuple(f_vector) if f_vector is not None else None,
-        evidence=evidence, evidence_digest=evidence_digest(evidence))
+    doc = _copy(CertificateDocument, cert, family=family, params=params, unsafe_params=unsafe_params,
+                evidence=evidence, evidence_digest=evidence_digest(evidence))
+    if f_vector is not None and tuple(f_vector) != doc.f_vector:
+        raise ParameterError(f"f-vector {tuple(f_vector)} is not the group's {doc.f_vector}")
+    return doc
 
 
 def certificate_to_json(doc: CertificateDocument) -> str:
@@ -198,9 +197,12 @@ def certificate_from_json(text: str) -> CertificateDocument:
             values[name] = _decode(value, hint, name)
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed certificate document: {exc!r}") from exc
-    doc = CertificateDocument(**values)
+    if min([values["order"], *(o for _, o in values["parabolic_orders"])]) < 1:
+        raise FormatError("malformed certificate document: an order below 1")
+    doc = CertificateDocument(**{k: v for k, v in values.items() if k in _PRIMARY_FIELDS})
     if json.loads(certificate_to_json(doc)) != payload:
-        raise FormatError("malformed certificate document: keys that no field declares")
+        raise FormatError("malformed certificate document: a key that no field declares, "
+                          "or a value that its primary fields contradict")
     if evidence_digest(doc.evidence) != doc.evidence_digest:
         raise FormatError("evidence digest mismatch; the document was altered")
     return doc

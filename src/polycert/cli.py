@@ -50,7 +50,7 @@ from .polytope import (
     flag_graph,
 )
 from .realize import realize
-from .verify import SggiCertificate, SggiSpec, certify
+from .verify import SggiSpec, certify
 from .words import Presentation, presentation_from_text, word_from_text
 
 
@@ -178,18 +178,6 @@ def _add_engine_flags(sub) -> None:
     sub.add_argument("--out", help="write the primary output to this file")
 
 
-def _document(cert: SggiCertificate, family: str, params: str,
-              unsafe_params: bool = False) -> certs.CertificateDocument:
-    """The certificate document of ``cert``. A passing group's f-vector is
-    read off its corank-1 parabolic orders: the i-faces are the cosets of
-    the i-th one."""
-    f_vector = None
-    if cert.passed:
-        f_vector = tuple(cert.order // o for _, o in cert.parabolic_orders)
-    return certs.build_certificate_document(
-        cert, family=family, params=params, unsafe_params=unsafe_params, f_vector=f_vector)
-
-
 def _cmd_verify(args) -> None:
     presentation, declared, params_text = build_presentation(args)
     limits = _limits(args)
@@ -197,10 +185,11 @@ def _cmd_verify(args) -> None:
     spec = SggiSpec(presentation, declared)
     _check_writable(args.out)
     cert = certify(spec, mode=mode, limits=limits, strategy=args.strategy)
-    doc = _document(cert, args.family, params_text, args.unsafe_params)
     if args.out:
+        doc = certs.build_certificate_document(
+            cert, family=args.family, params=params_text, unsafe_params=args.unsafe_params)
         _write_text(certs.certificate_to_json(doc), args.out)
-    log2 = certs.order_log2(cert.order)
+    log2 = cert.log2_order
     lines = [
         f"family: {args.family}",
         f"params: {params_text}",
@@ -244,8 +233,8 @@ def _sweep_one(task) -> dict:
             verdicts.append(cert.intersection_ok)
         if len(set(verdicts)) > 1:
             raise CheckFailedError("recursive and full intersection checks disagree")
-        result["row"] = certs.row_from_document(
-            _document(cert, "G", result["params"]), seconds=time.perf_counter() - started)
+        doc = certs.build_certificate_document(cert, family="G", params=result["params"])
+        result["row"] = certs.row_from_document(doc, seconds=time.perf_counter() - started)
     except PolycertError as exc:
         result["skip"] = f"{type(exc).__name__}: {exc}"
     return result

@@ -18,7 +18,7 @@ consumers (face lattices, the atlas) refuse uncertified input.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod
 from typing import NamedTuple
 
@@ -127,41 +127,80 @@ def check_intersection_property_recursive(
         for length in range(2, rank + 1) for i in range(rank - length + 1)])
 
 
-@dataclass(frozen=True)
-class SggiCertificate:
-    """The outcome of certifying one presentation.
+def derive_fields(primary) -> dict:
+    """The one derivation of every field that a certificate's primary fields
+    determine, by ``DerivedFields``' name. ``primary`` is any record of
+    those fields: ``rank``, ``order``, ``schlafli_type``,
+    ``involution_orders``, ``string_ok``, ``intersection_ok`` and
+    ``parabolic_orders``, the corank-1 parabolic orders.
 
-    ``passed`` means the group is a verified string C-group: involutions,
-    string commutation, and the intersection property all hold. ``tight``
-    flags orders meeting the lower bound of twice the product of the type;
-    ``degenerate`` flags type entries below 3; ``minimal`` records whether
-    every corank-1 standard subgroup is proper (so faces of every rank exist).
+    ``passed`` means a verified string C-group: every generator an
+    involution, the string commutation and the intersection property.
+    ``log2_order`` is the exact log2 of the order, or None when the order is
+    no power of two (tight groups of non-2-power type exist). ``tight`` is
+    an order of exactly twice the product of the type, the least a polytope
+    of that type can have (Cunningham 2014); ``degenerate`` a type entry
+    below 3; ``minimal`` every corank-1 parabolic a proper subgroup, so that
+    faces of every rank exist. A passing group's ``f_vector`` is read off
+    its corank-1 parabolic orders: the i-faces are the cosets of the i-th
+    one (McMullen and Schulte, 2E); a failing group has none.
     """
+    order, stype, parabolics = primary.order, primary.schlafli_type, primary.parabolic_orders
+    involutions_ok = all(o == 2 for o in primary.involution_orders)
+    passed = involutions_ok and primary.string_ok and primary.intersection_ok
+    return {
+        "involutions_ok": involutions_ok,
+        "passed": passed,
+        # the guard: a loaded document may hold any integer
+        "log2_order": None if order < 1 or order & (order - 1) else order.bit_length() - 1,
+        "degenerate": any(t < 3 for t in stype),
+        "tight": primary.rank >= 2 and order == 2 * prod(stype),
+        "minimal": all(o < order for _, o in parabolics),
+        "f_vector": tuple(order // o for _, o in parabolics) if passed else None,
+    }
+
+
+@dataclass(frozen=True)
+class DerivedFields:
+    """The fields that ``derive_fields`` computes, shared by a certificate
+    and its document. None can be passed in: ``__post_init__`` sets them all
+    from the record's primary fields, so no record holds a value that they
+    contradict, ``dataclasses.replace`` included."""
+
+    involutions_ok: bool = field(init=False)
+    passed: bool = field(init=False)
+    log2_order: int | None = field(init=False)
+    degenerate: bool = field(init=False)
+    tight: bool = field(init=False)
+    minimal: bool = field(init=False)
+    f_vector: tuple[int, ...] | None = field(init=False)
+
+    def __post_init__(self):
+        for name, value in derive_fields(self).items():
+            object.__setattr__(self, name, value)
+
+
+@dataclass(frozen=True)
+class SggiCertificate(DerivedFields):
+    """The outcome of certifying one presentation; its ``DerivedFields``
+    are read off the primary fields below."""
 
     presentation: Presentation
     order: int
     schlafli_type: tuple[int, ...]
     declared_type: tuple[int, ...] | None
     involution_orders: tuple[int, ...]
-    involutions_ok: bool
     string_ok: bool
     string_failures: tuple[tuple[int, int], ...]
     intersection_ok: bool
     intersection_mode: str
     intersection_evidence: tuple[IntersectionEvidence, ...]
     parabolic_orders: tuple[tuple[tuple[int, ...], int], ...]
-    degenerate: bool
-    tight: bool
-    minimal: bool
     warnings: tuple[str, ...]
 
     @property
     def rank(self) -> int:
         return self.presentation.generator_count
-
-    @property
-    def passed(self) -> bool:
-        return self.involutions_ok and self.string_ok and self.intersection_ok
 
 
 def certify(spec: SggiSpec | Presentation,
@@ -177,7 +216,6 @@ def certify(spec: SggiSpec | Presentation,
     rank = p.generator_count
     rg = realize(p, limits, strategy)
     inv_orders = check_involutions(rg)
-    involutions_ok = all(o == 2 for o in inv_orders)
     string_ok, string_bad = check_string_property(rg)
     stype = schlafli_type(rg)
     warnings: list[str] = []
@@ -198,25 +236,18 @@ def certify(spec: SggiSpec | Presentation,
     for i in range(rank):
         subset = tuple(x for x in range(rank) if x != i)
         maximal.append((subset, rg.parabolic_order(subset)))
-    degenerate = any(t < 3 for t in stype)
-    tight = rank >= 2 and rg.order == 2 * prod(stype)
-    minimal = all(o < rg.order for _, o in maximal)
     return SggiCertificate(
         presentation=p,
         order=rg.order,
         schlafli_type=stype,
         declared_type=spec.declared_type,
         involution_orders=inv_orders,
-        involutions_ok=involutions_ok,
         string_ok=string_ok,
         string_failures=string_bad,
         intersection_ok=inter_ok,
         intersection_mode=mode,
         intersection_evidence=evidence,
         parabolic_orders=tuple(maximal),
-        degenerate=degenerate,
-        tight=tight,
-        minimal=minimal,
         warnings=tuple(warnings),
     )
 

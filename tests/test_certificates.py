@@ -11,22 +11,12 @@ from polycert.certificates import (
     certificate_to_json,
     evidence_digest,
     format_atlas,
-    order_log2,
     parse_atlas,
     row_from_document,
 )
-from polycert.errors import FormatError
+from polycert.errors import FormatError, ParameterError
 from polycert.families import family_h
 from polycert.verify import certify
-
-
-def test_order_log2():
-    assert order_log2(1) == 0
-    assert order_log2(2) == 1
-    assert order_log2(1024) == 10
-    assert order_log2(3) is None
-    assert order_log2(6) is None
-    assert order_log2(0) is None
 
 
 def test_json_round_trip(tight44):
@@ -53,9 +43,17 @@ def test_json_round_trip_minimal_fields():
     doc = build_certificate_document(cert)
     assert doc.family is None
     assert doc.params is None
-    assert doc.f_vector is None
+    # a passing group's f-vector is derived, with no keyword
+    assert doc.f_vector == (128, 256, 128)
     assert doc.declared_type is None
     assert certificate_from_json(certificate_to_json(doc)) == doc
+
+
+def test_a_wrong_f_vector_keyword_is_refused(tight44):
+    _, _, cert = tight44
+    assert build_certificate_document(cert, f_vector=[4, 8, 4]).f_vector == (4, 8, 4)
+    with pytest.raises(ParameterError, match=r"f-vector \(4, 8, 5\) is not the group's"):
+        build_certificate_document(cert, f_vector=(4, 8, 5))
 
 
 def test_tampered_evidence_is_rejected(tight44):
@@ -86,14 +84,16 @@ def test_malformed_documents_are_rejected(tight44):
         certificate_from_json(json.dumps(payload))
 
 
-def _load_edited(cert, path, value):
-    """Load the certificate of ``cert`` with the JSON value at ``path`` set."""
+def _load_edited(cert, *edits):
+    """Load the certificate of ``cert`` with the JSON value at each
+    ``(path, value)`` of ``edits`` set."""
     payload = json.loads(certificate_to_json(build_certificate_document(cert)))
-    *outer, key = path
-    node = payload
-    for part in outer:
-        node = node[part]
-    node[key] = value
+    for path, value in edits:
+        *outer, key = path
+        node = payload
+        for part in outer:
+            node = node[part]
+        node[key] = value
     return certificate_from_json(json.dumps(payload))
 
 
@@ -108,14 +108,55 @@ def _load_edited(cert, path, value):
 def test_wrongly_typed_leaf_is_rejected(tight44, path, value):
     _, _, cert = tight44
     with pytest.raises(FormatError, match="malformed"):
-        _load_edited(cert, path, value)
+        _load_edited(cert, (path, value))
 
 
 @pytest.mark.parametrize("path", [("surplus",), ("checks", "extra"), ("order", "x")])
 def test_undeclared_key_is_rejected(tight44, path):
     _, _, cert = tight44
     with pytest.raises(FormatError, match="malformed"):
-        _load_edited(cert, path, 1)
+        _load_edited(cert, (path, 1))
+
+
+@pytest.mark.parametrize("path, value", [
+    (("checks", "passed"), False),
+    (("checks", "involutions"), False),
+    (("order", "log2"), 6),
+    (("order", "log2"), None),
+    (("tight",), False),
+    (("degenerate",), True),
+    (("minimal",), False),
+    (("f_vector",), [4, 8, 5]),
+    (("f_vector",), None),
+])
+def test_a_contradicted_dependent_leaf_is_refused(tight44, path, value):
+    _, _, cert = tight44
+    with pytest.raises(FormatError, match="primary fields contradict"):
+        _load_edited(cert, (path, value))
+
+
+def test_a_self_contradictory_square_group_is_refused(tight44):
+    """The tight {4,4} document edited to order 64 (log2 6), type {8,8},
+    f-vector [1, 2, 3], and tight and passed false: the edited order, log2,
+    type and tight agree with each other, but passed and the f-vector
+    contradict the verdicts and the parabolic orders."""
+    _, _, cert = tight44
+    with pytest.raises(FormatError, match="primary fields contradict"):
+        _load_edited(cert, (("order", "value"), 64), (("order", "log2"), 6),
+                     (("schlafli_type",), [8, 8]), (("f_vector",), [1, 2, 3]),
+                     (("tight",), False), (("checks", "passed"), False))
+
+
+@pytest.mark.parametrize("path, value", [
+    (("order", "value"), 0),
+    (("order", "value"), -32),
+    (("parabolic_orders",), [[[1, 2], 0], [[0, 2], 4], [[0, 1], 8]]),
+    (("parabolic_orders",), [[[1, 2], 8], [[0, 2], -4], [[0, 1], 8]]),
+])
+def test_an_order_below_1_is_refused(tight44, path, value):
+    _, _, cert = tight44
+    with pytest.raises(FormatError, match="an order below 1"):
+        _load_edited(cert, (path, value))
 
 
 def test_evidence_digest_is_canonical():

@@ -7,7 +7,9 @@ overlap more than their generator sets say, so only the intersection check
 can reject it.
 """
 
+import dataclasses
 import itertools
+import types
 
 import pytest
 
@@ -22,6 +24,7 @@ from polycert.verify import (
     check_intersection_property_recursive,
     check_involutions,
     check_string_property,
+    derive_fields,
     schlafli_type,
 )
 from polycert.words import Presentation, generator, pair, power, presentation_from_text
@@ -246,3 +249,71 @@ def test_certification_enumeration_budget():
         assert cert.passed
         assert rg.stats["enumerations"] == 2
         assert rg.stats["quotient_actions"] <= len(read)
+
+
+# the primary fields of the tight {4,4} group, order 32, for hand-built cases
+TIGHT44_PRIMARY = dict(rank=3, order=32, schlafli_type=(4, 4), involution_orders=(2, 2, 2),
+                       string_ok=True, intersection_ok=True,
+                       parabolic_orders=(((1, 2), 8), ((0, 2), 4), ((0, 1), 8)))
+
+
+def derived(**change):
+    return derive_fields(types.SimpleNamespace(**{**TIGHT44_PRIMARY, **change}))
+
+
+def test_derived_fields_of_the_tight_square_group(tight44):
+    _, _, cert = tight44
+    assert derived() == {"involutions_ok": True, "passed": True, "log2_order": 5,
+                         "degenerate": False, "tight": True, "minimal": True,
+                         "f_vector": (4, 8, 4)}
+    assert {name: getattr(cert, name) for name in derived()} == derived()
+
+
+def test_minimal_fails_when_a_corank_1_parabolic_is_the_whole_group():
+    whole = (((1, 2), 32), ((0, 2), 4), ((0, 1), 8))
+    assert derived(parabolic_orders=whole)["minimal"] is False
+    assert derived()["minimal"] is True
+
+
+def test_tight_holds_at_exactly_twice_the_type_product():
+    assert derived(order=32)["tight"] is True
+    assert derived(order=64)["tight"] is False
+    assert derived(order=16)["tight"] is False
+
+
+def test_a_rank_1_group_is_never_tight():
+    # 2 * prod(()) == 2 == its order: only the rank rules it out
+    fields = derived(rank=1, order=2, schlafli_type=(), involution_orders=(2,),
+                     parabolic_orders=(((), 1),))
+    assert fields["passed"] and fields["tight"] is False
+
+
+def test_degenerate_marks_a_type_entry_of_2():
+    assert derived(schlafli_type=(4, 2))["degenerate"] is True
+    assert derived(schlafli_type=(4, 3))["degenerate"] is False
+
+
+@pytest.mark.parametrize("change", [
+    {"intersection_ok": False},
+    {"string_ok": False},
+    {"involution_orders": (1, 2, 2)},
+])
+def test_a_failing_group_has_no_f_vector(change):
+    fields = derived(**change)
+    assert fields["passed"] is False
+    assert fields["f_vector"] is None
+
+
+def test_derived_log2_order():
+    for order, log2 in ((1, 0), (2, 1), (1024, 10), (0, None), (3, None), (6, None)):
+        assert derived(order=order)["log2_order"] == log2
+
+
+def test_replace_re_derives_the_dependent_fields(tight44):
+    _, _, cert = tight44
+    failed = dataclasses.replace(cert, intersection_ok=False)
+    assert failed.passed is False
+    assert failed.f_vector is None
+    assert cert.passed and cert.f_vector == (4, 8, 4)
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(cert, passed=False)

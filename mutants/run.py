@@ -62,7 +62,7 @@ MUTANTS = (
            ("tests/test_acceptance.py::test_outputs_match_golden_digests",)),
     # the rows kept in the order the engine found them
     Mutant("standardize-in-engine-order", "src/polycert/coset.py",
-           "    std = new_id[perms.take(old_of, axis=1)]\n",
+           "    std = new_id.take(perms.take(old_of, axis=1).astype(np.intp))\n",
            "    std = np.array(perms, dtype=np.intc)\n",
            ("tests/test_coset.py::test_rewritten_presentations_give_the_same_tables",)),
     # the generator arrays handed to Schreier-Sims, two images of r1 swapped
@@ -153,6 +153,11 @@ MUTANTS = (
     Mutant("compaction-keeps-freed-marks", "src/polycert/coset.py",
            "            m[live_count:n] = 0\n", "",
            ("tests/test_coset.py",)),
+    # labels that propagate as intp must still be stored as int32
+    Mutant("orbit-labels-returned-as-intp", "src/polycert/perms.py",
+           "            return labels.astype(np.int32)\n", "            return labels\n",
+           ("tests/test_perms.py::test_orbit_labels_match_a_union_find",
+            "tests/test_realize.py::test_stored_arrays_stay_read_only_int32")),
     Mutant("schreier-sims-batch-always-succeeds", "src/polycert/perms.py",
            "        orbit = self.orbit\n        pos = np.full(",
            "        return True\n        orbit = self.orbit\n        pos = np.full(",
@@ -197,6 +202,10 @@ MUTANTS = (
     Mutant("string-check-skips-the-last-pair", "src/polycert/verify.py",
            "range(i + 2, realized.rank)", "range(i + 2, realized.rank - 1)",
            ("tests/test_verify.py::test_string_property_failure_detected",)),
+    # a generator's order read off its row of the table
+    Mutant("collapsed-generator-read-as-an-involution", "src/polycert/verify.py",
+           "tuple(1 if f else 2 for f in fixed.tolist())", "tuple(2 for f in fixed.tolist())",
+           ("tests/test_verify.py::test_collapsed_generator_warns",)),
     # the one derivation of the dependent fields, at each of its gates
     Mutant("collapsed-generator-counts-as-involution", "src/polycert/verify.py",
            "all(o == 2 for o in primary.involution_orders)",
@@ -218,6 +227,14 @@ MUTANTS = (
            "    for k, v in values.items():\n        object.__setattr__(doc, k, v)\n",
            ("tests/test_certificates.py::test_a_contradicted_dependent_leaf_is_refused",
             "tests/test_certificates.py::test_a_self_contradictory_square_group_is_refused")),
+    # a loaded type, generator-order list or subset that does not fit the rank
+    Mutant("loader-without-rank-fit-check", "src/polycert/certificates.py",
+           "            or not all(0 <= g < rank for s in subsets for g in s)):\n"
+           "        raise FormatError(",
+           "            or not all(0 <= g < rank for s in subsets for g in s)) and False:\n"
+           "        raise FormatError(",
+           ("tests/test_certificates.py::test_a_primary_field_that_does_not_fit_the_rank_is_refused",
+            "tests/test_certificates.py::test_an_evidence_subset_outside_the_rank_is_refused")),
     Mutant("hasse-without-polytope-checks", "src/polycert/cli.py",
            "    for name, ok in verdicts:\n", "    for name, ok in ():\n",
            ("tests/test_cli.py",)),

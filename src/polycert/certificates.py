@@ -9,15 +9,18 @@ A document's ``DerivedFields`` (the verdicts ``passed`` and
 f-vector) are derived from its primary fields when it is built, by
 ``verify.derive_fields``, and are never passed in. Loading a JSON document
 checks every value against its field's declared type, refuses an order or
-parabolic order below 1, and builds the document from its primary fields
-alone; the document must then write back exactly the payload it was read
-from, which refuses both a key that no field declares and a stored value
-that the primary fields contradict. Last it recomputes the sha256 digest
-over the intersection evidence rows. Nothing checks the fields that
-constrain nothing else (``warnings``, ``declared_type``, ``family``,
-``params``, ``unsafe_params``), nor an edit of the primary fields that keeps
-them consistent; one digest over the whole document and checking a
-certificate by replaying it arrive with ROADMAP item 2.
+parabolic order below 1, a type that does not have rank - 1 entries, a list
+of generator orders that does not have rank entries, and a parabolic or
+evidence subset that names a generator outside range(rank). It builds the
+document from its primary fields alone; the document must then write back
+exactly the payload it was read from, which refuses both a key that no
+field declares and a stored value that the primary fields contradict.
+Last it recomputes the sha256 digest over the intersection evidence rows.
+Nothing checks the fields that constrain nothing else (``warnings``,
+``declared_type``, ``family``, ``params``, ``unsafe_params``), nor an edit
+of the primary fields that keeps them consistent; one digest over the whole
+document and checking a certificate by replaying it arrive with ROADMAP
+item 2.
 
 A built document holds the certificate's ``IntersectionEvidence`` rows as
 they are; a loaded one holds plain tuples, which compare equal to them.
@@ -199,6 +202,13 @@ def certificate_from_json(text: str) -> CertificateDocument:
         raise FormatError(f"malformed certificate document: {exc!r}") from exc
     if min([values["order"], *(o for _, o in values["parabolic_orders"])]) < 1:
         raise FormatError("malformed certificate document: an order below 1")
+    rank = values["rank"]
+    subsets = [s for s, _ in values["parabolic_orders"]]
+    subsets += [s for left, right, _, _ in values["evidence"] for s in (left, right)]
+    if (len(values["schlafli_type"]) != rank - 1 or len(values["involution_orders"]) != rank
+            or not all(0 <= g < rank for s in subsets for g in s)):
+        raise FormatError("malformed certificate document: a type, generator orders or "
+                          "generator subset that does not fit its rank")
     doc = CertificateDocument(**{k: v for k, v in values.items() if k in _PRIMARY_FIELDS})
     if json.loads(certificate_to_json(doc)) != payload:
         raise FormatError("malformed certificate document: a key that no field declares, "

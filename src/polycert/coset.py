@@ -38,7 +38,12 @@ those columns stacked: one read-only int32 array ``perms`` of shape
 generators' permutations of the cosets. ``closed_table`` is the one
 constructor of a table: it numbers the cosets with ``_standardize``, for an
 enumeration and for the regular action that ``realize`` builds another way
-alike, so every route to a table gives the same bytes.
+alike, so every route to a table gives the same bytes. Arrays are stored
+int32, the table's bytes at rest. A gather through an int32 index array
+casts the whole index to intp first, so ``validate`` and ``_standardize``'s
+last gather convert their int32 index sources to intp once per call and
+gather with ``take`` on intp indices; the engine, whose memory is the
+point, keeps int32 throughout.
 
 HLT (with its lookahead, as in Holt, Eick and O'Brien, ch. 5) skips the
 scans that it knows would change nothing. Once a fill scan has closed a
@@ -179,6 +184,9 @@ class CosetTable:
         map of the cosets, by repeated squaring: |u| + about 2 log k gathers
         instead of k|u|, with the same result at every coset, so a failure
         names the same first open coset as a letter-by-letter trace.
+
+        The int32 table is converted to intp once, here, and every gather
+        below is a ``take`` on intp indices, which costs no cast.
         """
         t = self.perms
         ncols = self.presentation.generator_count
@@ -187,8 +195,8 @@ class CosetTable:
             raise TableNotClosedError(f"table has shape {t.shape}, expected ({ncols}, {n})")
         ids = np.arange(n)
         out_of_range = (t < 0) | (t >= n)
-        safe = np.where(out_of_range, 0, t)
-        bad = out_of_range | (np.take_along_axis(safe, safe, axis=1) != ids)
+        safe = np.where(out_of_range, 0, t).astype(np.intp)
+        bad = out_of_range | np.array([row.take(row) != ids for row in safe])
         if bad.any():
             # the first bad entry in coset-major order
             i, c = divmod(int(np.argmax(bad.T)), ncols)
@@ -202,14 +210,14 @@ class CosetTable:
                 root = _root_length(seq)
                 step = ids
                 for c in seq[:root]:
-                    step = t[c, step]
+                    step = safe[c].take(step)
                 k = len(seq) // root
                 while k:
                     if k & 1:
-                        cur = step[cur]
+                        cur = step.take(cur)
                     k >>= 1
                     if k:
-                        step = step[step]
+                        step = step.take(step)
             open_at = np.flatnonzero(cur != ids)
             if open_at.size:
                 raise TableNotClosedError(
@@ -680,9 +688,10 @@ def _standardize(perms: np.ndarray) -> np.ndarray:
     if nxt != n:
         raise TableNotClosedError("coset graph is not connected; table corrupt")
     # the trailing -1 maps an undefined entry to -1; ``take`` keeps each
-    # generator's row contiguous, where ``perms[:, old_of]`` would not
+    # generator's row contiguous, where ``perms[:, old_of]`` would not, and
+    # the last gather reads intp indices without a cast
     new_id = np.array(new_of + [-1], dtype=np.intc)
-    std = new_id[perms.take(old_of, axis=1)]
+    std = new_id.take(perms.take(old_of, axis=1).astype(np.intp))
     std.setflags(write=False)
     return std
 

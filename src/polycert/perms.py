@@ -3,7 +3,10 @@
 A permutation of {0, ..., n-1} is its image array: a read-only int32 array
 whose entry x is the image of x, the form in which a coset table keeps its
 generators (row g of ``CosetTable.perms`` is generator g). Products are
-numpy gathers: ``b[a]`` applies ``a`` first, then ``b``.
+numpy gathers: ``b[a]`` applies ``a`` first, then ``b``. Arrays are stored
+int32; ``orbit_labels``, which gathers repeatedly, converts its arrays to
+intp once per call and gathers with ``take`` on intp indices, since a
+gather through an int32 index array casts the index to intp every time.
 
 ``PermutationGroup`` keeps a base and strong generating set built by a
 deterministic Schreier-Sims pass (Holt, Eick and O'Brien, *Handbook of
@@ -134,15 +137,20 @@ def orbit_labels(perms: Sequence[np.ndarray], n: int) -> np.ndarray:
     agree along every edge. Each array must be a permutation: then it has
     finite order, so its forward edges already connect each orbit and no
     inverse arrays are needed.
+
+    The arrays are converted to intp once, on entry, and the labels
+    propagate as intp, so no gather casts its index array; the labels are
+    returned as int32.
     """
-    labels = np.arange(n, dtype=np.int32)
+    perms = [np.asarray(arr, dtype=np.intp) for arr in perms]
+    labels = np.arange(n)
     while True:
         nxt = labels
         for arr in perms:
-            nxt = np.minimum(nxt, nxt[arr])
-        nxt = nxt[nxt]
+            nxt = np.minimum(nxt, nxt.take(arr))
+        nxt = nxt.take(nxt)
         if np.array_equal(nxt, labels):
-            return labels
+            return labels.astype(np.int32)
         labels = nxt
 
 

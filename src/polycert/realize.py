@@ -5,7 +5,10 @@ elements are coset ids (0 is the identity) and each generator is a
 right-multiplication array over the elements: row g of the table's one
 array ``perms``, the same read-only image arrays that a stabilizer chain is
 built from and that the flag graph is. Everything else is derived from that
-single table without further enumerations.
+single table without further enumerations. The table and the kept coset
+labels are stored int32; the orbit route converts the two small tables to
+intp once per call, gathers with ``take`` on intp indices, and stores the
+image arrays it hands to ``closed_table`` as int32.
 
 Every generator is a declared involution, as in every ``Presentation``.
 The table is built as the orbit of one point when the presentation allows
@@ -131,14 +134,15 @@ def _orbit_table(p: Presentation, i: int, hidden: int, bound_h: int,
     counts = EnumerationStats(strategy, **{
         name: sum(getattr(t.stats, name) for t in parts)
         for name in ("cosets_created", "compactions", "lookaheads", "deductions")})
-    th, tg = (t.perms for t in parts)
+    # the int32 tables as intp, once: every gather below takes intp indices
+    th, tg = (t.perms.astype(np.intp) for t in parts)
     n, ng = th.shape[1], tg.shape[1]
     bound = n * bound_h
     # Block 0 is the H-orbit of the point (0, 0) in the product of the
     # actions on G' and on the two cosets of K, which every generator swaps:
     # point (a, b) is numbered 2a + b. The order of the points in a block is
     # irrelevant: they are numbered by one sort.
-    swap = np.array([1, 0], dtype=np.intc)
+    swap = np.array([1, 0])
     labels = orbit_labels([(tg[g, :, None] * 2 + swap).ravel() for g in (i, i + 1)], ng * 2)
     block = np.flatnonzero(labels == 0)
     if n * len(block) != bound:
@@ -154,7 +158,7 @@ def _orbit_table(p: Presentation, i: int, hidden: int, bound_h: int,
     # each level of that tree is one range of cosets, and block beta is block
     # parent moved by gen.
     parent, gen = np.divmod(np.unique(th.T, return_index=True)[1][1:], d)
-    a = np.empty((n, len(block)), dtype=np.intc)
+    a = np.empty((n, len(block)), dtype=np.intp)
     b = np.empty_like(a)
     a[0], b[0] = np.divmod(block, 2)
     lo = 1
@@ -170,7 +174,8 @@ def _orbit_table(p: Presentation, i: int, hidden: int, bound_h: int,
     keys, beta, a, b = keys[order], beta[order], a.ravel()[order], b.ravel()[order]
     images = np.empty((d, len(keys)), dtype=np.intc)
     for g in range(d):
-        image = (th[g, beta].astype(np.int64) * ng + tg[g, a]) * 2 + (b ^ 1)
+        image = th[g].take(beta).astype(np.int64, copy=False) * ng + tg[g].take(a)
+        image = image * 2 + (b ^ 1)
         pos = np.minimum(np.searchsorted(keys, image), len(keys) - 1)
         if not np.array_equal(keys[pos], image):
             raise TableNotClosedError(f"the orbit of the base point is not closed under r{g}")

@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 from math import prod
 from typing import NamedTuple
 
+import numpy as np
+
 from .coset import EnumerationLimits
 from .errors import ParameterError
 from .realize import RealizedGroup, realize
@@ -65,8 +67,12 @@ class IntersectionEvidence(NamedTuple):
 
 
 def check_involutions(realized: RealizedGroup) -> tuple[int, ...]:
-    """Element orders of the generators (1 marks a collapsed generator)."""
-    return tuple(realized.element_order(generator(i)) for i in range(realized.rank))
+    """Element orders of the generators (1 marks a collapsed generator).
+
+    Every generator has its square relator, so its order is 1 exactly when
+    its row of the table is the identity, and 2 otherwise."""
+    fixed = (realized.table.perms == np.arange(realized.order)).all(axis=1)
+    return tuple(1 if f else 2 for f in fixed.tolist())
 
 
 def check_string_property(realized: RealizedGroup) -> tuple[bool, tuple[tuple[int, int], ...]]:

@@ -159,6 +159,33 @@ def test_an_order_below_1_is_refused(tight44, path, value):
         _load_edited(cert, (path, value))
 
 
+@pytest.mark.parametrize("path, value", [
+    (("rank",), 7),
+    (("rank",), 2),
+    (("involution_orders",), [2, 2]),
+    (("involution_orders",), [2, 2, 2, 2]),
+    # the product of the type and so tight are unchanged
+    (("schlafli_type",), [16]),
+    (("parabolic_orders",), [[[9], 8], [[0, 2], 4], [[0, 1], 8]]),
+    (("parabolic_orders",), [[[1, 2], 8], [[0, -1], 4], [[0, 1], 8]]),
+])
+def test_a_primary_field_that_does_not_fit_the_rank_is_refused(tight44, path, value):
+    _, _, cert = tight44
+    with pytest.raises(FormatError, match="does not fit its rank"):
+        _load_edited(cert, (path, value))
+
+
+@pytest.mark.parametrize("side, subset", [(0, [9]), (1, [1, 3]), (0, [-1])])
+def test_an_evidence_subset_outside_the_rank_is_refused(tight44, side, subset):
+    """The edited rows come with their own digest, so only the subset check
+    can refuse them."""
+    _, _, cert = tight44
+    rows = [list(row) for row in cert.intersection_evidence]
+    rows[-1][side] = subset
+    with pytest.raises(FormatError, match="does not fit its rank"):
+        _load_edited(cert, (("evidence",), rows), (("evidence_digest",), evidence_digest(rows)))
+
+
 def test_evidence_digest_is_canonical():
     rows_a = (((0,), (1,), 2, 2), ((0, 1), (1, 2), 4, 4))
     rows_b = tuple(((tuple(l), tuple(r), g, e)

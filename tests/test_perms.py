@@ -289,6 +289,47 @@ def test_chain_order_matches_brute_force_and_sympy(case):
         assert len(base) > 1
 
 
+def _union_find_labels(images, n):
+    """Each point's smallest orbit-mate by a plain-Python union-find: a
+    merge keeps the smaller root, so every root is its set's smallest point."""
+    parent = list(range(n))
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for img in images:
+        for x, y in enumerate(img):
+            a, b = root(x), root(y)
+            parent[max(a, b)] = min(a, b)
+    return [root(x) for x in range(n)]
+
+
+@st.composite
+def permutation_sets(draw):
+    """0-4 permutations of at most 40 points, each moving a drawn subset,
+    so the orbits are of every size."""
+    n = draw(st.integers(1, 40))
+    images = []
+    for _ in range(draw(st.integers(0, 4))):
+        support = draw(st.permutations(range(n)))[:draw(st.integers(1, n))]
+        img = list(range(n))
+        for a, b in zip(support, draw(st.permutations(support))):
+            img[a] = b
+        images.append(img)
+    return n, images
+
+
+@settings(max_examples=200, deadline=None)
+@given(permutation_sets())
+def test_orbit_labels_match_a_union_find(case):
+    n, images = case
+    labels = orbit_labels([np.array(img, dtype=np.int32) for img in images], n)
+    assert labels.dtype == np.int32
+    assert labels.tolist() == _union_find_labels(images, n)
+
+
 def test_regular_chain_is_one_level_and_verifies_in_full():
     rg = RealizedGroup(tight_quotient_presentation((8, 8, 8)))
     g = PermutationGroup(rg.table.to_permutations(), degree=rg.order)

@@ -151,6 +151,25 @@ def test_quotient_partition_consistency():
             assert np.array_equal(labels[rg.table.perms[g]], labels)
 
 
+@pytest.mark.parametrize("p, enumerations", [
+    (family_g(4, 10, (2, 2, 3)), 2),
+    (ORACLE_PRESENTATIONS[4], 3),
+    (ORACLE_PRESENTATIONS[5], 1),
+], ids=["orbit-route", "fallback", "plain"])
+def test_stored_arrays_stay_read_only_int32(p, enumerations):
+    """The tables and the kept labels are int32 at rest, whichever route
+    built them; only the gathers inside a call run on intp."""
+    rg = RealizedGroup(p)
+    assert rg.stats["enumerations"] == enumerations
+    stored = [rg.table.perms, enumerate_cosets(p, [generator(0)]).perms,
+              *(rg.cosets(s) for s in [(), (0,), (0, 1), tuple(range(rg.rank))])]
+    for arr in stored:
+        assert arr.dtype == np.int32
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[..., 0] = 0
+
+
 def test_realize_returns_shared_instances():
     p = tight_quotient_presentation((4, 8))
     a = realize(p)
